@@ -18,6 +18,7 @@ monomials have s-exponent 0 or 1.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
@@ -364,11 +365,10 @@ def sqrt_monomial(expr: Expr) -> Expr:
 
 
 def _isqrt_exact(n: int):
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 # convenience singletons

@@ -13,35 +13,27 @@ expression layer).  Any hbar in incoming coefficients is rewritten as
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
-
 from .expression import Expr
 from .numberpoly import NumberPolynomial
 from .weyl import WeylPolynomial
-from .words import swap_counts
-
-Key = Tuple[int, int]  # exponents of Ad^m A^n
+from .words import OrderedPolynomial
 
 HBAR_AS_NU = (
     Expr.number(2) * Expr.symbol("dQ") * Expr.symbol("dP") / Expr.symbol("nu")
 )
 
 
-class LadderPolynomial:
-    __slots__ = ("_terms",)
+class LadderPolynomial(OrderedPolynomial):
+    """Map (m, n) -> coefficient for Ad^m A^n."""
 
-    def __init__(self, terms: Mapping[Key, Expr] = ()):
-        cleaned = {}
-        for key, coeff in dict(terms).items():
-            coeff = Expr.coerce(coeff)
-            if not coeff.is_zero():
-                cleaned[key] = coeff
-        object.__setattr__(self, "_terms", cleaned)
+    __slots__ = ()
 
-    def __setattr__(self, *_):
-        raise AttributeError("LadderPolynomial is immutable")
+    CONTRACTION = Expr.number(1)
+    LETTERS = ("Ad", "A")
 
-    # -- constructors -------------------------------------------------------------
+    # own entries, so that per-class tracing sees this class's products
+    __mul__ = OrderedPolynomial.__mul__
+    __rmul__ = OrderedPolynomial.__rmul__
 
     @classmethod
     def lower(cls, exponent: int = 1) -> "LadderPolynomial":
@@ -51,97 +43,10 @@ class LadderPolynomial:
     def raise_(cls, exponent: int = 1) -> "LadderPolynomial":
         return cls({(exponent, 0): Expr.number(1)})
 
-    @classmethod
-    def constant(cls, value) -> "LadderPolynomial":
-        return cls({(0, 0): Expr.coerce(value)})
-
-    @classmethod
-    def coerce(cls, value) -> "LadderPolynomial":
-        if isinstance(value, LadderPolynomial):
-            return value
-        return cls.constant(value)
-
-    # -- queries ---------------------------------------------------------------------
-
-    def terms(self):
-        return sorted(self._terms.items())
-
-    def coefficient(self, m: int, n: int) -> Expr:
-        return self._terms.get((m, n), Expr())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degree(self) -> int:
-        return max((m + n for m, n in self._terms), default=0)
-
-    # -- ring operations ------------------------------------------------------------------
-
-    def __add__(self, other):
-        other = LadderPolynomial.coerce(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key, Expr()) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return LadderPolynomial(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LadderPolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-LadderPolynomial.coerce(other))
-
-    def __rsub__(self, other):
-        return LadderPolynomial.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, LadderPolynomial):
-            other = LadderPolynomial.constant(other)
-        terms: Dict[Key, Expr] = {}
-        for (m1, n1), c1 in self._terms.items():
-            for (m2, n2), c2 in other._terms.items():
-                # reduce Ad^m1 A^n1 Ad^m2 A^n2; contraction factor is +1
-                coeff = c1 * c2
-                for j, count in swap_counts(n1, m2).items():
-                    key = (m1 + m2 - j, n1 + n2 - j)
-                    acc = terms.get(key, Expr()) + coeff * count
-                    if acc.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = acc
-        return LadderPolynomial(terms)
-
-    def __rmul__(self, other):
-        return LadderPolynomial.coerce(other) * self
-
-    def __pow__(self, n: int):
-        out = LadderPolynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def adjoint(self) -> "LadderPolynomial":
         return LadderPolynomial(
             {(n, m): c.conjugate() for (m, n), c in self._terms.items()}
         )
-
-    def __eq__(self, other):
-        if isinstance(other, LadderPolynomial):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        from .parsing import format_ladder
-
-        return format_ladder(self)
 
 
 def ladder_q() -> LadderPolynomial:

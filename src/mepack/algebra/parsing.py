@@ -22,6 +22,7 @@ from .ladder import LadderPolynomial
 from .phase import PhasePolynomial
 from .scalar import Scalar
 from .weyl import WeylPolynomial
+from .words import OrderedPolynomial
 
 Word = Tuple[str, ...]
 TermList = List[Tuple[Expr, Word]]
@@ -90,42 +91,25 @@ def format_expression(expr: Expr) -> str:
     return _join_terms([_format_term(c, _format_mono(m)) for m, c in expr.terms()])
 
 
-def _format_operator(terms, word_of) -> str:
-    rendered = []
-    for key, coeff in terms:
-        word = word_of(key)
-        for mono, scalar in coeff.terms():
-            sym = _format_mono(mono)
-            tail = "*".join(x for x in (sym, word) if x)
-            rendered.append(_format_term(scalar, tail))
-    return _join_terms(rendered)
-
-
 def _power_word(letter: str, exp: int) -> str:
     if exp == 0:
         return ""
     return letter if exp == 1 else f"{letter}^{exp}"
 
 
-def format_weyl(poly: WeylPolynomial) -> str:
-    return _format_operator(
-        poly.terms(),
-        lambda ab: "*".join(x for x in (_power_word("q", ab[0]), _power_word("p", ab[1])) if x),
-    )
+def format_ordered(poly: OrderedPolynomial) -> str:
+    """Render X^a Y^b terms with the polynomial's own letter pair."""
+    x, y = poly.LETTERS
+    rendered = []
+    for (a, b), coeff in poly.terms():
+        word = "*".join(w for w in (_power_word(x, a), _power_word(y, b)) if w)
+        for mono, scalar in coeff.terms():
+            tail = "*".join(w for w in (_format_mono(mono), word) if w)
+            rendered.append(_format_term(scalar, tail))
+    return _join_terms(rendered)
 
 
-def format_phase(poly: PhasePolynomial) -> str:
-    return _format_operator(
-        poly.terms(),
-        lambda ab: "*".join(x for x in (_power_word("q", ab[0]), _power_word("p", ab[1])) if x),
-    )
-
-
-def format_ladder(poly: LadderPolynomial) -> str:
-    return _format_operator(
-        poly.terms(),
-        lambda mn: "*".join(x for x in (_power_word("Ad", mn[0]), _power_word("A", mn[1])) if x),
-    )
+format_weyl = format_phase = format_ladder = format_ordered
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +256,22 @@ def parse_expression(text: str) -> Expr:
     return out
 
 
-def parse_weyl(text: str) -> WeylPolynomial:
-    out = WeylPolynomial()
+def _parse_ordered(text: str, cls, message: str):
+    out = cls()
     for coeff, word in _parse_terms(text):
-        if any(l not in ("q", "p") for l in word):
-            raise ParseError("ladder letters in a Weyl expression")
-        out = out + WeylPolynomial.from_word(word, coeff)
+        if any(l not in cls.LETTERS for l in word):
+            raise ParseError(message)
+        out = out + cls.from_word(word, coeff)
     return out
+
+
+def parse_weyl(text: str) -> WeylPolynomial:
+    return _parse_ordered(text, WeylPolynomial, "ladder letters in a Weyl expression")
 
 
 def parse_phase(text: str) -> PhasePolynomial:
-    out = PhasePolynomial()
-    for coeff, word in _parse_terms(text):
-        if any(l not in ("q", "p") for l in word):
-            raise ParseError("ladder letters in a phase-space expression")
-        a, b = word.count("q"), word.count("p")
-        out = out + PhasePolynomial({(a, b): coeff})
-    return out
+    return _parse_ordered(text, PhasePolynomial, "ladder letters in a phase-space expression")
 
 
 def parse_ladder(text: str) -> LadderPolynomial:
-    out = LadderPolynomial()
-    for coeff, word in _parse_terms(text):
-        if any(l not in ("A", "Ad") for l in word):
-            raise ParseError("Weyl letters in a ladder expression")
-        term = LadderPolynomial.constant(coeff)
-        for letter in word:
-            term = term * (LadderPolynomial.lower() if letter == "A" else LadderPolynomial.raise_())
-        out = out + term
-    return out
+    return _parse_ordered(text, LadderPolynomial, "Weyl letters in a ladder expression")

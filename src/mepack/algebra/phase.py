@@ -5,28 +5,19 @@ Coefficients are exact `Expr` values; the Poisson bracket lives here.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Mapping
 
 from .expression import Expr
+from .words import OrderedPolynomial
 
-Key = Tuple[int, int]  # (q exponent, p exponent)
 
+class PhasePolynomial(OrderedPolynomial):
+    """Map (a, b) -> coefficient for q^a p^b; q and p commute."""
 
-class PhasePolynomial:
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Key, Expr] = ()):
-        cleaned = {}
-        for key, coeff in dict(terms).items():
-            coeff = Expr.coerce(coeff)
-            if not coeff.is_zero():
-                cleaned[key] = coeff
-        object.__setattr__(self, "_terms", cleaned)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PhasePolynomial is immutable")
-
-    # -- constructors --------------------------------------------------------
+    CONTRACTION = None
+    LETTERS = ("q", "p")
 
     @classmethod
     def q(cls, exponent: int = 1) -> "PhasePolynomial":
@@ -35,76 +26,6 @@ class PhasePolynomial:
     @classmethod
     def p(cls, exponent: int = 1) -> "PhasePolynomial":
         return cls({(0, exponent): Expr.number(1)})
-
-    @classmethod
-    def constant(cls, value) -> "PhasePolynomial":
-        return cls({(0, 0): Expr.coerce(value)})
-
-    @classmethod
-    def coerce(cls, value) -> "PhasePolynomial":
-        if isinstance(value, PhasePolynomial):
-            return value
-        return cls.constant(value)
-
-    # -- queries ---------------------------------------------------------------
-
-    def terms(self):
-        return sorted(self._terms.items())
-
-    def coefficient(self, a: int, b: int) -> Expr:
-        return self._terms.get((a, b), Expr())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degree(self) -> int:
-        return max((a + b for a, b in self._terms), default=0)
-
-    # -- ring operations ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = PhasePolynomial.coerce(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key, Expr()) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return PhasePolynomial(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PhasePolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-PhasePolynomial.coerce(other))
-
-    def __rsub__(self, other):
-        return PhasePolynomial.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)) or isinstance(other, Expr):
-            other = PhasePolynomial.constant(other)
-        terms: Dict[Key, Expr] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                acc = terms.get(key, Expr()) + c1 * c2
-                if acc.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-        return PhasePolynomial(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = PhasePolynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- calculus ------------------------------------------------------------------
 
@@ -122,28 +43,12 @@ class PhasePolynomial:
                 terms[(a, b - 1)] = c * b
         return PhasePolynomial(terms)
 
-    def map_coefficients(self, fn) -> "PhasePolynomial":
-        return PhasePolynomial({k: fn(c) for k, c in self._terms.items()})
-
     def evaluate(self, q, p, bindings: Mapping[str, complex] = ()) -> complex:
         bindings = dict(bindings)
         total = 0j
         for (a, b), c in self._terms.items():
             total += c.evaluate(bindings) * complex(q) ** a * complex(p) ** b
         return total
-
-    def __eq__(self, other):
-        if isinstance(other, PhasePolynomial):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        from .parsing import format_phase
-
-        return format_phase(self)
 
 
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:

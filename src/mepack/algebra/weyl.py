@@ -2,37 +2,25 @@
 
 Canonical normal form keeps every q left of every p, so a polynomial is a
 map (a, b) -> coefficient representing q^a p^b.  Products reduce by the
-single-swap rule p q -> q p - i*hbar (see `words.swap_counts`).
+swap rule p q -> q p - i*hbar (see `words.OrderedPolynomial`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
-
 from .expression import Expr
 from .phase import PhasePolynomial
-from .words import swap_counts
-
-Key = Tuple[int, int]  # exponents of q^a p^b
-
-_MINUS_I_HBAR = Expr.number(-1) * Expr.i() * Expr.symbol("hbar")
+from .words import OrderedPolynomial
 
 
-class WeylPolynomial:
-    __slots__ = ("_terms",)
+class WeylPolynomial(OrderedPolynomial):
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Key, Expr] = ()):
-        cleaned = {}
-        for key, coeff in dict(terms).items():
-            coeff = Expr.coerce(coeff)
-            if not coeff.is_zero():
-                cleaned[key] = coeff
-        object.__setattr__(self, "_terms", cleaned)
+    CONTRACTION = Expr.number(-1) * Expr.i() * Expr.symbol("hbar")
+    LETTERS = ("q", "p")
 
-    def __setattr__(self, *_):
-        raise AttributeError("WeylPolynomial is immutable")
-
-    # -- constructors ----------------------------------------------------------
+    # own entries, so that per-class tracing sees this class's products
+    __mul__ = OrderedPolynomial.__mul__
+    __rmul__ = OrderedPolynomial.__rmul__
 
     @classmethod
     def q(cls, exponent: int = 1) -> "WeylPolynomial":
@@ -41,96 +29,6 @@ class WeylPolynomial:
     @classmethod
     def p(cls, exponent: int = 1) -> "WeylPolynomial":
         return cls({(0, exponent): Expr.number(1)})
-
-    @classmethod
-    def constant(cls, value) -> "WeylPolynomial":
-        return cls({(0, 0): Expr.coerce(value)})
-
-    @classmethod
-    def coerce(cls, value) -> "WeylPolynomial":
-        if isinstance(value, WeylPolynomial):
-            return value
-        return cls.constant(value)
-
-    @classmethod
-    def from_word(cls, word: Iterable[str], coeff=1) -> "WeylPolynomial":
-        """Normal-order an arbitrary word over the letters 'q', 'p'."""
-        out = cls.constant(coeff)
-        for letter in word:
-            if letter == "q":
-                out = out * cls.q()
-            elif letter == "p":
-                out = out * cls.p()
-            else:
-                raise ValueError(f"unknown Weyl letter {letter!r}")
-        return out
-
-    # -- queries ------------------------------------------------------------------
-
-    def terms(self):
-        return sorted(self._terms.items())
-
-    def coefficient(self, a: int, b: int) -> Expr:
-        return self._terms.get((a, b), Expr())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degree(self) -> int:
-        return max((a + b for a, b in self._terms), default=0)
-
-    # -- ring operations -------------------------------------------------------------
-
-    def __add__(self, other):
-        other = WeylPolynomial.coerce(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key, Expr()) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return WeylPolynomial(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylPolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-WeylPolynomial.coerce(other))
-
-    def __rsub__(self, other):
-        return WeylPolynomial.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, WeylPolynomial):
-            other = WeylPolynomial.constant(other)
-        terms: Dict[Key, Expr] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                # reduce q^a1 p^b1 q^a2 p^b2; only p^b1 q^a2 is disordered
-                coeff = c1 * c2
-                factor = Expr.number(1)
-                for j, count in sorted(swap_counts(b1, a2).items()):
-                    key = (a1 + a2 - j, b1 + b2 - j)
-                    term = coeff * count * factor
-                    acc = terms.get(key, Expr()) + term
-                    if acc.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = acc
-                    factor = factor * _MINUS_I_HBAR
-        return WeylPolynomial(terms)
-
-    def __rmul__(self, other):
-        return WeylPolynomial.coerce(other) * self
-
-    def __pow__(self, n: int):
-        out = WeylPolynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- involution and images ----------------------------------------------------------
 
@@ -144,22 +42,6 @@ class WeylPolynomial:
     def classical(self) -> PhasePolynomial:
         """Commutative image (exponents kept, coefficients untouched)."""
         return PhasePolynomial(dict(self._terms))
-
-    def map_coefficients(self, fn) -> "WeylPolynomial":
-        return WeylPolynomial({k: fn(c) for k, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, WeylPolynomial):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        from .parsing import format_weyl
-
-        return format_weyl(self)
 
 
 def commutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:

@@ -1,49 +1,175 @@
-"""Single-swap normal ordering of two-letter words.
+"""Ordered polynomials in two letters, with closed-form normal ordering.
 
-Both operator algebras in this package reduce by the same combinatorial
-scheme: a disordered adjacent pair X Y rewrites to the swapped pair plus a
-contraction that deletes both letters,
+All three algebras in this package are spanned by the ordered monomials
+X^a Y^b (every X left of every Y) and differ only in the constant c that
+one swap of a disordered pair adds:
 
-    p q -> q p + (-i*hbar) * 1        (Weyl algebra)
-    A Ad -> Ad A + 1                  (ladder algebra)
+    q p = p q                         phase space   (c = 0)
+    p q = q p + (-i*hbar) * 1         Weyl algebra  (c = -i*hbar)
+    A Ad = Ad A + 1                   ladder        (c = 1, X = Ad, Y = A)
 
-applied until no disordered pair remains.  Termination follows from the
-strictly decreasing inversion count; the result is independent of the
-rewrite order (the counts below are well defined).
+Reducing Y^b X^a to normal order has the closed form (Wilcox,
+J. Math. Phys. 8, 962 (1967); Blasiak, Penson and Solomon 2003)
 
-`swap_counts(nl, nr)` reduces a word of `nl` "late" letters followed by
-`nr` "early" letters and returns {j: multiplicity}, meaning the normal
-form contains `multiplicity` copies of the word with j contracted pairs
-removed, each weighted by the algebra's contraction factor to the j-th
-power.
+    Y^b X^a = sum_j j! C(a, j) C(b, j) c^j X^(a-j) Y^(b-j),
+
+so the product of two ordered monomials is
+
+    X^a1 Y^b1 . X^a2 Y^b2
+        = sum_j swap_counts(b1, a2)[j] c^j X^(a1+a2-j) Y^(b1+b2-j).
+
+`OrderedPolynomial` implements that ring once; a subclass sets the
+contraction c as `CONTRACTION` (None for the commutative case, which keeps
+only j = 0) and its two letters as `LETTERS`.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Iterable, Mapping, Optional, Tuple
+
+from .expression import Expr
+
+Key = Tuple[int, int]  # exponents of X^a Y^b
 
 
 @lru_cache(maxsize=None)
 def swap_counts(nl: int, nr: int) -> Dict[int, int]:
-    if nl == 0 or nr == 0:
-        return {0: 1}
-    # letters: 'L' must move right of 'R'
-    start = ("L",) * nl + ("R",) * nr
-    pending = {start: {0: 1}}
-    done: Dict[int, int] = {}
-    while pending:
-        word, jcounts = pending.popitem()
-        for idx in range(len(word) - 1):
-            if word[idx] == "L" and word[idx + 1] == "R":
-                swapped = word[:idx] + ("R", "L") + word[idx + 2:]
-                contracted = word[:idx] + word[idx + 2:]
-                for target, shift in ((swapped, 0), (contracted, 1)):
-                    slot = pending.setdefault(target, {})
-                    for j, c in jcounts.items():
-                        slot[j + shift] = slot.get(j + shift, 0) + c
-                break
-        else:
-            for j, c in jcounts.items():
-                done[j] = done.get(j, 0) + c
-    return done
+    """{j: multiplicity} of the words with j contracted pairs in the normal
+    form of `nl` late letters followed by `nr` early ones."""
+    return {
+        j: math.factorial(j) * math.comb(nl, j) * math.comb(nr, j)
+        for j in range(min(nl, nr) + 1)
+    }
+
+
+_NO_SWAPS = {0: 1}
+
+
+class OrderedPolynomial:
+    """Immutable map (a, b) -> coefficient for the monomials X^a Y^b."""
+
+    __slots__ = ("_terms",)
+
+    CONTRACTION: Optional[Expr]  # None when the letters commute
+    LETTERS: Tuple[str, str]  # (X, Y)
+
+    def __init__(self, terms: Mapping[Key, Expr] = ()):
+        cleaned = {}
+        for key, coeff in dict(terms).items():
+            coeff = Expr.coerce(coeff)
+            if not coeff.is_zero():
+                cleaned[key] = coeff
+        object.__setattr__(self, "_terms", cleaned)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- constructors ----------------------------------------------------------
+
+    @classmethod
+    def constant(cls, value):
+        return cls({(0, 0): Expr.coerce(value)})
+
+    @classmethod
+    def coerce(cls, value):
+        if isinstance(value, cls):
+            return value
+        return cls.constant(value)
+
+    @classmethod
+    def from_word(cls, word: Iterable[str], coeff=1):
+        """Normal-order an arbitrary word over the two letters."""
+        x, y = cls.LETTERS
+        letters = {x: cls({(1, 0): Expr.number(1)}), y: cls({(0, 1): Expr.number(1)})}
+        out = cls.constant(coeff)
+        for letter in word:
+            if letter not in letters:
+                raise ValueError(f"unknown {cls.__name__} letter {letter!r}")
+            out = out * letters[letter]
+        return out
+
+    # -- queries ---------------------------------------------------------------
+
+    def terms(self):
+        return sorted(self._terms.items())
+
+    def coefficient(self, a: int, b: int) -> Expr:
+        return self._terms.get((a, b), Expr())
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def degree(self) -> int:
+        return max((a + b for a, b in self._terms), default=0)
+
+    # -- ring operations -------------------------------------------------------
+
+    def __add__(self, other):
+        other = self.coerce(other)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc = terms.get(key, Expr()) + coeff
+            if acc.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = acc
+        return type(self)(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self.coerce(other))
+
+    def __rsub__(self, other):
+        return self.coerce(other) + (-self)
+
+    def __mul__(self, other):
+        other = self.coerce(other)
+        contraction = self.CONTRACTION
+        powers = [Expr.number(1)]  # contraction ** j, grown on demand
+        terms: Dict[Key, Expr] = {}
+        for (a1, b1), c1 in self._terms.items():
+            for (a2, b2), c2 in other._terms.items():
+                coeff = c1 * c2
+                # only the inner Y^b1 X^a2 is disordered
+                counts = _NO_SWAPS if contraction is None else swap_counts(b1, a2)
+                for j, count in counts.items():
+                    if j == len(powers):
+                        powers.append(powers[-1] * contraction)
+                    key = (a1 + a2 - j, b1 + b2 - j)
+                    acc = terms.get(key, Expr()) + (coeff * (powers[j] * count) if j else coeff)
+                    if acc.is_zero():
+                        terms.pop(key, None)
+                    else:
+                        terms[key] = acc
+        return type(self)(terms)
+
+    def __rmul__(self, other):
+        return self.coerce(other) * self
+
+    def __pow__(self, n: int):
+        out = self.constant(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def map_coefficients(self, fn):
+        return type(self)({k: fn(c) for k, c in self._terms.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self):
+        from .parsing import format_ordered
+
+        return format_ordered(self)

@@ -25,16 +25,10 @@ from .algebra.phase import PhasePolynomial, poisson_bracket
 from .algebra.weyl import WeylPolynomial, commutator
 from .classical import entropy_classical, moment_classical
 from .errors import DomainError
-from .packets import FieldValue, PacketMoments
+from .packets import FieldValue, PacketMoments, _as_expr
 from .quantum import entropy_quantum, expectation_quantum
 
 Number = Union[int, float, Fraction]
-
-
-def _as_expr(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    return Expr.number(Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -90,21 +84,13 @@ class PolynomialPotential:
         return float(self.mass)
 
 
-def hamiltonian_phase(potential: PolynomialPotential) -> PhasePolynomial:
+def hamiltonian(potential: PolynomialPotential, cls):
+    """H = p^2/(2m) + V(q) as a `cls` polynomial (phase space or Weyl)."""
     m = _as_expr(potential.mass)
-    h = PhasePolynomial({(0, 2): Expr.number(Fraction(1, 2)) / m})
+    h = cls({(0, 2): Expr.number(Fraction(1, 2)) / m})
     for k, c in enumerate(potential.coefficients):
         coeff = _as_expr(c) * Expr.number(Fraction(1, math.factorial(k)))
-        h = h + PhasePolynomial({(k, 0): coeff})
-    return h
-
-
-def hamiltonian_weyl(potential: PolynomialPotential) -> WeylPolynomial:
-    m = _as_expr(potential.mass)
-    h = WeylPolynomial({(0, 2): Expr.number(Fraction(1, 2)) / m})
-    for k, c in enumerate(potential.coefficients):
-        coeff = _as_expr(c) * Expr.number(Fraction(1, math.factorial(k)))
-        h = h + WeylPolynomial({(k, 0): coeff})
+        h = h + cls({(k, 0): coeff})
     return h
 
 
@@ -147,7 +133,7 @@ def derivative_chain(x0, step, order: int) -> List:
 def derivatives_classical(potential: PolynomialPotential, order: int) -> DerivativeTable:
     if order < 1:
         raise DomainError(f"derivative order must be >= 1, got {order}")
-    step = _classical_step(hamiltonian_phase(potential))
+    step = _classical_step(hamiltonian(potential, PhasePolynomial))
     qs = derivative_chain(PhasePolynomial.q(), step, order)[1:]
     ps = derivative_chain(PhasePolynomial.p(), step, order)[1:]
     return DerivativeTable("classical", potential, tuple(qs), tuple(ps))
@@ -156,7 +142,7 @@ def derivatives_classical(potential: PolynomialPotential, order: int) -> Derivat
 def derivatives_quantum(potential: PolynomialPotential, order: int) -> DerivativeTable:
     if order < 1:
         raise DomainError(f"derivative order must be >= 1, got {order}")
-    step = _quantum_step(hamiltonian_weyl(potential))
+    step = _quantum_step(hamiltonian(potential, WeylPolynomial))
     qs = derivative_chain(WeylPolynomial.q(), step, order)[1:]
     ps = derivative_chain(WeylPolynomial.p(), step, order)[1:]
     return DerivativeTable("quantum", potential, tuple(qs), tuple(ps))
@@ -300,17 +286,9 @@ class Trajectory:
             yield (t, b["Q"], b["P"], b["dQ"], b["dP"], nu, s)
 
 
-_OBSERVABLES_CLASSICAL = {
-    "q": PhasePolynomial.q(),
-    "p": PhasePolynomial.p(),
-    "q2": PhasePolynomial.q(2),
-    "p2": PhasePolynomial.p(2),
-    "qp": PhasePolynomial({(1, 1): Expr.number(1)}),
-}
-
-
-def _observables_quantum():
-    q, p = WeylPolynomial.q(), WeylPolynomial.p()
+def _observables(cls) -> dict:
+    """The tracked observables, with qp symmetrized (plain qp when q, p commute)."""
+    q, p = cls.q(), cls.p()
     half = Expr.number(Fraction(1, 2))
     return {
         "q": q,
@@ -324,14 +302,13 @@ def _observables_quantum():
 def _taylor_series(potential: PolynomialPotential, order: int, kind: str) -> dict:
     """Averaged Taylor coefficient expressions for each tracked observable."""
     if kind == "classical":
-        step = _classical_step(hamiltonian_phase(potential))
-        observables = _OBSERVABLES_CLASSICAL
+        cls, step_of = PhasePolynomial, _classical_step
     else:
-        step = _quantum_step(hamiltonian_weyl(potential))
-        observables = _observables_quantum()
+        cls, step_of = WeylPolynomial, _quantum_step
+    step = step_of(hamiltonian(potential, cls))
     sym = PacketMoments.symbolic()
     series = {}
-    for name, x0 in observables.items():
+    for name, x0 in _observables(cls).items():
         chain = derivative_chain(x0, step, order)
         series[name] = [
             _average(kind, sym, entry) * Expr.number(Fraction(1, math.factorial(n)))

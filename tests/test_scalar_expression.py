@@ -84,6 +84,13 @@ def test_sqrt_monomial():
         sqrt_monomial(Expr.symbol("dQ"))
 
 
+def test_sqrt_monomial_exact_beyond_float_precision():
+    root = 10**30 + 7
+    assert sqrt_monomial(Expr.number(root**2)) == Expr.number(root)
+    with pytest.raises(ValueError, match="not a rational square"):
+        sqrt_monomial(Expr.number(root**2 + 1))
+
+
 def test_unknown_symbol_rejected():
     with pytest.raises(KeyError):
         Expr.symbol("bogus")

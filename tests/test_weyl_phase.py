@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from mepack.algebra import (
     Expr,
+    LadderPolynomial,
     PhasePolynomial,
     WeylPolynomial,
     commutator,
@@ -77,15 +79,54 @@ def test_fifth_derivative_commutator_identity():
     assert lhs == rhs
 
 
-def test_swap_counts_match_closed_form():
-    # p^b q^c = sum_j j! C(b,j) C(c,j) (-i hbar)^j q^(c-j) p^(b-j)
-    import math
+@lru_cache(maxsize=None)
+def _enumerated_swaps(nl, nr):
+    """Reference multiplicities by brute force: rewrite the word L^nl R^nr
+    one disordered adjacent pair at a time, L R -> R L + (contraction),
+    until no pair is left; {j: copies of the word with j pairs removed}."""
+    if nl == 0 or nr == 0:
+        return {0: 1}
+    start = ("L",) * nl + ("R",) * nr
+    pending = {start: {0: 1}}
+    done = {}
+    while pending:
+        word, jcounts = pending.popitem()
+        for idx in range(len(word) - 1):
+            if word[idx] == "L" and word[idx + 1] == "R":
+                swapped = word[:idx] + ("R", "L") + word[idx + 2:]
+                contracted = word[:idx] + word[idx + 2:]
+                for target, shift in ((swapped, 0), (contracted, 1)):
+                    slot = pending.setdefault(target, {})
+                    for j, c in jcounts.items():
+                        slot[j + shift] = slot.get(j + shift, 0) + c
+                break
+        else:
+            for j, c in jcounts.items():
+                done[j] = done.get(j, 0) + c
+    return done
 
-    for b in range(6):
-        for c in range(6):
-            counts = swap_counts(b, c)
-            for j, count in counts.items():
-                assert count == math.factorial(j) * math.comb(b, j) * math.comb(c, j)
+
+def test_swap_counts_match_closed_form():
+    for b in range(8):
+        for a in range(8):
+            assert swap_counts(b, a) == _enumerated_swaps(b, a)
+
+
+def test_products_match_word_enumeration():
+    # Y^b X^a = sum_j n_j c^j X^(a-j) Y^(b-j), n_j from the brute-force rewrite
+    minus_i_hbar = Expr.number(-1) * Expr.i() * Expr.symbol("hbar")
+    algebras = (
+        (WeylPolynomial, minus_i_hbar),
+        (LadderPolynomial, Expr.number(1)),  # A^b Ad^a
+        (PhasePolynomial, Expr()),
+    )
+    for b in range(8):
+        for a in range(8):
+            counts = _enumerated_swaps(b, a)
+            for cls, c in algebras:
+                product = cls({(0, b): 1}) * cls({(a, 0): 1})
+                expected = cls({(a - j, b - j): c ** j * n for j, n in counts.items()})
+                assert product == expected, (cls.__name__, a, b)
 
 
 def test_normal_ordering_idempotent():
