@@ -5,7 +5,7 @@ Usage:
                              [--nu LIST] [--order N] [--cutoff N]
 
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
-failure, 4 I/O failure.  MEPACK_THREADS caps sweep parallelism.
+failure, 4 I/O failure.
 
 One scenario per JSON file; exact rationals are accepted as strings
 ("3/2").  Data files are deterministic: identical configs give byte
@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -245,28 +243,6 @@ def format_nu_polynomial(expr: Expr) -> str:
     return out
 
 
-def _max_workers(jobs: int) -> int:
-    cap = os.environ.get("MEPACK_THREADS")
-    limit = min(jobs, os.cpu_count() or 1, 8)
-    if cap is not None:
-        try:
-            limit = max(1, min(limit, int(cap)))
-        except ValueError:
-            raise ValidationError(f"MEPACK_THREADS must be an integer, got {cap!r}")
-    return max(1, limit)
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    if not items:
-        return []
-    workers = _max_workers(len(items))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 class OutputBundle:
     """Collects data artifacts plus a human-readable report with footer."""
 
@@ -487,7 +463,7 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
         moment_dev = 2.0 * b["dQ"] ** 2 * b["dP"] ** 2 / nu ** 2
         return [nu, correction, moment_dev]
 
-    rows = _parallel_map(job, scenario.nu_sweep)
+    rows = [job(nu) for nu in scenario.nu_sweep]
     out.add_csv("sweep.csv", "nu,correction,moment_dev", rows)
 
     def slope(idx: int) -> Optional[float]:
@@ -522,15 +498,14 @@ def run_oracle_check(scenario: Scenario, out: OutputBundle):
     state = fock_state(packet, degree=degree, cutoff=scenario.cutoff)
     bindings = packet.bindings()
 
-    def job(item):
-        text, op = item
+    def job(text, op):
         engine = expectation_quantum(packet, op).evaluate(bindings)
         oracle = fock_expectation(state, op)
         delta = abs(engine - oracle)
         rel = delta / max(abs(oracle), 1e-300)
         return [text, engine, oracle, delta, rel]
 
-    results = _parallel_map(job, operators)
+    results = [job(text, op) for text, op in operators]
     rows = [
         [r[0], r[1].real, r[1].imag, r[2].real, r[2].imag, r[3], r[4]] for r in results
     ]

@@ -2,9 +2,11 @@
 
 This module deliberately avoids the symbolic normal-ordering machinery:
 operators are evaluated as literal matrix products on a finite basis, the
-state is the diagonal geometric-weight density matrix, and evolution is a
-dense matrix exponential.  Its only shared dependency with the algebra
-layer is expression evaluation for numeric coefficients.
+state is the diagonal geometric-weight density matrix, and evolution
+exponentiates the truncated Hermitian Hamiltonian through its
+eigendecomposition.  Its only shared dependencies with the algebra layer
+are expression evaluation for numeric coefficients and the geometric-tail
+formula of `quantum`.
 
 Cutoff policy: smallest N with the neglected weight tail below `tail_tol`,
 plus a margin of max(8, 2*degree) basis states, since a polynomial of
@@ -18,35 +20,23 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra.weyl import WeylPolynomial
 from .dynamics import PolynomialPotential
 from .errors import CutoffError, DomainError, HorizonError
 from .packets import PacketMoments
+from .quantum import tail_levels, tail_weight
 
 DEFAULT_TAIL_TOL = 1e-12
 
 Word = Union[str, Sequence[str]]
 
 
-def tail_weight(nu: float, n: int) -> float:
-    """Total geometric weight above level n."""
-    if nu == 1.0:
-        return 0.0
-    x = (nu - 1.0) / (nu + 1.0)
-    return x ** (n + 1)
-
-
 def choose_cutoff(nu: float, degree: int = 0, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    if nu < 1:
-        raise DomainError(f"fock basis needs nu >= 1, got {nu}")
     margin = max(8, 2 * degree)
     if nu == 1.0:
         return 1 + margin
-    x = (nu - 1.0) / (nu + 1.0)
-    n_tail = max(0, math.ceil(math.log(tail_tol) / math.log(x)) - 1)
-    return n_tail + margin
+    return tail_levels(nu, tail_tol) - 1 + margin
 
 
 @dataclass(frozen=True)
@@ -79,10 +69,9 @@ def fock_state(
     if nu < 1:
         raise DomainError(f"fock basis needs nu >= 1, got {nu}")
     n = cutoff if cutoff is not None else choose_cutoff(nu, degree, tail_tol)
-    if tail_weight(nu, n) > tail_tol:
-        raise CutoffError(
-            f"cutoff {n} leaves weight tail {tail_weight(nu, n):.3e} > {tail_tol:.1e}"
-        )
+    dropped = tail_weight(nu, n - 1)
+    if dropped > tail_tol:
+        raise CutoffError(f"cutoff {n} leaves weight tail {dropped:.3e} > {tail_tol:.1e}")
     lower = np.zeros((n, n), dtype=complex)
     idx = np.arange(1, n)
     lower[idx - 1, idx] = np.sqrt(idx)
@@ -116,12 +105,7 @@ def _word_matrix(state: FockState, word: Word) -> np.ndarray:
 
 def _operator_matrix(state: FockState, x) -> Tuple[np.ndarray, int]:
     if isinstance(x, WeylPolynomial):
-        total = np.zeros((state.cutoff, state.cutoff), dtype=complex)
-        degree = 0
-        for (a, b), coeff in x.terms():
-            degree = max(degree, a + b)
-            total += coeff.evaluate(state.bindings) * _word_matrix(state, "q" * a + "p" * b)
-        return total, degree
+        x = [(coeff, "q" * a + "p" * b) for (a, b), coeff in x.terms()]
     # iterable of (coefficient, word) pairs, evaluated in written word order
     total = np.zeros((state.cutoff, state.cutoff), dtype=complex)
     degree = 0
@@ -166,13 +150,16 @@ def fock_evolve(
     leak_tol: float = 1e-8,
     band: int = 4,
 ) -> FockState:
-    """Evolve rho by the matrix exponential of the truncated Hamiltonian.
+    """Evolve rho by U = exp(-i H t / hbar) of the truncated Hamiltonian.
 
+    H is Hermitian, so U is built from its eigendecomposition
+    H = V diag(w) V^dagger as U = V diag(exp(-i w t / hbar)) V^dagger.
     The weight that reaches the top `band` levels estimates truncation
     leakage; exceeding `leak_tol` raises HorizonError.
     """
     h = hamiltonian_matrix(state, potential)
-    u = expm(-1j * h * float(t) / state.hbar)
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * w * float(t) / state.hbar)) @ v.conj().T
     rho = u @ state.rho @ u.conj().T
     top = np.arange(state.cutoff - band, state.cutoff)
     leakage = float(np.sum(np.diag(rho).real[top]))

@@ -89,6 +89,32 @@ def fock_weight(nu: Union[int, float, Fraction], k: int):
     return 2.0 * (nu - 1.0) ** k / (nu + 1.0) ** (k + 1)
 
 
+def _weight_ratio(nu):
+    """x = (nu-1)/(nu+1), the ratio R_(k+1)/R_k; exact for exact input."""
+    if nu < 1:
+        raise DomainError(f"fock weights need nu >= 1, got {nu}")
+    if isinstance(nu, (int, Fraction)):
+        nu = Fraction(nu)
+        return (nu - 1) / (nu + 1)
+    return (nu - 1.0) / (nu + 1.0)
+
+
+def tail_weight(nu, n: int):
+    """Total weight above level n, x^(n+1); exact for exact input."""
+    return _weight_ratio(nu) ** (n + 1)
+
+
+def tail_levels(nu, tol: float) -> int:
+    """Smallest level count N whose dropped tail x^N is at most tol.
+
+    This is ceil(log(tol) / log(x)), evaluated in floats, and at least 1.
+    """
+    x = _weight_ratio(float(nu))
+    if x == 0.0:
+        return 1
+    return max(1, math.ceil(math.log(tol) / math.log(x)))
+
+
 class FockWeights:
     """Lazy view of the geometric weight sequence for one packet.
 
@@ -106,18 +132,13 @@ class FockWeights:
         return fock_weight(self.nu, k)
 
     def tail(self, n: int):
-        if self.nu == 1:
-            return 0 * fock_weight(self.nu, 0)
-        return ((self.nu - 1) / (self.nu + 1)) ** (n + 1)
+        return tail_weight(self.nu, n)
 
     def partial_sum(self, n: int):
         return sum(fock_weight(self.nu, k) for k in range(n + 1))
 
     def cutoff_for(self, tol: float = 1e-12) -> int:
-        n = 0
-        while float(self.tail(n)) > tol:
-            n += 1
-        return n + 1
+        return tail_levels(self.nu, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +245,20 @@ def entropy_from_multipliers(packet: PacketMoments) -> float:
 
 
 def entropy_weight_sum(nu: float, tail_tol: float = 1e-16) -> float:
-    """-sum_k R_k ln R_k, summed to a geometric-tail cutoff (oracle-style)."""
+    """-sum_k R_k ln R_k over the fewest levels whose dropped tail is <= tail_tol.
+
+    Raises DomainError when that takes more than 10,000,000 terms.
+    """
     if nu == 1:
         return 0.0
+    terms = tail_levels(nu, tail_tol)
+    if terms > 10_000_000:
+        raise DomainError(f"entropy weight sum at nu = {nu} needs {terms} terms, over 10,000,000")
     x = (nu - 1.0) / (nu + 1.0)
-    total, k, rk = 0.0, 0, 2.0 / (nu + 1.0)
-    while rk > tail_tol:
+    total, rk = 0.0, 2.0 / (nu + 1.0)
+    for _ in range(terms):
         total -= rk * math.log(rk)
         rk *= x
-        k += 1
-        if k > 10_000_000:
-            break
     return total
 
 

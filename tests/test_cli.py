@@ -1,6 +1,10 @@
 """The mepack batch front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,8 +203,7 @@ def test_cli_flag_overrides(tmp_path):
     assert [row["expr"] for row in payload["rows"]] == ["q*p"]
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MEPACK_THREADS", "1")
+def test_thread_cap_env(tmp_path):
     path = write_scenario(
         tmp_path,
         packet={"Q": 0.5, "P": -0.25, "dQ": 1.0, "dP": 1.5, "hbar": 0.1},
@@ -208,6 +211,19 @@ def test_thread_cap_env(tmp_path, monkeypatch):
         run={"mode": "limit-sweep", "order": 5, "nu_sweep": [10, 20, 40], "grid": None},
     )
     assert main(["run", str(path)]) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [10.0, 20.0, 40.0]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mepack.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_output_formats_filter(tmp_path):

@@ -20,7 +20,7 @@ from mepack.dynamics import (
     trajectory_quadratic,
 )
 from mepack.errors import DomainError
-from mepack.oracle import fock_evolve, fock_state, state_moments
+from mepack.oracle import fock_evolve, fock_expectation, fock_state, state_moments
 from mepack.packets import PacketMoments
 
 # the printed closed forms for a quartic truncation (degree K = 4)
@@ -218,17 +218,11 @@ def test_order3_quintic_correction_is_zero_and_oracle_agrees():
     pot = PolynomialPotential(1.0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.8))
     table = derivatives_quantum(pot, 3)
     state = fock_state(pk, degree=table.p[-1].degree())
-    oracle = fock_expectation_of(state, table.p[-1], pk)
+    oracle = fock_expectation(state, table.p[-1])
     classical = averaged_derivatives(derivatives_classical(pot, 3), pk).p[-1]
     classical_value = classical.evaluate(pk.bindings()).real
     assert oracle.imag == pytest.approx(0.0, abs=1e-10)
     assert oracle.real == pytest.approx(classical_value, rel=1e-10)
-
-
-def fock_expectation_of(state, weyl, packet):
-    from mepack.oracle import fock_expectation
-
-    return fock_expectation(state, weyl)
 
 
 def test_quintic_corrections_through_fourth_order_vanish():

@@ -1,6 +1,7 @@
 """The Fock-matrix / quadrature oracle itself."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ def test_cutoff_errors(packet):
     st = fock_state(packet, degree=0)
     with pytest.raises(CutoffError):
         fock_expectation(st, parse_weyl("q^12*p^12"))
+
+
+def test_cutoff_check_counts_the_dropped_level():
+    # an n-level basis keeps levels 0..n-1 and drops x^n = 2^-n at nu = 3
+    nu3 = PacketMoments(0, 0, 1, Fraction(3, 2), hbar=1)
+    with pytest.raises(CutoffError):
+        fock_state(nu3, cutoff=39)
+    state = fock_state(nu3, cutoff=40)
+    assert state.trace_deficit <= state.tail_tol
 
 
 def test_nu_one_is_ground_state():

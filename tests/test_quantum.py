@@ -166,7 +166,10 @@ def test_fock_weights_view():
     assert w[1] == Fraction(1, 4)
     assert w.partial_sum(10) + w.tail(10) == 1
     n = w.cutoff_for(1e-12)
+    assert n == 40
     assert float(w.tail(n - 1)) < 1e-12 <= float(w.tail(n - 2))
+    assert FockWeights(Fraction(200)).cutoff_for(1e-12) == 2764
+    assert FockWeights(Fraction(2000)).cutoff_for(1e-12) == 27632
     pure = FockWeights(1)
     assert pure[0] == 1 and pure.tail(0) == 0
     with pytest.raises(DomainError):
@@ -283,6 +286,12 @@ def test_entropy_derivative():
 def test_entropy_equals_weight_sum():
     for nu in (2.0, 5.0, 20.0):
         assert entropy_weight_sum(nu) == pytest.approx(entropy_quantum(nu), abs=1e-9)
+
+
+def test_entropy_weight_sum_refuses_past_term_cap():
+    # the sum would need about 1.8e8 terms, past the 1e7 cap
+    with pytest.raises(DomainError):
+        entropy_weight_sum(1e7)
 
 
 def test_entropy_legendre_cross_check(numeric_packet):
