@@ -124,7 +124,9 @@ def central_moment_p(exponent: int) -> Expr:
 
 
 @lru_cache(maxsize=None)
-def _moment_gaussian_route(a: int, b: int) -> Expr:
+def moment_gaussian_route(a: int, b: int) -> Expr:
+    """< q^a p^b > from the binomial expansion about (Q, P) and the
+    central Gaussian moments."""
     Q, P = Expr.symbol("Q"), Expr.symbol("P")
     total = Expr()
     for j in range(a + 1):
@@ -162,7 +164,7 @@ def _moment_partition_route(a: int, b: int) -> Expr:
 @lru_cache(maxsize=None)
 def moment_monomial_classical(a: int, b: int) -> Expr:
     """< q^a p^b > in packet symbols; both computation routes must agree."""
-    gauss = _moment_gaussian_route(a, b)
+    gauss = moment_gaussian_route(a, b)
     partition = _moment_partition_route(a, b)
     if gauss != partition:
         raise AssertionError(

@@ -2,15 +2,25 @@
 
 The entropy-maximizing density operator for prescribed (Q, P, dQ, dP) is
 diagonal on a packet-adapted oscillator basis with geometric weights
-R_k = 2 (nu-1)^k / (nu+1)^(k+1).  Averages of operator polynomials reduce
-to the diagonal representation: rewrite the operator on ladder operators,
-keep the balanced words, and sum the resulting number polynomial against
-the weights.  Two independent summation routes are evaluated and must
-agree:
+R_k = 2 (nu-1)^k / (nu+1)^(k+1).  It is a thermal Gaussian state, so its
+Wigner function is the classical packet Gaussian with the same dQ, dP.
+
+Moments of operator polynomials are computed by the Wigner route: the
+Weyl symbol of q^a p^b is sum_j j! C(a,j) C(b,j) (i hbar/2)^j q^(a-j) p^(b-j)
+(Wilcox 1967), averaged with the classical Gaussian moments, and
+hbar/2 = dQ dP / nu.
+
+Every moment is checked against the diagonal representation in a centred
+form: q = Q + dQ s X and p = P + dP s Y with X = A + Ad, Y = -i (A - Ad)
+and s = 1/sqrt(nu); the balanced words of X^j Y^k are summed against the
+weights by two independent routes that must agree:
 
   (a) the operator formula  <k^n> = (2/(nu+1)) D^n (nu+1)/2  with
       D = ((nu^2-1)/2) d/dnu, applied in the monomial basis;
   (b) the closed falling-factorial sums  <Ad^m A^m> = m! ((nu-1)/2)^m.
+
+`ladder_monomial_expectation` keeps the same diagonal route on the full
+symbolic ladder image of q^a p^b, as an uncached reference for tests.
 """
 
 from __future__ import annotations
@@ -22,8 +32,10 @@ from functools import lru_cache
 from typing import Union
 
 from .algebra.expression import Expr
-from .algebra.ladder import HBAR_AS_NU, diagonal_part, to_ladder
+from .algebra.ladder import HBAR_AS_NU, LadderPolynomial, diagonal_part, to_ladder
+from .algebra.numberpoly import NumberPolynomial
 from .algebra.weyl import WeylPolynomial
+from .classical import moment_gaussian_route
 from .errors import DomainError
 from .packets import PacketMoments
 from .partition import QuantumPartition
@@ -108,10 +120,16 @@ def tail_levels(nu, tol: float) -> int:
     """Smallest level count N whose dropped tail x^N is at most tol.
 
     This is ceil(log(tol) / log(x)), evaluated in floats, and at least 1.
+    Raises DomainError where x is not below 1 in floats (it rounds to 1
+    from nu of about 1e16, and is nan at nu = inf).
     """
     x = _weight_ratio(float(nu))
     if x == 0.0:
         return 1
+    if not x < 1.0:
+        raise DomainError(
+            f"tail levels at nu = {nu} are beyond float range: (nu-1)/(nu+1) = {x}"
+        )
     return max(1, math.ceil(math.log(tol) / math.log(x)))
 
 
@@ -142,7 +160,7 @@ class FockWeights:
 
 
 # ---------------------------------------------------------------------------
-# diagonal-representation moment engine
+# moment engine: the Wigner route, checked by the diagonal representation
 # ---------------------------------------------------------------------------
 
 
@@ -161,18 +179,11 @@ def _monomial_weight_sum(n: int) -> Expr:
     return (Expr.number(2) * u).div_exact(_NU + 1)
 
 
-@lru_cache(maxsize=None)
-def weyl_monomial_expectation(a: int, b: int) -> Expr:
-    """<q^a p^b> in packet symbols (hbar eliminated via nu)."""
-    ladder = to_ladder(WeylPolynomial({(a, b): Expr.number(1)}))
-    number_poly = diagonal_part(ladder)
-
+def _diagonal_average(number_poly: NumberPolynomial, label: str) -> Expr:
+    """Sum a number polynomial against the weights by both routes, which
+    must agree."""
     route_b = Expr()
     for m, coeff in number_poly.falling_coefficients().items():
-        if "s" in coeff.symbols():
-            raise AssertionError(
-                f"odd power of s survived in the diagonal part of q^{a} p^{b}"
-            )
         route_b = route_b + coeff * _falling_weight_sum(m)
 
     route_a = Expr()
@@ -181,9 +192,94 @@ def weyl_monomial_expectation(a: int, b: int) -> Expr:
 
     if route_a != route_b:
         raise AssertionError(
-            f"summation routes disagree for q^{a} p^{b}: {route_a} vs {route_b}"
+            f"summation routes disagree for {label}: {route_a} vs {route_b}"
         )
     return route_b
+
+
+def ladder_monomial_expectation(a: int, b: int) -> Expr:
+    """<q^a p^b> by the full symbolic ladder image: `to_ladder`, then
+    `diagonal_part`, then both summation routes.
+
+    The reference that `weyl_monomial_expectation` is tested against;
+    uncached and slow (its coefficients carry every packet symbol).
+    """
+    number_poly = diagonal_part(to_ladder(WeylPolynomial({(a, b): Expr.number(1)})))
+    for coeff in number_poly.falling_coefficients().values():
+        if "s" in coeff.symbols():
+            raise AssertionError(
+                f"odd power of s survived in the diagonal part of q^{a} p^{b}"
+            )
+    return _diagonal_average(number_poly, f"q^{a} p^{b}")
+
+
+@lru_cache(maxsize=None)
+def _centred_word(j: int, k: int) -> LadderPolynomial:
+    """X^j Y^k for X = A + Ad and Y = -i (A - Ad), grown one letter at a time."""
+    one, i = Expr.number(1), Expr.i()
+    if j:
+        return LadderPolynomial({(0, 1): one, (1, 0): one}) * _centred_word(j - 1, k)
+    if k:
+        return _centred_word(0, k - 1) * LadderPolynomial({(0, 1): -i, (1, 0): i})
+    return LadderPolynomial.constant(1)
+
+
+@lru_cache(maxsize=None)
+def _centred_moment(j: int, k: int) -> Expr:
+    """<X^j Y^k> over the weights, a polynomial in nu; zero for odd j + k."""
+    number_poly = diagonal_part(_centred_word(j, k))
+    if (j + k) % 2 and not number_poly.is_zero():
+        raise AssertionError(f"odd word X^{j} Y^{k} has a diagonal part")
+    return _diagonal_average(number_poly, f"X^{j} Y^{k}")
+
+
+def _centred_route(a: int, b: int) -> Expr:
+    """q = Q + dQ s X and p = P + dP s Y, expanded binomially:
+    sum_{j,k} C(a,j) C(b,k) Q^(a-j) P^(b-k) dQ^j dP^k s^(j+k) <X^j Y^k>."""
+    q_parts = [
+        Expr.number(math.comb(a, j)) * Expr.symbol("Q", a - j) * Expr.symbol("dQ", j)
+        for j in range(a + 1)
+    ]
+    p_parts = [
+        Expr.number(math.comb(b, k)) * Expr.symbol("P", b - k) * Expr.symbol("dP", k)
+        for k in range(b + 1)
+    ]
+    total = Expr()
+    for j, q_part in enumerate(q_parts):
+        for k, p_part in enumerate(p_parts):
+            moment = _centred_moment(j, k)
+            if not moment.is_zero():
+                total = total + q_part * p_part * Expr.symbol("s", j + k) * moment
+    return total
+
+
+def _wigner_route(a: int, b: int) -> Expr:
+    """Gaussian average of the Weyl symbol of q^a p^b,
+    sum_j j! C(a,j) C(b,j) (i hbar/2)^j q^(a-j) p^(b-j), with hbar/2 = dQ dP/nu."""
+    half_i_hbar = Expr.i() * Expr.symbol("dQ") * Expr.symbol("dP") / _NU
+    total = Expr()
+    for j in range(min(a, b) + 1):
+        weight = math.factorial(j) * math.comb(a, j) * math.comb(b, j)
+        total = total + (
+            Expr.number(weight) * half_i_hbar ** j * moment_gaussian_route(a - j, b - j)
+        )
+    return total
+
+
+@lru_cache(maxsize=None)
+def weyl_monomial_expectation(a: int, b: int) -> Expr:
+    """<q^a p^b> in packet symbols (hbar eliminated via nu).
+
+    Computed by the Wigner route and checked against the centred
+    diagonal representation; raises AssertionError if they differ.
+    """
+    wigner = _wigner_route(a, b)
+    ladder = _centred_route(a, b)
+    if wigner != ladder:
+        raise AssertionError(
+            f"Wigner and ladder routes disagree for q^{a} p^{b}: {wigner} vs {ladder}"
+        )
+    return wigner
 
 
 def expectation_quantum(packet: PacketMoments, x: WeylPolynomial) -> Expr:
@@ -229,8 +325,12 @@ def entropy_from_multipliers(packet: PacketMoments) -> float:
     """Legendre-form cross-check: ln Z + sum(lam_i * constraint_i).
 
     Must reproduce `entropy_quantum`; kept separate because the direct
-    formula avoids the cancellation between diverging multipliers.
+    formula avoids the cancellation between diverging multipliers.  It is
+    evaluated in the centred frame Q = P = 0 (same dQ, dP, hbar): the
+    entropy does not depend on the centre (`stationarity_defect`), while
+    far from the origin ln Z and lam1 Q, lam2 P cancel catastrophically.
     """
+    packet = packet.with_moments(Q=0, P=0)
     b = packet.bindings()
     mult = solve_multipliers_quantum(packet)
     z = partition_quantum(mult)

@@ -9,7 +9,7 @@ import pytest
 from mepack.algebra import Expr, WeylPolynomial, parse_expression, parse_weyl
 from mepack.classical import ClassicalMultipliers, moment_classical, partition_classical
 from mepack.errors import DomainError, PureStateLimitError
-from mepack.oracle import fock_expectation, fock_state
+from mepack.oracle import choose_cutoff, fock_expectation, fock_state
 from mepack.packets import PacketMoments
 from mepack.quantum import (
     QuantumMultipliers,
@@ -20,6 +20,7 @@ from mepack.quantum import (
     expectation_value,
     fock_weight,
     ground_wavefunction,
+    ladder_monomial_expectation,
     log_ratio_factor,
     partition_quantum,
     restore_hbar,
@@ -176,6 +177,22 @@ def test_fock_weights_view():
         FockWeights(0.2)
 
 
+def test_tail_levels_refuse_nu_beyond_float_range():
+    # (nu-1)/(nu+1) rounds to 1.0 here (nan at inf), so log(x) gives no count
+    from mepack.quantum import FockWeights
+
+    for call in (
+        lambda: choose_cutoff(1e16),
+        lambda: FockWeights(1e16).cutoff_for(),
+        lambda: entropy_weight_sum(1e17),
+        lambda: choose_cutoff(math.inf),
+    ):
+        with pytest.raises(DomainError, match=r"nu = (1e\+1[67]|inf)"):
+            call()
+    # just below, the level count keeps its formula
+    assert choose_cutoff(1e15) == 13826561822395783
+
+
 # ---------------------------------------------------------------------------
 # the moment engine
 # ---------------------------------------------------------------------------
@@ -243,10 +260,52 @@ def test_classical_limit_of_moments(sym_packet):
 
 
 def test_expectation_routes_disagree_never():
-    # building the cache up to degree 6 exercises the internal route check
+    # each cold entry up to degree 6 runs the runtime checks: the Wigner
+    # route against the centred diagonal representation, and that one's
+    # two summation routes against each other
+    weyl_monomial_expectation.cache_clear()
     for a in range(7):
         for b in range(7 - a):
             weyl_monomial_expectation(a, b)
+
+
+def test_engine_matches_ladder_reference_to_degree_8():
+    for n in range(9):
+        for a in range(n + 1):
+            assert weyl_monomial_expectation(a, n - a) == ladder_monomial_expectation(a, n - a)
+
+
+def test_route_assertion_sees_a_perturbed_centred_route(monkeypatch):
+    import mepack.quantum as quantum
+
+    exact = quantum._centred_moment
+
+    def perturbed(j, k):
+        return exact(j, k) + (1 if (j, k) == (1, 1) else 0)
+
+    monkeypatch.setattr(quantum, "_centred_moment", perturbed)
+    weyl_monomial_expectation.cache_clear()
+    with pytest.raises(AssertionError, match=r"Wigner and ladder routes disagree for q\^1 p\^1"):
+        weyl_monomial_expectation(1, 1)
+
+
+def test_moment_engine_stays_off_the_symbolic_ladder_image(monkeypatch):
+    # perf guard: the full symbolic to_ladder expansion is the reference
+    # route only, never the engine's
+    import mepack.algebra.ladder as ladder
+    import mepack.quantum as quantum
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("to_ladder called on the moment engine's path")
+
+    monkeypatch.setattr(quantum, "to_ladder", refuse)
+    monkeypatch.setattr(ladder, "to_ladder", refuse)
+    for cached in (weyl_monomial_expectation, quantum._centred_moment, quantum._centred_word):
+        cached.cache_clear()
+    weyl_monomial_expectation(7, 7)
+    word = parse_weyl("p*q*q*p*q*p*p*q*p*q")
+    assert word.degree() == 10
+    expectation_quantum(PacketMoments.symbolic(), word)
 
 
 def test_expectation_matches_fock_oracle(numeric_packet):
@@ -298,6 +357,12 @@ def test_entropy_legendre_cross_check(numeric_packet):
     assert entropy_from_multipliers(numeric_packet) == pytest.approx(
         entropy_quantum(numeric_packet.nu_value()), abs=1e-10
     )
+
+
+def test_entropy_legendre_form_far_from_origin():
+    # ln Z and lam1 Q cancel catastrophically at Q = 1e7 unless centred
+    packet = PacketMoments(1e7, 0, 1, 1, hbar=1)
+    assert entropy_from_multipliers(packet) == pytest.approx(entropy_quantum(2), rel=1e-12)
 
 
 def test_stationarity_identity(sym_packet):
