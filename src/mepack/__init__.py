@@ -51,6 +51,7 @@ from .dynamics import (
     QuadraticFlow,
     Trajectory,
     averaged_derivatives,
+    averaged_p_derivatives,
     derivatives_classical,
     derivatives_quantum,
     evolve_quadratic,

@@ -7,9 +7,13 @@ swap rule p q -> q p - i*hbar (see `words.OrderedPolynomial`).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .expression import Expr
 from .phase import PhasePolynomial
-from .words import OrderedPolynomial
+from .words import OrderedPolynomial, swap_counts
+
+_MINUS_HALF_I_HBAR = Expr.number(Fraction(-1, 2)) * Expr.i() * Expr.symbol("hbar")
 
 
 class WeylPolynomial(OrderedPolynomial):
@@ -29,6 +33,21 @@ class WeylPolynomial(OrderedPolynomial):
     @classmethod
     def p(cls, exponent: int = 1) -> "WeylPolynomial":
         return cls({(0, exponent): Expr.number(1)})
+
+    @classmethod
+    def from_symbol(cls, symbol: PhasePolynomial) -> "WeylPolynomial":
+        """The operator whose Weyl symbol is `symbol`, in q-left order:
+        exp(-i hbar/2 d_q d_p) maps the symbol q^a p^b to
+        sum_j j! C(a,j) C(b,j) (-i hbar/2)^j q^(a-j) p^(b-j)."""
+        powers = [Expr.number(1)]  # (-i hbar/2) ** j, grown on demand
+        terms = {}
+        for (a, b), coeff in symbol.terms():
+            for j, count in swap_counts(a, b).items():
+                if j == len(powers):
+                    powers.append(powers[-1] * _MINUS_HALF_I_HBAR)
+                key = (a - j, b - j)
+                terms[key] = terms.get(key, Expr()) + (coeff * (powers[j] * count) if j else coeff)
+        return cls(terms)
 
     # -- involution and images ----------------------------------------------------------
 

@@ -38,6 +38,7 @@ from .dynamics import (
     PolynomialPotential,
     Trajectory,
     averaged_derivatives,
+    averaged_p_derivatives,
     derivatives_classical,
     derivatives_quantum,
     propagate,
@@ -264,9 +265,6 @@ class OutputBundle:
         )
         self.files[name] = body + "\n"
 
-    def add_text(self, name: str, text: str):
-        self.files[name] = text
-
     def write(self) -> List[Path]:
         formats = getattr(self.scenario, "formats", ["csv", "json", "txt"])
         try:
@@ -432,8 +430,7 @@ def run_corrections(scenario: Scenario, out: OutputBundle):
         out.say(f"  order {n}: {rendered}")
         rows.append({"order": n, "correction": rendered})
         if n == 5 and degree >= 4:
-            fifth = averaged_derivatives(derivatives_quantum(potential, 5), _sym_packet()).p[-1]
-            group = fifth
+            group, _ = averaged_p_derivatives(potential, 5)
             for name, power in (("V3", 1), ("V4", 1), ("dQ", 2), ("dP", 2), ("Q", 0), ("P", 0)):
                 group = group.coefficient_of(name, power)
             factor = format_nu_polynomial(group * Expr.number(2) * Expr.symbol("m") ** 3)

@@ -2,15 +2,23 @@
 
 Quadratic potentials evolve in closed form (the moment equations close on
 (Q, P, dQ, dP)); general polynomial potentials get a Taylor engine that
-iterates the equation of motion at t = 0,
+iterates the equation of motion at t = 0 on phase-space polynomials,
 
-    classical:  dX/dt = {X, H}         (Poisson bracket)
-    quantum:    dX/dt = [X, H]/(i hbar)
+    classical:  dX/dt = {X, H}                                (Poisson)
+    quantum:    dX/dt = {X, H}
+                        - sum_{k>=1} (-hbar^2/4)^k / (2k+1)!
+                          * V^(2k+1)(q) * d_p^(2k+1) X        (Moyal)
 
-for X in {q, p, q^2, p^2, qp}, averages the resulting tables over the
-packet, and sums the Taylor polynomial.  The classical and quantum
-averaged equations coincide through fourth order; `quantum_correction`
-extracts the residual as a polynomial in 1/nu.
+for X in {q, p, q^2, p^2, qp}.  On the quantum side X is the Weyl symbol
+of the observable and the step is the Moyal bracket with
+H = p^2/2m + V(q) (Moyal, Proc. Camb. Phil. Soc. 45, 99 (1949)), so both
+chains are commutative polynomial arithmetic.  The quantum packet's Wigner
+function is the classical packet Gaussian, so a symbol is averaged with
+the classical moments after hbar -> 2 dQ dP / nu.  `derivatives_quantum`
+converts each symbol once to a q-left ordered `WeylPolynomial`
+(`WeylPolynomial.from_symbol`).  The classical and quantum averaged
+equations coincide through fourth order; `quantum_correction` extracts
+the residual as a polynomial in 1/nu.
 """
 
 from __future__ import annotations
@@ -21,8 +29,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra.expression import Expr
+from .algebra.ladder import HBAR_AS_NU
 from .algebra.phase import PhasePolynomial, poisson_bracket
-from .algebra.weyl import WeylPolynomial, commutator
+from .algebra.weyl import WeylPolynomial
 from .classical import entropy_classical, moment_classical
 from .errors import DomainError
 from .packets import FieldValue, PacketMoments, _as_expr
@@ -98,9 +107,6 @@ def hamiltonian(potential: PolynomialPotential, cls):
 # derivative tables
 # ---------------------------------------------------------------------------
 
-_INV_I_HBAR = Expr.number(1) / (Expr.i() * Expr.symbol("hbar"))
-
-
 @dataclass(frozen=True)
 class DerivativeTable:
     """d^n q/dt^n and d^n p/dt^n at t = 0, n = 1..order."""
@@ -118,12 +124,38 @@ class DerivativeTable:
 def _classical_step(h):
     return lambda x: poisson_bracket(x, h)
 
-def _quantum_step(h):
-    return lambda x: commutator(x, h).map_coefficients(lambda c: c * _INV_I_HBAR)
+
+def _moyal_step(h: PhasePolynomial):
+    """The Moyal bracket with H = p^2/2m + V(q) on Weyl symbols:
+    X -> {X, H} - sum_{k>=1} (-hbar^2/4)^k/(2k+1)! V^(2k+1)(q) d_p^(2k+1) X."""
+    odd_terms = []  # (-hbar^2/4)^k/(2k+1)! V^(2k+1)(q) for k = 1, 2, ...
+    dv = h.diff_q().diff_q().diff_q()  # V'''(q), as p^2/2m has no q
+    k = 1
+    while not dv.is_zero():
+        weight = Expr.number(
+            Fraction((-1) ** k, 4 ** k * math.factorial(2 * k + 1))
+        ) * Expr.symbol("hbar", 2 * k)
+        odd_terms.append(dv.map_coefficients(lambda c: c * weight))
+        dv = dv.diff_q().diff_q()
+        k += 1
+
+    def step(x):
+        out = poisson_bracket(x, h)
+        dx = x.diff_p()
+        for term in odd_terms:
+            dx = dx.diff_p().diff_p()
+            if dx.is_zero():
+                break
+            out = out - term * dx
+        return out
+
+    return step
 
 
 def derivative_chain(x0, step, order: int) -> List:
     """[x0, dx0/dt, ..., d^order x0/dt^order]."""
+    if order < 1:
+        raise DomainError(f"derivative order must be >= 1, got {order}")
     chain = [x0]
     for _ in range(order):
         chain.append(step(chain[-1]))
@@ -131,8 +163,6 @@ def derivative_chain(x0, step, order: int) -> List:
 
 
 def derivatives_classical(potential: PolynomialPotential, order: int) -> DerivativeTable:
-    if order < 1:
-        raise DomainError(f"derivative order must be >= 1, got {order}")
     step = _classical_step(hamiltonian(potential, PhasePolynomial))
     qs = derivative_chain(PhasePolynomial.q(), step, order)[1:]
     ps = derivative_chain(PhasePolynomial.p(), step, order)[1:]
@@ -140,12 +170,15 @@ def derivatives_classical(potential: PolynomialPotential, order: int) -> Derivat
 
 
 def derivatives_quantum(potential: PolynomialPotential, order: int) -> DerivativeTable:
-    if order < 1:
-        raise DomainError(f"derivative order must be >= 1, got {order}")
-    step = _quantum_step(hamiltonian(potential, WeylPolynomial))
-    qs = derivative_chain(WeylPolynomial.q(), step, order)[1:]
-    ps = derivative_chain(WeylPolynomial.p(), step, order)[1:]
-    return DerivativeTable("quantum", potential, tuple(qs), tuple(ps))
+    """The Heisenberg derivatives as q-left ordered operators, converted
+    once from the Moyal chain of Weyl symbols."""
+    step = _moyal_step(hamiltonian(potential, PhasePolynomial))
+    qs = derivative_chain(PhasePolynomial.q(), step, order)[1:]
+    ps = derivative_chain(PhasePolynomial.p(), step, order)[1:]
+    to_operator = WeylPolynomial.from_symbol
+    return DerivativeTable(
+        "quantum", potential, tuple(map(to_operator, qs)), tuple(map(to_operator, ps))
+    )
 
 
 @dataclass(frozen=True)
@@ -157,10 +190,20 @@ class AveragedDerivatives:
     p: Tuple[Expr, ...]
 
 
+_HBAR_AS_NU = {"hbar": HBAR_AS_NU}
+
+
 def _average(kind: str, packet: PacketMoments, entry) -> Expr:
+    """Packet average of a phase-space polynomial (classical), a q-left
+    ordered operator (quantum `WeylPolynomial`) or a Weyl symbol (quantum
+    `PhasePolynomial`, averaged over the Wigner function, which is the
+    classical Gaussian)."""
     if kind == "classical":
         return moment_classical(packet, entry)
-    return expectation_quantum(packet, entry)
+    if isinstance(entry, WeylPolynomial):
+        return expectation_quantum(packet, entry)
+    packet.require_quantum()
+    return moment_classical(packet, entry.map_coefficients(lambda c: c.substitute(_HBAR_AS_NU)))
 
 
 def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> AveragedDerivatives:
@@ -171,18 +214,36 @@ def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> Avera
     )
 
 
+def averaged_p_derivatives(potential: PolynomialPotential, order: int) -> Tuple[Expr, Expr]:
+    """(quantum, classical) averaged d^order P/dt^order in packet symbols,
+    with hbar rewritten as 2 dQ dP / nu.
+
+    The quantum side runs the Moyal chain on the Weyl symbol of p, the
+    classical side the Poisson chain; the hbar^0 part of the quantum symbol
+    must equal the classical entry, or AssertionError is raised.
+    """
+    h = hamiltonian(potential, PhasePolynomial)
+    x0 = PhasePolynomial.p()
+    quantum = derivative_chain(x0, _moyal_step(h), order)[-1]
+    classical = derivative_chain(x0, _classical_step(h), order)[-1]
+    shadow = quantum.map_coefficients(lambda c: c.drop_symbol("hbar"))
+    if shadow != classical:
+        raise AssertionError(
+            f"hbar^0 part of the Moyal chain differs from the Poisson chain at "
+            f"order {order}: {shadow} vs {classical}"
+        )
+    sym = PacketMoments.symbolic()
+    return _average("quantum", sym, quantum), _average("classical", sym, classical)
+
+
 def quantum_correction(
     potential: PolynomialPotential, order: int, packet: Optional[PacketMoments] = None
 ) -> Expr:
     """Quantum minus classical averaged d^order P/dt^order, as a polynomial
     in 1/nu (hbar already rewritten as 2 dQ dP / nu)."""
-    if packet is None:
-        packet = PacketMoments.symbolic()
-    sym = PacketMoments.symbolic()
-    quantum = averaged_derivatives(derivatives_quantum(potential, order), sym).p[-1]
-    classical = averaged_derivatives(derivatives_classical(potential, order), sym).p[-1]
+    quantum, classical = averaged_p_derivatives(potential, order)
     correction = quantum - classical
-    if not packet.is_symbolic:
+    if packet is not None and not packet.is_symbolic:
         sub = packet.expr_fields()
         sub["nu"] = _as_expr(packet.nu)
         correction = correction.substitute(sub)
@@ -286,29 +347,21 @@ class Trajectory:
             yield (t, b["Q"], b["P"], b["dQ"], b["dP"], nu, s)
 
 
-def _observables(cls) -> dict:
-    """The tracked observables, with qp symmetrized (plain qp when q, p commute)."""
-    q, p = cls.q(), cls.p()
-    half = Expr.number(Fraction(1, 2))
-    return {
-        "q": q,
-        "p": p,
-        "q2": q * q,
-        "p2": p * p,
-        "qp": (q * p + p * q).map_coefficients(lambda c: c * half),
-    }
+def _observables() -> dict:
+    """The tracked observables as phase-space polynomials.  They are also
+    the Weyl symbols of the quantum observables q, p, q^2, p^2 and
+    (qp + pq)/2."""
+    q, p = PhasePolynomial.q(), PhasePolynomial.p()
+    return {"q": q, "p": p, "q2": q * q, "p2": p * p, "qp": q * p}
 
 
 def _taylor_series(potential: PolynomialPotential, order: int, kind: str) -> dict:
     """Averaged Taylor coefficient expressions for each tracked observable."""
-    if kind == "classical":
-        cls, step_of = PhasePolynomial, _classical_step
-    else:
-        cls, step_of = WeylPolynomial, _quantum_step
-    step = step_of(hamiltonian(potential, cls))
+    h = hamiltonian(potential, PhasePolynomial)
+    step = _classical_step(h) if kind == "classical" else _moyal_step(h)
     sym = PacketMoments.symbolic()
     series = {}
-    for name, x0 in _observables(cls).items():
+    for name, x0 in _observables().items():
         chain = derivative_chain(x0, step, order)
         series[name] = [
             _average(kind, sym, entry) * Expr.number(Fraction(1, math.factorial(n)))

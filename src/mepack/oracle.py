@@ -10,7 +10,8 @@ formula of `quantum`.
 
 Cutoff policy: smallest N with the neglected weight tail below `tail_tol`,
 plus a margin of max(8, 2*degree) basis states, since a polynomial of
-degree d couples at most d bands.
+degree d couples at most d bands.  A cutoff whose dense matrices would
+exceed `MAX_MATRIX_BYTES` raises CutoffError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .packets import PacketMoments
 from .quantum import tail_levels, tail_weight
 
 DEFAULT_TAIL_TOL = 1e-12
+
+# largest dense complex n x n matrix the oracle builds (n <= 2896);
+# fock_state holds about seven of them at once
+MAX_MATRIX_BYTES = 128 * 2 ** 20
 
 Word = Union[str, Sequence[str]]
 
@@ -72,6 +77,12 @@ def fock_state(
     dropped = tail_weight(nu, n - 1)
     if dropped > tail_tol:
         raise CutoffError(f"cutoff {n} leaves weight tail {dropped:.3e} > {tail_tol:.1e}")
+    matrix_bytes = 16 * n * n
+    if matrix_bytes > MAX_MATRIX_BYTES:
+        raise CutoffError(
+            f"cutoff {n} needs {matrix_bytes / 2 ** 20:.0f} MiB per dense matrix, over the "
+            f"{MAX_MATRIX_BYTES / 2 ** 20:.0f} MiB limit (nu = {nu:.6g})"
+        )
     lower = np.zeros((n, n), dtype=complex)
     idx = np.arange(1, n)
     lower[idx - 1, idx] = np.sqrt(idx)

@@ -2,17 +2,31 @@
 and Taylor propagation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mepack.algebra import Expr, parse_expression, parse_phase, parse_weyl
+from mepack import dynamics
+from mepack.algebra import (
+    Expr,
+    PhasePolynomial,
+    WeylPolynomial,
+    commutator,
+    parse_expression,
+    parse_phase,
+    parse_weyl,
+)
 from mepack.dynamics import (
     PolynomialPotential,
     averaged_derivatives,
+    derivative_chain,
     derivatives_classical,
     derivatives_quantum,
     evolve_quadratic,
+    hamiltonian,
     nu_power_profile,
     propagate,
     quadratic_flow,
@@ -22,6 +36,7 @@ from mepack.dynamics import (
 from mepack.errors import DomainError
 from mepack.oracle import fock_evolve, fock_expectation, fock_state, state_moments
 from mepack.packets import PacketMoments
+from mepack.quantum import expectation_quantum
 
 # the printed closed forms for a quartic truncation (degree K = 4)
 EQ_DP = {
@@ -114,6 +129,97 @@ def test_fifth_derivative_contains_printed_commutator(quartic):
     lhs = commutator(parse_weyl("(3/2)*V3*V4/m^2*(q^3*p + p*q^3)"), parse_weyl("p^2/(2*m)")) \
         + commutator(parse_weyl("(1/2)*V3*V4/m^3*(1/3)*q^3"), parse_weyl("p^3"))
     assert lhs == parse_weyl("i*hbar*(1/2)*V3*V4/m^3*(21*p*q^2*p - 11*hbar^2)")
+
+
+# ---------------------------------------------------------------------------
+# the Moyal chain against the Weyl commutator chain
+# ---------------------------------------------------------------------------
+
+_INV_I_HBAR = Expr.number(1) / (Expr.i() * Expr.symbol("hbar"))
+
+
+def commutator_chain(potential, x0, order):
+    """Reference Heisenberg chain X -> [X, H]/(i hbar) on q-left operators."""
+    h = hamiltonian(potential, WeylPolynomial)
+
+    def step(x):
+        return commutator(x, h).map_coefficients(lambda c: c * _INV_I_HBAR)
+
+    return derivative_chain(x0, step, order)[1:]
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_moyal_tables_match_commutator_chain(degree):
+    pot = PolynomialPotential.symbolic(degree)
+    qt = derivatives_quantum(pot, 8)
+    assert list(qt.p) == commutator_chain(pot, WeylPolynomial.p(), 8)
+    # dq/dt = p/m, so the q chain repeats the p chain one order later
+    assert qt.q[0] == commutator_chain(pot, WeylPolynomial.q(), 1)[0]
+    inv_m = parse_expression("m^-1")
+    for n in range(1, 8):
+        assert qt.q[n] == qt.p[n - 1].map_coefficients(lambda c: c * inv_m)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8),
+    st.lists(_RATIONALS, min_size=1, max_size=7),
+    st.integers(1, 6),
+)
+def test_moyal_and_commutator_chains_agree_on_numeric_potentials(mass, coefficients, order):
+    pot = PolynomialPotential(mass, tuple(coefficients))
+    qt = derivatives_quantum(pot, order)
+    assert list(qt.p) == commutator_chain(pot, WeylPolynomial.p(), order)
+    assert list(qt.q) == commutator_chain(pot, WeylPolynomial.q(), order)
+
+
+def test_quantum_taylor_series_matches_commutator_route():
+    # the symbol averages equal the Wigner/ladder-checked operator averages
+    # of the commutator chain, for every tracked observable
+    pot = PolynomialPotential.symbolic(4)
+    series = dynamics._taylor_series(pot, 5, "quantum")
+    q, p = WeylPolynomial.q(), WeylPolynomial.p()
+    half = Expr.number(Fraction(1, 2))
+    observables = {
+        "q": q, "p": p, "q2": q * q, "p2": p * p,
+        "qp": (q * p + p * q).map_coefficients(lambda c: c * half),
+    }
+    sym = PacketMoments.symbolic()
+    for name, x0 in observables.items():
+        chain = [x0] + commutator_chain(pot, x0, 5)
+        expected = [
+            expectation_quantum(sym, x) * Expr.number(Fraction(1, math.factorial(n)))
+            for n, x in enumerate(chain)
+        ]
+        assert series[name] == expected, name
+
+
+def test_quantum_engine_stays_off_weyl_products(monkeypatch):
+    # the symbol route never multiplies WeylPolynomials; the reference does
+    def refuse(*_):
+        raise AssertionError("WeylPolynomial product on the symbol route")
+
+    monkeypatch.setattr(WeylPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(WeylPolynomial, "__rmul__", refuse)
+    with pytest.raises(AssertionError):
+        WeylPolynomial.q() * WeylPolynomial.p()
+    assert not quantum_correction(PolynomialPotential.symbolic(5), 5).is_zero()
+    pk = PacketMoments(0.4, 0.2, math.sqrt(0.1), math.sqrt(0.1), hbar=0.02)
+    pot = PolynomialPotential(1, (0, 0, 0, Fraction(1, 2), 1))
+    traj = propagate(pk, pot, [0.0, 0.1], order=6, kind="quantum")
+    assert len(traj.packets) == 2
+
+
+def test_moyal_shadow_check_sees_a_perturbed_step(monkeypatch):
+    # the hbar^0 part of the Moyal chain must equal the Poisson chain
+    moyal_step = dynamics._moyal_step
+    nudge = PhasePolynomial.q().map_coefficients(lambda c: c * Expr.symbol("V0"))
+    monkeypatch.setattr(dynamics, "_moyal_step", lambda h: (lambda x: moyal_step(h)(x) + nudge))
+    with pytest.raises(AssertionError, match="Poisson chain"):
+        quantum_correction(PolynomialPotential.symbolic(3), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The Fock-matrix / quadrature oracle itself."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,20 @@ def test_cutoff_check_counts_the_dropped_level():
         fock_state(nu3, cutoff=39)
     state = fock_state(nu3, cutoff=40)
     assert state.trace_deficit <= state.tail_tol
+
+
+def test_oversized_cutoff_fails_before_allocating():
+    # nu = 1000 needs 13,823 levels, about 3 GB per dense complex matrix
+    pk = PacketMoments(0.0, 0.0, 10.0, 50.0, hbar=1.0)
+    assert choose_cutoff(pk.nu_value()) == 13823
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError, match="MiB"):
+            fock_state(pk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_nu_one_is_ground_state():
