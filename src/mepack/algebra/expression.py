@@ -369,9 +369,3 @@ def _isqrt_exact(n: int):
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-# convenience singletons
-ZERO_EXPR = Expr()
-ONE_EXPR = Expr.number(1)
-I_EXPR = Expr.i()

@@ -9,13 +9,19 @@ Grammar (round-trips with the printers):
 
 Scalar parts commute; the operator letters q, p (Weyl) and A, Ad (ladder)
 keep their written order.  Example: `(3/2)*V3*q^2*p + i*hbar*q`.
+
+The parser evaluates as it reads, in the target algebra: a scalar
+sub-expression is an `Expr`, an operator letter is the degree-1 monomial of
+the target `OrderedPolynomial` class, and `+ - * ^` are that ring's own
+operations, so `(q+p)^n` costs n ring products.  Divisors and bases of
+negative powers must be nonzero scalar monomials.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, List
 
 from .expression import Expr, _symbol_rank, is_known_symbol
 from .ladder import LadderPolynomial
@@ -23,9 +29,6 @@ from .phase import PhasePolynomial
 from .scalar import Scalar
 from .weyl import WeylPolynomial
 from .words import OrderedPolynomial
-
-Word = Tuple[str, ...]
-TermList = List[Tuple[Expr, Word]]
 
 _OPERATOR_LETTERS = ("q", "p", "A", "Ad")
 
@@ -127,10 +130,8 @@ def _tokenize(text: str) -> List[str]:
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
-            break
         if not m:
-            raise ParseError(f"bad character at {text[pos:]!r}")
+            break
         tokens.append(m.group(m.lastindex))
         pos = m.end()
     if text[pos:].strip():
@@ -138,25 +139,27 @@ def _tokenize(text: str) -> List[str]:
     return tokens
 
 
-def _merge(terms: TermList) -> TermList:
-    acc: Dict[Word, Expr] = {}
-    for coeff, word in terms:
-        total = acc.get(word, Expr()) + coeff
-        if total.is_zero():
-            acc.pop(word, None)
-        else:
-            acc[word] = total
-    return [(c, w) for w, c in acc.items()]
-
-
-def _mul_terms(a: TermList, b: TermList) -> TermList:
-    return _merge([(c1 * c2, w1 + w2) for c1, w1 in a for c2, w2 in b])
+def _inverse(value, message: str) -> Expr:
+    """Inverse of a value equal to a nonzero scalar monomial (`q^0` and
+    `q*p - p*q` count); anything else is a ParseError."""
+    if not isinstance(value, Expr):
+        if any(key != (0, 0) for key, _ in value.terms()):
+            raise ParseError(message)
+        value = value.coefficient(0, 0)
+    if not value.is_monomial():
+        raise ParseError(message)
+    return value.inverse()
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent that evaluates as it parses: a scalar is an `Expr`,
+    and `letter` turns an operator letter into a value of the target ring
+    (or raises ParseError), so products are ring products."""
+
+    def __init__(self, text: str, letter: Callable[[str], OrderedPolynomial]):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.letter = letter
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -171,38 +174,34 @@ class _Parser:
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
-    def parse(self) -> TermList:
+    def parse(self):
         out = self.sum()
         if self.peek() is not None:
             raise ParseError(f"trailing input at {self.peek()!r}")
         return out
 
-    def sum(self) -> TermList:
-        terms = self.product()
+    def sum(self):
+        value = self.product()
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.product()
-            if op == "-":
-                rhs = [(-c, w) for c, w in rhs]
-            terms = _merge(terms + rhs)
-        return terms
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def product(self) -> TermList:
-        terms = self.factor()
+    def product(self):
+        value = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
             if op == "/":
-                if len(rhs) != 1 or rhs[0][1]:
-                    raise ParseError("can only divide by a scalar monomial")
-                rhs = [(rhs[0][0].inverse(), ())]
-            terms = _mul_terms(terms, rhs)
-        return terms
+                rhs = _inverse(rhs, "can only divide by a scalar monomial")
+            value = value * rhs
+        return value
 
-    def factor(self) -> TermList:
+    def factor(self):
         if self.peek() == "-":
             self.take()
-            return [(-c, w) for c, w in self.factor()]
+            return -self.factor()
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -215,16 +214,11 @@ class _Parser:
                 raise ParseError(f"bad exponent {tok!r}")
             exp = sign * int(tok)
             if exp < 0:
-                if len(base) != 1 or base[0][1]:
-                    raise ParseError("negative power of a non-scalar")
-                return [(base[0][0].inverse() ** (-exp), ())]
-            out: TermList = [(Expr.number(1), ())]
-            for _ in range(exp):
-                out = _mul_terms(out, base)
-            return out
+                return _inverse(base, "negative power of a non-scalar") ** (-exp)
+            return base ** exp
         return base
 
-    def atom(self) -> TermList:
+    def atom(self):
         tok = self.take()
         if tok is None:
             raise ParseError("unexpected end of input")
@@ -233,36 +227,30 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.isdigit():
-            return [(Expr.number(int(tok)), ())]
+            return Expr.number(int(tok))
         if tok == "i":
-            return [(Expr.i(), ())]
+            return Expr.i()
         if tok in _OPERATOR_LETTERS:
-            return [(Expr.number(1), (tok,))]
+            return self.letter(tok)
         if is_known_symbol(tok):
-            return [(Expr.symbol(tok), ())]
+            return Expr.symbol(tok)
         raise ParseError(f"unknown name {tok!r}")
 
 
-def _parse_terms(text: str) -> TermList:
-    return _Parser(text).parse()
-
-
 def parse_expression(text: str) -> Expr:
-    out = Expr()
-    for coeff, word in _parse_terms(text):
-        if word:
-            raise ParseError(f"operator letters not allowed here: {'*'.join(word)}")
-        out = out + coeff
-    return out
+    def letter(tok):
+        raise ParseError(f"operator letters not allowed here: {tok}")
+
+    return _Parser(text, letter).parse()
 
 
 def _parse_ordered(text: str, cls, message: str):
-    out = cls()
-    for coeff, word in _parse_terms(text):
-        if any(l not in cls.LETTERS for l in word):
+    def letter(tok):
+        if tok not in cls.LETTERS:
             raise ParseError(message)
-        out = out + cls.from_word(word, coeff)
-    return out
+        return cls({(1, 0) if tok == cls.LETTERS[0] else (0, 1): Expr.number(1)})
+
+    return cls.coerce(_Parser(text, letter).parse())
 
 
 def parse_weyl(text: str) -> WeylPolynomial:

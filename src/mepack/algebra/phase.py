@@ -5,8 +5,6 @@ Coefficients are exact `Expr` values; the Poisson bracket lives here.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .expression import Expr
 from .words import OrderedPolynomial
 
@@ -42,13 +40,6 @@ class PhasePolynomial(OrderedPolynomial):
             if b:
                 terms[(a, b - 1)] = c * b
         return PhasePolynomial(terms)
-
-    def evaluate(self, q, p, bindings: Mapping[str, complex] = ()) -> complex:
-        bindings = dict(bindings)
-        total = 0j
-        for (a, b), c in self._terms.items():
-            total += c.evaluate(bindings) * complex(q) ** a * complex(p) ** b
-        return total
 
 
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:

@@ -122,4 +122,3 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)

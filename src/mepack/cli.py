@@ -32,6 +32,7 @@ from .algebra import (
     parse_weyl,
 )
 from .algebra.expression import Expr
+from .algebra.parsing import _join_terms
 from .algebra.phase import PhasePolynomial
 from .classical import moment_classical
 from .dynamics import (
@@ -214,8 +215,6 @@ class Scenario:
 
 def format_nu_polynomial(expr: Expr) -> str:
     """Render an expression grouped by powers of nu, e.g. `21 - 2/nu^2`."""
-    if expr.is_zero():
-        return "0"
     groups = expr.as_poly_in("nu")
     parts = []
     for e in sorted(groups, reverse=True):
@@ -235,13 +234,7 @@ def format_nu_polynomial(expr: Expr) -> str:
                 parts.append(f"{cs}*{power}")
         else:
             parts.append(f"{cs}{power}")
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += f" - {p[1:]}"
-        else:
-            out += f" + {p}"
-    return out
+    return _join_terms(parts)
 
 
 class OutputBundle:
@@ -425,12 +418,12 @@ def run_corrections(scenario: Scenario, out: OutputBundle):
     out.say(f"quantum corrections to d^n P/dt^n (symbolic potential of degree {degree})")
     rows = []
     for n in orders:
-        corr = quantum_correction(potential, n)
-        rendered = format_nu_polynomial(corr)
+        quantum, classical = averaged_p_derivatives(potential, n)
+        rendered = format_nu_polynomial(quantum - classical)
         out.say(f"  order {n}: {rendered}")
         rows.append({"order": n, "correction": rendered})
         if n == 5 and degree >= 4:
-            group, _ = averaged_p_derivatives(potential, 5)
+            group = quantum
             for name, power in (("V3", 1), ("V4", 1), ("dQ", 2), ("dP", 2), ("Q", 0), ("P", 0)):
                 group = group.coefficient_of(name, power)
             factor = format_nu_polynomial(group * Expr.number(2) * Expr.symbol("m") ** 3)

@@ -162,10 +162,19 @@ def derivative_chain(x0, step, order: int) -> List:
     return chain
 
 
+def _q_and_p_chains(potential: PolynomialPotential, step, order: int):
+    """(d^n q/dt^n, d^n p/dt^n) for n = 1..order from the p chain alone:
+    dq/dt = p/m under both brackets, as d_p^3 q = 0, so
+    d^(n+1) q/dt^(n+1) = (d^n p/dt^n)/m."""
+    ps = derivative_chain(PhasePolynomial.p(), step, order)
+    inv_m = _as_expr(potential.mass).inverse()
+    qs = [x.map_coefficients(lambda c: c * inv_m) for x in ps[:-1]]
+    return qs, ps[1:]
+
+
 def derivatives_classical(potential: PolynomialPotential, order: int) -> DerivativeTable:
     step = _classical_step(hamiltonian(potential, PhasePolynomial))
-    qs = derivative_chain(PhasePolynomial.q(), step, order)[1:]
-    ps = derivative_chain(PhasePolynomial.p(), step, order)[1:]
+    qs, ps = _q_and_p_chains(potential, step, order)
     return DerivativeTable("classical", potential, tuple(qs), tuple(ps))
 
 
@@ -173,8 +182,7 @@ def derivatives_quantum(potential: PolynomialPotential, order: int) -> Derivativ
     """The Heisenberg derivatives as q-left ordered operators, converted
     once from the Moyal chain of Weyl symbols."""
     step = _moyal_step(hamiltonian(potential, PhasePolynomial))
-    qs = derivative_chain(PhasePolynomial.q(), step, order)[1:]
-    ps = derivative_chain(PhasePolynomial.p(), step, order)[1:]
+    qs, ps = _q_and_p_chains(potential, step, order)
     to_operator = WeylPolynomial.from_symbol
     return DerivativeTable(
         "quantum", potential, tuple(map(to_operator, qs)), tuple(map(to_operator, ps))
@@ -193,6 +201,16 @@ class AveragedDerivatives:
 _HBAR_AS_NU = {"hbar": HBAR_AS_NU}
 
 
+def _at_packet(expr: Expr, packet: PacketMoments) -> Expr:
+    """Substitute a numeric packet's Q, P, dQ, dP and nu; symbolic packets
+    leave the expression as it is."""
+    if packet.is_symbolic:
+        return expr
+    sub = packet.expr_fields()
+    sub["nu"] = _as_expr(packet.nu)
+    return expr.substitute(sub)
+
+
 def _average(kind: str, packet: PacketMoments, entry) -> Expr:
     """Packet average of a phase-space polynomial (classical), a q-left
     ordered operator (quantum `WeylPolynomial`) or a Weyl symbol (quantum
@@ -201,9 +219,10 @@ def _average(kind: str, packet: PacketMoments, entry) -> Expr:
     if kind == "classical":
         return moment_classical(packet, entry)
     if isinstance(entry, WeylPolynomial):
-        return expectation_quantum(packet, entry)
+        return _at_packet(expectation_quantum(packet, entry), packet)
     packet.require_quantum()
-    return moment_classical(packet, entry.map_coefficients(lambda c: c.substitute(_HBAR_AS_NU)))
+    symbol = entry.map_coefficients(lambda c: c.substitute(_HBAR_AS_NU))
+    return _at_packet(moment_classical(PacketMoments.symbolic(), symbol), packet)
 
 
 def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> AveragedDerivatives:
@@ -243,11 +262,7 @@ def quantum_correction(
     in 1/nu (hbar already rewritten as 2 dQ dP / nu)."""
     quantum, classical = averaged_p_derivatives(potential, order)
     correction = quantum - classical
-    if packet is not None and not packet.is_symbolic:
-        sub = packet.expr_fields()
-        sub["nu"] = _as_expr(packet.nu)
-        correction = correction.substitute(sub)
-    return correction
+    return correction if packet is None else _at_packet(correction, packet)
 
 
 def nu_power_profile(expr: Expr) -> dict:

@@ -73,19 +73,6 @@ class GaussianPartition:
             raise ValueError("partition ratio requires matching exponential parts")
         return self.coeff / other.coeff
 
-    def substitute(self, mapping: Mapping[str, Expr]) -> "GaussianPartition":
-        coeff = self.coeff.substitute(mapping)
-        e3, e4 = self.e3, self.e4
-        for name, e in (("lam3", self.e3), ("lam4", self.e4)):
-            if e and name in mapping:
-                root = sqrt_monomial(Expr.coerce(mapping[name]))
-                coeff = coeff * root ** int(2 * e) if e > 0 else coeff * root.inverse() ** int(-2 * e)
-                if name == "lam3":
-                    e3 = Fraction(0)
-                else:
-                    e4 = Fraction(0)
-        return GaussianPartition(coeff, e3, e4, self.exponent.substitute(mapping))
-
     def evaluate(self, bindings: Mapping[str, complex]) -> complex:
         value = self.coeff.evaluate(bindings) * math.exp(self.exponent.evaluate(bindings).real)
         for name, e in (("lam3", self.e3), ("lam4", self.e4)):

@@ -154,6 +154,13 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("expr", ["q/0", "q/(V1+V2)", "q/(1-1)", "q*p^-1"])
+def test_bad_divisor_is_a_validation_error(tmp_path, capsys, expr):
+    path = write_scenario(tmp_path, run={"mode": "moments", "grid": None})
+    assert main(["run", str(path), "--expr", expr]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_sub_minimal_quantum_packet_rejected_with_bound_message(tmp_path, capsys):
     path = write_scenario(
         tmp_path,

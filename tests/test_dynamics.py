@@ -337,6 +337,21 @@ def test_quintic_corrections_through_fourth_order_vanish():
         assert quantum_correction(quintic, order).is_zero()
 
 
+def test_quantum_averages_on_a_numeric_packet_are_numbers():
+    # a numeric packet fixes Q, P, dQ, dP and nu, so both tables average to
+    # numbers; they agree through order 4 and differ by the correction at 5
+    pk = PacketMoments(0.4, 0.1, 1.1, 1.3, hbar=1.0)
+    pot = PolynomialPotential(1, (0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2)))
+    quantum = averaged_derivatives(derivatives_quantum(pot, 5), pk)
+    classical = averaged_derivatives(derivatives_classical(pot, 5), pk)
+    assert all(e.is_constant() for e in quantum.q + quantum.p)
+    assert quantum.q[:4] == classical.q[:4]
+    assert quantum.p[:4] == classical.p[:4]
+    correction = quantum_correction(pot, 5, pk)
+    assert not correction.is_zero()
+    assert quantum.p[4] - classical.p[4] == correction
+
+
 def test_numeric_packet_correction_evaluates(quartic):
     pk = PacketMoments(0.5, -0.25, 1.0, 1.5, hbar=1.0)
     corr = quantum_correction(quartic, 5, pk)
