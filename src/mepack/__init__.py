@@ -81,7 +81,6 @@ from .oracle import (
 from .packets import PacketMoments
 from .partition import GaussianPartition, QuantumPartition
 from .quantum import (
-    FockWeights,
     QuantumMultipliers,
     entropy_from_multipliers,
     entropy_quantum,

@@ -8,6 +8,7 @@ dyadic rational).
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 
@@ -16,7 +17,7 @@ def _to_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (float, numbers.Rational)):  # numbers.Rational: numpy integers
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 

@@ -55,9 +55,7 @@ def multiplier_expressions() -> dict:
 
 def solve_multipliers_classical(packet: PacketMoments, volume=None) -> ClassicalMultipliers:
     """lam1 = -Q/dQ^2, lam3 = 1/(2 dQ^2) and the momentum companions."""
-    fields = packet.expr_fields()
-    sub = {"Q": fields["Q"], "P": fields["P"], "dQ": fields["dQ"], "dP": fields["dP"]}
-    exprs = {k: e.substitute(sub) for k, e in multiplier_expressions().items()}
+    exprs = {k: packet.specialize(e) for k, e in multiplier_expressions().items()}
     v = Expr.symbol("v") if volume is None else Expr.coerce(volume)
     return ClassicalMultipliers(exprs["lam1"], exprs["lam2"], exprs["lam3"], exprs["lam4"], v)
 
@@ -109,18 +107,12 @@ def _double_factorial(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def central_moment_q(exponent: int) -> Expr:
-    """< (q-Q)^n > = (n-1)!! dQ^n for even n, zero for odd."""
+def central_moment(exponent: int, spread: str) -> Expr:
+    """< (q-Q)^n > = (n-1)!! dQ^n for even n, zero for odd; `spread` is
+    "dQ", or "dP" for the momentum companion."""
     if exponent % 2:
         return Expr()
-    return Expr.number(_double_factorial(exponent - 1)) * Expr.symbol("dQ") ** exponent
-
-
-@lru_cache(maxsize=None)
-def central_moment_p(exponent: int) -> Expr:
-    if exponent % 2:
-        return Expr()
-    return Expr.number(_double_factorial(exponent - 1)) * Expr.symbol("dP") ** exponent
+    return Expr.number(_double_factorial(exponent - 1)) * Expr.symbol(spread) ** exponent
 
 
 @lru_cache(maxsize=None)
@@ -130,11 +122,11 @@ def moment_gaussian_route(a: int, b: int) -> Expr:
     Q, P = Expr.symbol("Q"), Expr.symbol("P")
     total = Expr()
     for j in range(a + 1):
-        cq = central_moment_q(j)
+        cq = central_moment(j, "dQ")
         if cq.is_zero():
             continue
         for k in range(b + 1):
-            cp = central_moment_p(k)
+            cp = central_moment(k, "dP")
             if cp.is_zero():
                 continue
             total = total + (
@@ -179,9 +171,7 @@ def moment_classical(packet: PacketMoments, monomial) -> Expr:
     total = Expr()
     for (a, b), coeff in poly.terms():
         total = total + coeff * moment_monomial_classical(a, b)
-    if packet.is_symbolic:
-        return total
-    return total.substitute(packet.expr_fields())
+    return packet.specialize(total)
 
 
 def entropy_classical(packet: PacketMoments, v: Optional[float] = None) -> float:

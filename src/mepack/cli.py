@@ -82,6 +82,13 @@ def _number(value, field: str):
     raise ValidationError(f"expected a number, got {type(value).__name__}", field)
 
 
+def _integer(value, field: str) -> int:
+    number = _number(value, field)
+    if (isinstance(number, float) and not number.is_integer()) or int(number) != number:
+        raise ValidationError(f"expected an integer, got {value!r}", field)
+    return int(number)
+
+
 def _load_scenario(path: Path) -> dict:
     try:
         text = path.read_text()
@@ -171,15 +178,18 @@ class Scenario:
         if self.kind not in ("classical", "quantum"):
             raise ValidationError(f"unknown kind {self.kind!r}", "run.kind")
         self.grid = _parse_grid(run.get("grid"), "run.grid")
-        self.order = int(run.get("order", 4))
-        self.orders = [int(n) for n in run.get("orders", [])]
+        self.order = _integer(run.get("order", 4), "run.order")
+        orders = run.get("orders", [])
+        if not isinstance(orders, list):
+            raise ValidationError("must be a list of integers", "run.orders")
+        self.orders = [_integer(n, "run.orders") for n in orders]
         self.propagation = run.get("propagation")
         if self.propagation not in (None, "quadratic", "taylor-origin", "repacketized-stepping"):
             raise ValidationError(f"unknown propagation {self.propagation!r}", "run.propagation")
         self.nu_sweep = [float(_number(x, "run.nu_sweep")) for x in run.get("nu_sweep", [])]
         self.cutoff = run.get("cutoff")
         if self.cutoff is not None:
-            self.cutoff = int(self.cutoff)
+            self.cutoff = _integer(self.cutoff, "run.cutoff")
         self.expressions = list(run.get("expressions", []))
         self.volume = run.get("v")
         if self.volume is not None:
@@ -297,11 +307,21 @@ def _expressions(scenario: Scenario) -> List[str]:
     return scenario.expressions or list(_DEFAULT_EXPRESSIONS)
 
 
-def _parse_operator(text: str):
+def _parse_operator(text: str, bindings: Optional[dict] = None):
+    """Parse one expression; with `bindings`, every coefficient symbol must
+    have a value there."""
     try:
-        return parse_weyl(text)
+        op = parse_weyl(text)
     except ParseError as exc:
         raise ValidationError(str(exc), f"expression {text!r}")
+    if bindings is not None:
+        unbound = set().union(*(c.symbols() for _, c in op.terms())) - bindings.keys()
+        if unbound:
+            raise ValidationError(
+                f"symbol {min(unbound)!r} has no value for a numeric packet",
+                f"expression {text!r}",
+            )
+    return op
 
 
 def run_moments(scenario: Scenario, out: OutputBundle):
@@ -311,7 +331,7 @@ def run_moments(scenario: Scenario, out: OutputBundle):
     out.say("expectation values of operator polynomials")
     out.say("")
     for text in _expressions(scenario):
-        op = _parse_operator(text)
+        op = _parse_operator(text, bindings)
         quantum = expectation_quantum(_sym_packet(), op)
         classical = moment_classical(_sym_packet(), op.classical().map_coefficients(
             lambda c: c.drop_symbol("hbar")))
@@ -482,14 +502,13 @@ def run_oracle_check(scenario: Scenario, out: OutputBundle):
     packet = scenario.packet
     if packet.is_symbolic:
         raise ValidationError("oracle-check needs a numeric packet", "packet")
-    expressions = _expressions(scenario)
-    operators = [(text, _parse_operator(text)) for text in expressions]
+    bindings = packet.bindings()
+    operators = [(text, _parse_operator(text, bindings)) for text in _expressions(scenario)]
     degree = max(op.degree() for _, op in operators)
     state = fock_state(packet, degree=degree, cutoff=scenario.cutoff)
-    bindings = packet.bindings()
 
     def job(text, op):
-        engine = expectation_quantum(packet, op).evaluate(bindings)
+        engine = expectation_quantum(_sym_packet(), op).evaluate(bindings)
         oracle = fock_expectation(state, op)
         delta = abs(engine - oracle)
         rel = delta / max(abs(oracle), 1e-300)

@@ -34,7 +34,7 @@ from .algebra.phase import PhasePolynomial, poisson_bracket
 from .algebra.weyl import WeylPolynomial
 from .classical import entropy_classical, moment_classical
 from .errors import DomainError
-from .packets import FieldValue, PacketMoments, _as_expr
+from .packets import FieldValue, PacketMoments
 from .quantum import entropy_quantum, expectation_quantum
 
 Number = Union[int, float, Fraction]
@@ -95,10 +95,10 @@ class PolynomialPotential:
 
 def hamiltonian(potential: PolynomialPotential, cls):
     """H = p^2/(2m) + V(q) as a `cls` polynomial (phase space or Weyl)."""
-    m = _as_expr(potential.mass)
+    m = Expr.coerce(potential.mass)
     h = cls({(0, 2): Expr.number(Fraction(1, 2)) / m})
     for k, c in enumerate(potential.coefficients):
-        coeff = _as_expr(c) * Expr.number(Fraction(1, math.factorial(k)))
+        coeff = Expr.coerce(c) * Expr.number(Fraction(1, math.factorial(k)))
         h = h + cls({(k, 0): coeff})
     return h
 
@@ -167,7 +167,7 @@ def _q_and_p_chains(potential: PolynomialPotential, step, order: int):
     dq/dt = p/m under both brackets, as d_p^3 q = 0, so
     d^(n+1) q/dt^(n+1) = (d^n p/dt^n)/m."""
     ps = derivative_chain(PhasePolynomial.p(), step, order)
-    inv_m = _as_expr(potential.mass).inverse()
+    inv_m = Expr.coerce(potential.mass).inverse()
     qs = [x.map_coefficients(lambda c: c * inv_m) for x in ps[:-1]]
     return qs, ps[1:]
 
@@ -201,16 +201,6 @@ class AveragedDerivatives:
 _HBAR_AS_NU = {"hbar": HBAR_AS_NU}
 
 
-def _at_packet(expr: Expr, packet: PacketMoments) -> Expr:
-    """Substitute a numeric packet's Q, P, dQ, dP and nu; symbolic packets
-    leave the expression as it is."""
-    if packet.is_symbolic:
-        return expr
-    sub = packet.expr_fields()
-    sub["nu"] = _as_expr(packet.nu)
-    return expr.substitute(sub)
-
-
 def _average(kind: str, packet: PacketMoments, entry) -> Expr:
     """Packet average of a phase-space polynomial (classical), a q-left
     ordered operator (quantum `WeylPolynomial`) or a Weyl symbol (quantum
@@ -219,10 +209,9 @@ def _average(kind: str, packet: PacketMoments, entry) -> Expr:
     if kind == "classical":
         return moment_classical(packet, entry)
     if isinstance(entry, WeylPolynomial):
-        return _at_packet(expectation_quantum(packet, entry), packet)
+        return expectation_quantum(packet, entry)
     packet.require_quantum()
-    symbol = entry.map_coefficients(lambda c: c.substitute(_HBAR_AS_NU))
-    return _at_packet(moment_classical(PacketMoments.symbolic(), symbol), packet)
+    return moment_classical(packet, entry.map_coefficients(lambda c: c.substitute(_HBAR_AS_NU)))
 
 
 def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> AveragedDerivatives:
@@ -262,7 +251,7 @@ def quantum_correction(
     in 1/nu (hbar already rewritten as 2 dQ dP / nu)."""
     quantum, classical = averaged_p_derivatives(potential, order)
     correction = quantum - classical
-    return correction if packet is None else _at_packet(correction, packet)
+    return correction if packet is None else packet.specialize(correction)
 
 
 def nu_power_profile(expr: Expr) -> dict:
@@ -400,6 +389,23 @@ def _entropy_of(kind: str, packet: PacketMoments, nu: float, v: Optional[float])
     return entropy_classical(packet, v)
 
 
+def _trajectory(
+    times: List[float],
+    packets: List[PacketMoments],
+    kind: str,
+    v: Optional[float],
+    provenance: str,
+    remainder: float = 0.0,
+) -> Trajectory:
+    """The trajectory of `packets`, with each packet's nu from `bindings()`."""
+    nus = tuple(pk.bindings()["nu"] for pk in packets)
+    entropies = tuple(_entropy_of(kind, pk, nu, v) for pk, nu in zip(packets, nus))
+    return Trajectory(
+        tuple(times), tuple(packets), nus, entropies,
+        provenance=provenance, kind=kind, remainder_estimate=remainder,
+    )
+
+
 def propagate(
     packet: PacketMoments,
     potential: PolynomialPotential,
@@ -428,7 +434,6 @@ def propagate(
     if times and times[0] != 0.0:
         raise DomainError("time grid must start at 0")
     series = _taylor_series(potential, order, kind)
-    hbar = float(packet.hbar) if packet.hbar is not None else 1.0
 
     def coeffs_at(pk: PacketMoments) -> dict:
         b = pk.bindings()
@@ -456,7 +461,7 @@ def propagate(
             last,
         )
 
-    packets, nus, entropies = [], [], []
+    packets = []
     remainder = 0.0
     if mode == "taylor-origin":
         coeffs = coeffs_at(packet)
@@ -476,15 +481,7 @@ def propagate(
             remainder = max(remainder, last)
             packets.append(current)
             prev_t = t
-    for pk in packets:
-        b = pk.bindings()
-        nu = 2.0 * b["dQ"] * b["dP"] / hbar
-        nus.append(nu)
-        entropies.append(_entropy_of(kind, pk, nu, v))
-    return Trajectory(
-        tuple(times), tuple(packets), tuple(nus), tuple(entropies),
-        provenance=mode, kind=kind, remainder_estimate=remainder,
-    )
+    return _trajectory(times, packets, kind, v, mode, remainder)
 
 
 def trajectory_quadratic(
@@ -496,15 +493,5 @@ def trajectory_quadratic(
 ) -> Trajectory:
     """Exact trajectory on a grid for degree <= 2 potentials."""
     times = _grid_checked(grid)
-    hbar = float(packet.hbar) if packet.hbar is not None else 1.0
     packets = [evolve_quadratic(packet, potential, t) for t in times]
-    nus, entropies = [], []
-    for pk in packets:
-        b = pk.bindings()
-        nu = 2.0 * b["dQ"] * b["dP"] / hbar
-        nus.append(nu)
-        entropies.append(_entropy_of(kind, pk, nu, v))
-    return Trajectory(
-        tuple(times), tuple(packets), tuple(nus), tuple(entropies),
-        provenance="quadratic-exact", kind=kind,
-    )
+    return _trajectory(times, packets, kind, v, "quadratic-exact")

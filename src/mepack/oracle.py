@@ -8,9 +8,9 @@ eigendecomposition.  Its only shared dependencies with the algebra layer
 are expression evaluation for numeric coefficients and the geometric-tail
 formula of `quantum`.
 
-Cutoff policy: smallest N with the neglected weight tail below `tail_tol`,
-plus a margin of max(8, 2*degree) basis states, since a polynomial of
-degree d couples at most d bands.  A cutoff whose dense matrices would
+Cutoff policy: smallest N with the neglected weight tail below
+`DEFAULT_TAIL_TOL`, plus a margin of max(8, 2*degree) basis states, since
+a polynomial of degree d couples at most d bands.  A cutoff whose dense matrices would
 exceed `MAX_MATRIX_BYTES` raises CutoffError before anything is allocated.
 """
 
@@ -30,6 +30,14 @@ from .quantum import tail_levels, tail_weight
 
 DEFAULT_TAIL_TOL = 1e-12
 
+# top levels whose weight fock_evolve reports as truncation leakage
+LEAK_BAND = 4
+
+# density_normalization: Gauss-Legendre nodes per axis, over this many
+# spreads either side of the centre
+QUADRATURE_NODES = 160
+QUADRATURE_HALF_WIDTH = 10.0
+
 # largest dense complex n x n matrix the oracle builds (n <= 2896);
 # fock_state holds about seven of them at once
 MAX_MATRIX_BYTES = 128 * 2 ** 20
@@ -37,11 +45,11 @@ MAX_MATRIX_BYTES = 128 * 2 ** 20
 Word = Union[str, Sequence[str]]
 
 
-def choose_cutoff(nu: float, degree: int = 0, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
+def choose_cutoff(nu: float, degree: int = 0) -> int:
     margin = max(8, 2 * degree)
     if nu == 1.0:
         return 1 + margin
-    return tail_levels(nu, tail_tol) - 1 + margin
+    return tail_levels(nu, DEFAULT_TAIL_TOL) - 1 + margin
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,6 @@ class FockState:
     q_mat: np.ndarray
     p_mat: np.ndarray
     rho: np.ndarray
-    tail_tol: float = DEFAULT_TAIL_TOL
     leakage: float = 0.0  # top-band weight after the last evolution step
 
     @property
@@ -67,16 +74,17 @@ def fock_state(
     packet: PacketMoments,
     degree: int = 0,
     cutoff: Optional[int] = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> FockState:
     b = packet.bindings()
     nu = b["nu"]
     if nu < 1:
         raise DomainError(f"fock basis needs nu >= 1, got {nu}")
-    n = cutoff if cutoff is not None else choose_cutoff(nu, degree, tail_tol)
+    n = cutoff if cutoff is not None else choose_cutoff(nu, degree)
     dropped = tail_weight(nu, n - 1)
-    if dropped > tail_tol:
-        raise CutoffError(f"cutoff {n} leaves weight tail {dropped:.3e} > {tail_tol:.1e}")
+    if dropped > DEFAULT_TAIL_TOL:
+        raise CutoffError(
+            f"cutoff {n} leaves weight tail {dropped:.3e} > {DEFAULT_TAIL_TOL:.1e}"
+        )
     matrix_bytes = 16 * n * n
     if matrix_bytes > MAX_MATRIX_BYTES:
         raise CutoffError(
@@ -98,7 +106,7 @@ def fock_state(
         x = (nu - 1.0) / (nu + 1.0)
         weights = 2.0 / (nu + 1.0) * x ** np.arange(n)
     rho = np.diag(weights).astype(complex)
-    return FockState(n, nu, b["hbar"], b, q_mat, p_mat, rho, tail_tol)
+    return FockState(n, nu, b["hbar"], b, q_mat, p_mat, rho)
 
 
 def _word_matrix(state: FockState, word: Word) -> np.ndarray:
@@ -134,7 +142,7 @@ def fock_expectation(state: FockState, x) -> complex:
     an iterable of (coefficient, word) pairs for arbitrary orderings.
     """
     matrix, degree = _operator_matrix(state, x)
-    needed = choose_cutoff(state.nu, degree, state.tail_tol)
+    needed = choose_cutoff(state.nu, degree)
     if state.cutoff < needed:
         raise CutoffError(
             f"cutoff {state.cutoff} too small for degree {degree}; need >= {needed}"
@@ -159,20 +167,19 @@ def fock_evolve(
     potential: PolynomialPotential,
     t: float,
     leak_tol: float = 1e-8,
-    band: int = 4,
 ) -> FockState:
     """Evolve rho by U = exp(-i H t / hbar) of the truncated Hamiltonian.
 
     H is Hermitian, so U is built from its eigendecomposition
     H = V diag(w) V^dagger as U = V diag(exp(-i w t / hbar)) V^dagger.
-    The weight that reaches the top `band` levels estimates truncation
+    The weight that reaches the top `LEAK_BAND` levels estimates truncation
     leakage; exceeding `leak_tol` raises HorizonError.
     """
     h = hamiltonian_matrix(state, potential)
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * float(t) / state.hbar)) @ v.conj().T
     rho = u @ state.rho @ u.conj().T
-    top = np.arange(state.cutoff - band, state.cutoff)
+    top = np.arange(state.cutoff - LEAK_BAND, state.cutoff)
     leakage = float(np.sum(np.diag(rho).real[top]))
     if leakage > leak_tol:
         raise HorizonError(
@@ -235,13 +242,14 @@ def gaussian_moment_mc(
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
 
 
-def density_normalization(packet: PacketMoments, v: float, half_width: float = 10.0, nodes: int = 160) -> float:
+def density_normalization(packet: PacketMoments, v: float) -> float:
     """int rho dq dp / v by tensor Gauss-Legendre quadrature."""
     from numpy.polynomial.legendre import leggauss
     from .classical import density_at
 
     bd = packet.bindings()
-    xq, wq = leggauss(nodes)
+    xq, wq = leggauss(QUADRATURE_NODES)
+    half_width = QUADRATURE_HALF_WIDTH
     q_lo, q_hi = bd["Q"] - half_width * bd["dQ"], bd["Q"] + half_width * bd["dQ"]
     p_lo, p_hi = bd["P"] - half_width * bd["dP"], bd["P"] + half_width * bd["dP"]
     qs = 0.5 * (q_hi - q_lo) * xq + 0.5 * (q_hi + q_lo)

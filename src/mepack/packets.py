@@ -6,7 +6,14 @@ preferred, floats accepted) or symbolic expressions; `PacketMoments.symbolic()`
 gives the canonical all-symbol packet that the algebraic pipelines use.
 
 The uncertainty ratio nu = 2*dQ*dP/hbar measures the phase-space area of
-the packet in units of hbar/2; nu = 1 is the quantum minimum.
+the packet in units of hbar/2; nu = 1 is the quantum minimum.  An unset
+hbar is `DEFAULT_HBAR`.
+
+The engine computes every average in packet symbols.  A numeric packet's
+values enter an exact result in one place, `PacketMoments.specialize`,
+which substitutes Q, P, dQ, dP and nu (floats as the dyadic rationals they
+are); symbolic packets leave the expression as it is.  The float route is
+`bindings()`, the values that `Expr.evaluate` reads.
 """
 
 from __future__ import annotations
@@ -21,11 +28,7 @@ from .errors import DomainError, PureStateLimitError
 Number = Union[int, float, Fraction]
 FieldValue = Union[Number, Expr]
 
-
-def _as_expr(value: FieldValue) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    return Expr.number(Fraction(value))
+DEFAULT_HBAR = 1
 
 
 def _numeric(value: FieldValue) -> Optional[float]:
@@ -72,7 +75,7 @@ class PacketMoments:
         """Uncertainty ratio 2*dQ*dP/hbar."""
         if self.is_symbolic:
             return Expr.symbol("nu")
-        hbar = self.hbar if self.hbar is not None else 1
+        hbar = self.hbar if self.hbar is not None else DEFAULT_HBAR
         if isinstance(self.dQ, (int, Fraction)) and isinstance(self.dP, (int, Fraction)) \
                 and isinstance(hbar, (int, Fraction)):
             return Fraction(2) * Fraction(self.dQ) * Fraction(self.dP) / Fraction(hbar)
@@ -84,16 +87,22 @@ class PacketMoments:
             raise DomainError("symbolic packet has no numeric uncertainty ratio")
         return float(nu)
 
-    def expr_fields(self) -> dict:
-        return {name: _as_expr(getattr(self, name)) for name in ("Q", "P", "dQ", "dP")}
+    def specialize(self, expr: Expr) -> Expr:
+        """Substitute a numeric packet's Q, P, dQ, dP and nu exactly;
+        symbolic packets leave the expression as it is."""
+        if self.is_symbolic:
+            return expr
+        values = {name: getattr(self, name) for name in ("Q", "P", "dQ", "dP")}
+        values["nu"] = self.nu
+        return expr.substitute(values)
 
-    def bindings(self, default_hbar: float = 1.0) -> dict:
+    def bindings(self) -> dict:
         """Numeric bindings for Expr.evaluate; symbolic packets refuse."""
         if self.is_symbolic:
             raise DomainError("symbolic packet cannot be bound numerically")
         import math
 
-        hbar = float(self.hbar) if self.hbar is not None else float(default_hbar)
+        hbar = float(self.hbar if self.hbar is not None else DEFAULT_HBAR)
         out = {
             "Q": _numeric(self.Q),
             "P": _numeric(self.P),

@@ -29,7 +29,7 @@ def _gaussian_exponent(lam1: Expr, lam2: Expr, lam3: Expr, lam4: Expr) -> Expr:
     return lam1 * lam1 / (Expr.number(4) * lam3) + lam2 * lam2 / (Expr.number(4) * lam4)
 
 
-def _check_positive(expr: Expr, name: str):
+def check_positive(expr: Expr, name: str):
     if expr.is_constant():
         value = expr.constant_value()
         if not value.is_real() or value.re <= 0:
@@ -49,8 +49,8 @@ class GaussianPartition:
     def from_multipliers(cls, lam1, lam2, lam3, lam4, volume) -> "GaussianPartition":
         lam1, lam2 = Expr.coerce(lam1), Expr.coerce(lam2)
         lam3, lam4 = Expr.coerce(lam3), Expr.coerce(lam4)
-        _check_positive(lam3, "lam3")
-        _check_positive(lam4, "lam4")
+        check_positive(lam3, "lam3")
+        check_positive(lam4, "lam4")
         coeff = _PI / Expr.coerce(volume)
         exponent = _gaussian_exponent(lam1, lam2, lam3, lam4)
         product = lam3 * lam4

@@ -35,13 +35,16 @@ from .algebra.expression import Expr
 from .algebra.ladder import HBAR_AS_NU, LadderPolynomial, diagonal_part, to_ladder
 from .algebra.numberpoly import NumberPolynomial
 from .algebra.weyl import WeylPolynomial
+from .algebra.words import swap_counts
 from .classical import moment_gaussian_route
 from .errors import DomainError
 from .packets import PacketMoments
-from .partition import QuantumPartition
+from .partition import QuantumPartition, check_positive
 
 _NU = Expr.symbol("nu")
 _HALF = Expr.number(Fraction(1, 2))
+
+ENTROPY_TAIL_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -65,24 +68,17 @@ def solve_multipliers_quantum(packet: PacketMoments) -> QuantumMultipliers:
     from .classical import multiplier_expressions
 
     factor = log_ratio_factor()
-    exprs = {k: e * factor for k, e in multiplier_expressions().items()}
     if not packet.is_symbolic:
-        sub = packet.expr_fields()
-        b = packet.bindings()
-        sub["nu"] = Expr.number(Fraction(b["nu"]))
-        sub["Lnu"] = Expr.number(Fraction(math.log((b["nu"] + 1) / (b["nu"] - 1))))
-        exprs = {k: e.substitute(sub) for k, e in exprs.items()}
+        # a float log presented as exact (ROADMAP item 6)
+        factor = factor.substitute({"Lnu": packet.bindings()["Lnu"]})
+    exprs = {k: packet.specialize(e * factor) for k, e in multiplier_expressions().items()}
     return QuantumMultipliers(exprs["lam1"], exprs["lam2"], exprs["lam3"], exprs["lam4"])
 
 
 def partition_quantum(mult: QuantumMultipliers) -> QuantumPartition:
     """exp(lam1^2/4lam3 + lam2^2/4lam4) / (2 sinh(hbar sqrt(lam3 lam4)))."""
-    for name in ("lam3", "lam4"):
-        value = getattr(mult, name)
-        if value.is_constant():
-            c = value.constant_value()
-            if not c.is_real() or c.re <= 0:
-                raise DomainError(f"{name} must be positive for a normalizable state")
+    check_positive(mult.lam3, "lam3")
+    check_positive(mult.lam4, "lam4")
     return QuantumPartition(mult.lam1, mult.lam2, mult.lam3, mult.lam4)
 
 
@@ -131,32 +127,6 @@ def tail_levels(nu, tol: float) -> int:
             f"tail levels at nu = {nu} are beyond float range: (nu-1)/(nu+1) = {x}"
         )
     return max(1, math.ceil(math.log(tol) / math.log(x)))
-
-
-class FockWeights:
-    """Lazy view of the geometric weight sequence for one packet.
-
-    Indexing gives R_k (exact when nu is exact); `tail(n)` is the weight
-    above level n, and `cutoff_for(tol)` the smallest level count whose
-    tail is below tol.
-    """
-
-    def __init__(self, nu):
-        if nu < 1:
-            raise DomainError(f"fock weights need nu >= 1, got {nu}")
-        self.nu = nu
-
-    def __getitem__(self, k: int):
-        return fock_weight(self.nu, k)
-
-    def tail(self, n: int):
-        return tail_weight(self.nu, n)
-
-    def partial_sum(self, n: int):
-        return sum(fock_weight(self.nu, k) for k in range(n + 1))
-
-    def cutoff_for(self, tol: float = 1e-12) -> int:
-        return tail_levels(self.nu, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +228,7 @@ def _wigner_route(a: int, b: int) -> Expr:
     sum_j j! C(a,j) C(b,j) (i hbar/2)^j q^(a-j) p^(b-j), with hbar/2 = dQ dP/nu."""
     half_i_hbar = Expr.i() * Expr.symbol("dQ") * Expr.symbol("dP") / _NU
     total = Expr()
-    for j in range(min(a, b) + 1):
-        weight = math.factorial(j) * math.comb(a, j) * math.comb(b, j)
+    for j, weight in swap_counts(a, b).items():
         total = total + (
             Expr.number(weight) * half_i_hbar ** j * moment_gaussian_route(a - j, b - j)
         )
@@ -283,17 +252,20 @@ def weyl_monomial_expectation(a: int, b: int) -> Expr:
 
 
 def expectation_quantum(packet: PacketMoments, x: WeylPolynomial) -> Expr:
-    """Tr(rho X) in packet symbols: Q, P, dQ, dP and nu (s^2 -> 1/nu applied)."""
+    """Tr(rho X) in packet symbols: Q, P, dQ, dP and nu (s^2 -> 1/nu applied);
+    a constant for a numeric packet."""
     packet.require_quantum()
     total = Expr()
     for (a, b), coeff in x.terms():
         total = total + coeff.substitute({"hbar": HBAR_AS_NU}) * weyl_monomial_expectation(a, b)
-    return total
+    return packet.specialize(total)
 
 
-def expectation_value(packet: PacketMoments, x: WeylPolynomial, default_hbar: float = 1.0) -> complex:
-    """Numeric expectation for a numeric packet."""
-    return expectation_quantum(packet, x).evaluate(packet.bindings(default_hbar))
+def expectation_value(packet: PacketMoments, x: WeylPolynomial) -> complex:
+    """Numeric expectation for a numeric packet: the symbolic moment
+    evaluated in floats at `packet.bindings()`."""
+    packet.require_quantum()
+    return expectation_quantum(PacketMoments.symbolic(), x).evaluate(packet.bindings())
 
 
 def restore_hbar(expr: Expr) -> Expr:
@@ -344,14 +316,15 @@ def entropy_from_multipliers(packet: PacketMoments) -> float:
     return z.log_evaluate(b) + sum(l * c for l, c in zip(lam, constraints))
 
 
-def entropy_weight_sum(nu: float, tail_tol: float = 1e-16) -> float:
-    """-sum_k R_k ln R_k over the fewest levels whose dropped tail is <= tail_tol.
+def entropy_weight_sum(nu: float) -> float:
+    """-sum_k R_k ln R_k over the fewest levels whose dropped tail is at
+    most ENTROPY_TAIL_TOL.
 
     Raises DomainError when that takes more than 10,000,000 terms.
     """
     if nu == 1:
         return 0.0
-    terms = tail_levels(nu, tail_tol)
+    terms = tail_levels(nu, ENTROPY_TAIL_TOL)
     if terms > 10_000_000:
         raise DomainError(f"entropy weight sum at nu = {nu} needs {terms} terms, over 10,000,000")
     x = (nu - 1.0) / (nu + 1.0)

@@ -197,6 +197,12 @@ def test_moment_matches_quadrature_oracle(numeric_packet):
         )
 
 
+def test_numpy_integer_fields_specialize_exactly():
+    packet = PacketMoments(np.int64(1), 0, np.int64(1), 1, hbar=1)
+    assert moment_classical(packet, parse_phase("q^2")) == Expr.number(2)
+    assert solve_multipliers_classical(packet).lam1 == Expr.number(-1)
+
+
 def test_moment_against_monte_carlo(numeric_packet):
     est, err = gaussian_moment_mc(numeric_packet, 2, 2, samples=400_000, seed=3)
     exact = gaussian_moment_numeric(numeric_packet, 2, 2)

@@ -161,6 +161,55 @@ def test_bad_divisor_is_a_validation_error(tmp_path, capsys, expr):
     assert "validation error" in capsys.readouterr().err
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+@pytest.mark.parametrize(
+    "scenario, expr, symbol",
+    [
+        ("moments.json", "V7*q", "V7"),
+        ("moments.json", "t*q", "t"),
+        ("moments.json", "lam1*q", "lam1"),
+        ("oracle_check.json", "m*q", "m"),
+    ],
+)
+def test_unbound_symbol_on_numeric_packet_is_a_validation_error(
+    tmp_path, capsys, scenario, expr, symbol
+):
+    args = ["run", str(SCENARIOS / scenario), "--out", str(tmp_path / "out"), "--expr", expr]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and repr(symbol) in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("order", "x"),
+        ("orders", ["a"]),
+        ("orders", 3),
+        ("cutoff", "big"),
+        ("order", None),
+        ("order", 2.7),
+        ("cutoff", "5/2"),
+    ],
+)
+def test_integer_run_fields_are_validated(tmp_path, capsys, field, value):
+    path = write_scenario(tmp_path, run={field: value})
+    assert main(["run", str(path)]) == 2
+    assert f"run.{field}" in capsys.readouterr().err
+
+
+def test_integer_run_fields_accept_integral_values(tmp_path):
+    path = write_scenario(
+        tmp_path,
+        run={"mode": "oracle-check", "order": 4.0, "orders": ["2"], "cutoff": "60",
+             "grid": None},
+    )
+    assert main(["run", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "results.json").read_text())["cutoff"] == 60
+
+
 def test_sub_minimal_quantum_packet_rejected_with_bound_message(tmp_path, capsys):
     path = write_scenario(
         tmp_path,

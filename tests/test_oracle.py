@@ -11,6 +11,7 @@ from mepack.algebra import parse_weyl
 from mepack.dynamics import PolynomialPotential, evolve_quadratic
 from mepack.errors import CutoffError, DomainError, HorizonError
 from mepack.oracle import (
+    DEFAULT_TAIL_TOL,
     choose_cutoff,
     fock_evolve,
     fock_expectation,
@@ -116,7 +117,7 @@ def test_cutoff_check_counts_the_dropped_level():
     with pytest.raises(CutoffError):
         fock_state(nu3, cutoff=39)
     state = fock_state(nu3, cutoff=40)
-    assert state.trace_deficit <= state.tail_tol
+    assert state.trace_deficit <= DEFAULT_TAIL_TOL
 
 
 def test_oversized_cutoff_fails_before_allocating():

@@ -26,6 +26,8 @@ from mepack.quantum import (
     restore_hbar,
     solve_multipliers_quantum,
     stationarity_defect,
+    tail_levels,
+    tail_weight,
     weyl_monomial_expectation,
 )
 
@@ -161,29 +163,29 @@ def test_fock_weight_monotone_and_domain():
 
 
 def test_fock_weights_view():
-    from mepack.quantum import FockWeights
-
-    w = FockWeights(Fraction(3))
-    assert w[1] == Fraction(1, 4)
-    assert w.partial_sum(10) + w.tail(10) == 1
-    n = w.cutoff_for(1e-12)
+    nu = Fraction(3)
+    assert fock_weight(nu, 1) == Fraction(1, 4)
+    assert sum(fock_weight(nu, k) for k in range(11)) + tail_weight(nu, 10) == 1
+    n = tail_levels(nu, 1e-12)
     assert n == 40
-    assert float(w.tail(n - 1)) < 1e-12 <= float(w.tail(n - 2))
-    assert FockWeights(Fraction(200)).cutoff_for(1e-12) == 2764
-    assert FockWeights(Fraction(2000)).cutoff_for(1e-12) == 27632
-    pure = FockWeights(1)
-    assert pure[0] == 1 and pure.tail(0) == 0
-    with pytest.raises(DomainError):
-        FockWeights(0.2)
+    assert float(tail_weight(nu, n - 1)) < 1e-12 <= float(tail_weight(nu, n - 2))
+    assert tail_levels(Fraction(200), 1e-12) == 2764
+    assert tail_levels(Fraction(2000), 1e-12) == 27632
+    assert fock_weight(1, 0) == 1 and tail_weight(1, 0) == 0
+    for call in (
+        lambda: fock_weight(0.2, 0),
+        lambda: tail_weight(0.2, 0),
+        lambda: tail_levels(0.2, 1e-12),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_tail_levels_refuse_nu_beyond_float_range():
     # (nu-1)/(nu+1) rounds to 1.0 here (nan at inf), so log(x) gives no count
-    from mepack.quantum import FockWeights
-
     for call in (
         lambda: choose_cutoff(1e16),
-        lambda: FockWeights(1e16).cutoff_for(),
+        lambda: tail_levels(1e16, 1e-12),
         lambda: entropy_weight_sum(1e17),
         lambda: choose_cutoff(math.inf),
     ):
@@ -306,6 +308,16 @@ def test_moment_engine_stays_off_the_symbolic_ladder_image(monkeypatch):
     word = parse_weyl("p*q*q*p*q*p*p*q*p*q")
     assert word.degree() == 10
     expectation_quantum(PacketMoments.symbolic(), word)
+
+
+def test_expectation_on_numeric_packet_is_a_number(numeric_packet, sym_packet):
+    x = parse_weyl("q*p^2*q + (1/3)*hbar*p^3 - q^4")
+    got = expectation_quantum(numeric_packet, x)
+    assert got.is_constant()
+    values = {"Q": 0.7, "P": -0.3, "dQ": 1.2, "dP": 1.5, "nu": numeric_packet.nu}
+    assert got == expectation_quantum(sym_packet, x).substitute(values)
+    assert got.evaluate({}) == pytest.approx(expectation_value(numeric_packet, x), rel=1e-12)
+    assert sym_packet.specialize(got) is got
 
 
 def test_expectation_matches_fock_oracle(numeric_packet):
