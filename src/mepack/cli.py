@@ -4,12 +4,18 @@ Usage:
     mepack run scenario.json [--out DIR] [--mode MODE] [--expr "q*p"]
                              [--nu LIST] [--order N] [--cutoff N]
 
+A scenario is one JSON object with the sections packet, potential, run
+and output; exact rationals are accepted as strings ("3/2").  Each flag
+replaces its run or output value before `Scenario` reads the object, so
+flags and file pass the same checks in one pass: an unknown key, a value
+of the wrong type, an order below 1 or a grid without points is a
+validation failure.
+
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
 failure, 4 I/O failure.
 
-One scenario per JSON file; exact rationals are accepted as strings
-("3/2").  Data files are deterministic: identical configs give byte
-identical CSV/JSON, and run metadata lives in the report footer.
+Data files are deterministic: identical configs give byte identical
+CSV/JSON, and run metadata lives in the report footer.
 """
 
 from __future__ import annotations
@@ -53,6 +59,10 @@ from .quantum import expectation_quantum, restore_hbar
 from .version import __version__
 
 MODES = ("moments", "evolve", "derivatives", "corrections", "limit-sweep", "oracle-check")
+PROPAGATIONS = (None, "quadratic", "taylor-origin", "repacketized-stepping")
+FORMATS = ("csv", "json", "txt")
+RUN_KEYS = ("mode", "kind", "grid", "order", "orders", "propagation", "nu_sweep", "cutoff",
+            "expressions", "v")
 
 TRAJECTORY_HEADER = "t,Q,P,dQ,dP,nu,S"
 
@@ -83,32 +93,59 @@ def _number(value, field: str):
 
 
 def _integer(value, field: str) -> int:
+    """A positive integer: orders and the Fock cutoff count from 1."""
     number = _number(value, field)
     if (isinstance(number, float) and not number.is_integer()) or int(number) != number:
         raise ValidationError(f"expected an integer, got {value!r}", field)
+    if number < 1:
+        raise ValidationError(f"must be at least 1, got {value!r}", field)
     return int(number)
 
 
-def _load_scenario(path: Path) -> dict:
+def _object(raw, field: str, keys) -> dict:
+    """`raw` as a JSON object whose keys are all among `keys`."""
+    if not isinstance(raw, dict):
+        raise ValidationError("must be an object", field)
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ValidationError(f"unknown keys {unknown}; accepted keys are {list(keys)}", field)
+    return raw
+
+
+def _list(raw, field: str, parse) -> list:
+    if not isinstance(raw, list):
+        raise ValidationError(f"expected a list, got {type(raw).__name__}", field)
+    return [parse(x, f"{field}[{k}]") for k, x in enumerate(raw)]
+
+
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"expected a string, got {type(value).__name__}", field)
+    return value
+
+
+def _choice(value, options, field: str):
+    if value not in options:
+        raise ValidationError(f"unknown value {value!r}; pick one of {options}", field)
+    return value
+
+
+def _load_scenario(path: Path):
     try:
         text = path.read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read scenario: {exc}", str(path))
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             str(path),
         )
-    if not isinstance(raw, dict):
-        raise ValidationError("scenario must be a JSON object", str(path))
-    return raw
 
 
-def _parse_packet(raw: dict) -> PacketMoments:
-    if not isinstance(raw, dict):
-        raise ValidationError("must be an object", "packet")
+def _parse_packet(raw) -> PacketMoments:
+    raw = _object(raw, "packet", ("Q", "P", "dQ", "dP", "hbar"))
     missing = [k for k in ("Q", "P", "dQ", "dP") if k not in raw]
     if missing:
         raise ValidationError(f"missing fields {missing}", "packet")
@@ -120,15 +157,14 @@ def _parse_packet(raw: dict) -> PacketMoments:
         raise ValidationError(str(exc), "packet")
 
 
-def _parse_potential(raw: dict) -> PolynomialPotential:
-    if not isinstance(raw, dict):
-        raise ValidationError("must be an object", "potential")
+def _parse_potential(raw) -> PolynomialPotential:
+    raw = _object(raw, "potential", ("m", "V"))
     if "m" not in raw or "V" not in raw:
         raise ValidationError("needs fields m and V", "potential")
     mass = _number(raw["m"], "potential.m")
-    if not isinstance(raw["V"], list) or not raw["V"]:
-        raise ValidationError("V must be a non-empty list", "potential")
-    coeffs = tuple(_number(c, f"potential.V[{k}]") for k, c in enumerate(raw["V"]))
+    coeffs = tuple(_list(raw["V"], "potential.V", _number))
+    if not coeffs:
+        raise ValidationError("must be a non-empty list", "potential.V")
     try:
         return PolynomialPotential(mass, coeffs)
     except DomainError as exc:
@@ -139,12 +175,12 @@ def _parse_grid(raw, field: str) -> List[float]:
     if raw is None:
         return []
     if isinstance(raw, list):
-        times = [float(_number(t, field)) for t in raw]
+        times = _list(raw, field, lambda t, f: float(_number(t, f)))
     elif isinstance(raw, dict):
-        for key in raw:
-            if key not in ("start", "stop", "step", "times"):
-                raise ValidationError(f"unknown grid key {key!r}", field)
+        _object(raw, field, ("start", "stop", "step", "times"))
         if "times" in raw:
+            if len(raw) > 1:
+                raise ValidationError("times excludes start, stop and step", field)
             return _parse_grid(raw["times"], field)
         try:
             start = float(_number(raw.get("start", 0), field))
@@ -155,6 +191,8 @@ def _parse_grid(raw, field: str) -> List[float]:
         if step <= 0:
             raise ValidationError("grid step must be positive", field)
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if n < 1:
+            raise ValidationError(f"grid from {start} to {stop} has no points", field)
         times = [start + i * step for i in range(n)]
     else:
         raise ValidationError("grid must be a list or {start, stop, step}", field)
@@ -164,48 +202,33 @@ def _parse_grid(raw, field: str) -> List[float]:
 
 
 class Scenario:
-    def __init__(self, raw: dict, path: Path):
-        self.path = path
+    """One run, validated in a single pass over the scenario object (with
+    any command-line flags already merged in): every field is parsed and
+    checked here, and a malformed one raises ValidationError."""
+
+    def __init__(self, raw):
+        raw = _object(raw, "scenario", ("packet", "potential", "run", "output"))
         self.packet = _parse_packet(raw.get("packet", {}))
         self.potential = _parse_potential(raw.get("potential", {"m": 1, "V": [0]}))
-        run = raw.get("run", {})
-        if not isinstance(run, dict):
-            raise ValidationError("must be an object", "run")
-        self.mode = run.get("mode", "moments")
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}; pick one of {MODES}", "run.mode")
-        self.kind = run.get("kind", "classical")
-        if self.kind not in ("classical", "quantum"):
-            raise ValidationError(f"unknown kind {self.kind!r}", "run.kind")
+        run = _object(raw.get("run", {}), "run", RUN_KEYS)
+        self.mode = _choice(run.get("mode", "moments"), MODES, "run.mode")
+        self.kind = _choice(run.get("kind", "classical"), ("classical", "quantum"), "run.kind")
         self.grid = _parse_grid(run.get("grid"), "run.grid")
         self.order = _integer(run.get("order", 4), "run.order")
-        orders = run.get("orders", [])
-        if not isinstance(orders, list):
-            raise ValidationError("must be a list of integers", "run.orders")
-        self.orders = [_integer(n, "run.orders") for n in orders]
-        self.propagation = run.get("propagation")
-        if self.propagation not in (None, "quadratic", "taylor-origin", "repacketized-stepping"):
-            raise ValidationError(f"unknown propagation {self.propagation!r}", "run.propagation")
-        self.nu_sweep = [float(_number(x, "run.nu_sweep")) for x in run.get("nu_sweep", [])]
-        self.cutoff = run.get("cutoff")
-        if self.cutoff is not None:
-            self.cutoff = _integer(self.cutoff, "run.cutoff")
-        self.expressions = list(run.get("expressions", []))
-        self.volume = run.get("v")
-        if self.volume is not None:
-            self.volume = float(_number(self.volume, "run.v"))
-        out = raw.get("output", {})
-        if not isinstance(out, dict):
-            raise ValidationError("must be an object", "output")
-        self.out_dir = out.get("dir", "out")
-        self.formats = out.get("formats", ["csv", "json", "txt"])
-        bad = [f for f in self.formats if f not in ("csv", "json", "txt")]
-        if bad:
-            raise ValidationError(f"unknown formats {bad}", "output.formats")
+        self.orders = _list(run.get("orders", []), "run.orders", _integer)
+        self.propagation = _choice(run.get("propagation"), PROPAGATIONS, "run.propagation")
+        self.nu_sweep = _list(run.get("nu_sweep", []), "run.nu_sweep",
+                              lambda x, f: float(_number(x, f)))
+        self.cutoff = None if run.get("cutoff") is None else _integer(run["cutoff"], "run.cutoff")
+        self.expressions = (_list(run.get("expressions", []), "run.expressions", _string)
+                            or list(_DEFAULT_EXPRESSIONS))
+        self.volume = None if run.get("v") is None else float(_number(run["v"], "run.v"))
+        out = _object(raw.get("output", {}), "output", ("dir", "formats"))
+        self.out_dir = _string(out.get("dir", "out"), "output.dir")
+        self.formats = _list(out.get("formats", list(FORMATS)), "output.formats",
+                             lambda x, f: _choice(x, FORMATS, f))
 
-    def validate_for_mode(self):
-        quantum_needed = self.mode in ("moments", "limit-sweep", "oracle-check") or self.kind == "quantum"
-        if quantum_needed and not self.packet.is_symbolic:
+        if self.mode in ("moments", "limit-sweep", "oracle-check") or self.kind == "quantum":
             self.packet.require_quantum()  # cites the uncertainty bound on failure
         if self.mode == "limit-sweep":
             if not self.nu_sweep:
@@ -250,9 +273,9 @@ def format_nu_polynomial(expr: Expr) -> str:
 class OutputBundle:
     """Collects data artifacts plus a human-readable report with footer."""
 
-    def __init__(self, scenario: Scenario, out_dir: Path):
-        self.scenario = scenario
+    def __init__(self, out_dir: Path, formats: List[str]):
         self.out_dir = out_dir
+        self.formats = formats
         self.lines: List[str] = []
         self.files: Dict[str, str] = {}
         self.json_payload: Dict = {}
@@ -269,21 +292,20 @@ class OutputBundle:
         self.files[name] = body + "\n"
 
     def write(self) -> List[Path]:
-        formats = getattr(self.scenario, "formats", ["csv", "json", "txt"])
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             written = []
             for name, content in self.files.items():
-                if name.rsplit(".", 1)[-1] not in formats:
+                if name.rsplit(".", 1)[-1] not in self.formats:
                     continue
                 path = self.out_dir / name
                 path.write_text(content)
                 written.append(path)
-            if self.json_payload and "json" in formats:
+            if self.json_payload and "json" in self.formats:
                 path = self.out_dir / "results.json"
                 path.write_text(json.dumps(self.json_payload, indent=2, sort_keys=True) + "\n")
                 written.append(path)
-            if "txt" in formats:
+            if "txt" in self.formats:
                 report = "\n".join(self.lines + ["", "---"] +
                                    [f"{k}: {v}" for k, v in self.footer.items()]) + "\n"
                 path = self.out_dir / "report.txt"
@@ -297,14 +319,6 @@ class OutputBundle:
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------
-
-
-def _sym_packet() -> PacketMoments:
-    return PacketMoments.symbolic()
-
-
-def _expressions(scenario: Scenario) -> List[str]:
-    return scenario.expressions or list(_DEFAULT_EXPRESSIONS)
 
 
 def _parse_operator(text: str, bindings: Optional[dict] = None):
@@ -327,13 +341,14 @@ def _parse_operator(text: str, bindings: Optional[dict] = None):
 def run_moments(scenario: Scenario, out: OutputBundle):
     numeric = not scenario.packet.is_symbolic
     bindings = scenario.packet.bindings() if numeric else None
-    rows = []
+    sym = PacketMoments.symbolic()
+    rows, csv_rows = [], []
     out.say("expectation values of operator polynomials")
     out.say("")
-    for text in _expressions(scenario):
+    for text in scenario.expressions:
         op = _parse_operator(text, bindings)
-        quantum = expectation_quantum(_sym_packet(), op)
-        classical = moment_classical(_sym_packet(), op.classical().map_coefficients(
+        quantum = expectation_quantum(sym, op)
+        classical = moment_classical(sym, op.classical().map_coefficients(
             lambda c: c.drop_symbol("hbar")))
         quantum_str = format_expression(restore_hbar(quantum))
         classical_str = format_expression(classical)
@@ -341,6 +356,7 @@ def run_moments(scenario: Scenario, out: OutputBundle):
         out.say(f"    classical: {classical_str}")
         out.say(f"    quantum:   {quantum_str}")
         row = {"expr": text, "classical": classical_str, "quantum": quantum_str}
+        csv_row = [text, classical_str, quantum_str]
         if numeric:
             qv = quantum.evaluate(bindings)
             cv = classical.evaluate(bindings)
@@ -349,26 +365,17 @@ def run_moments(scenario: Scenario, out: OutputBundle):
                 quantum_value_re=qv.real,
                 quantum_value_im=qv.imag,
             )
+            csv_row += [cv.real, qv.real, qv.imag]
             out.say(f"    numeric:   classical {_fmt(cv.real)}, quantum "
                     f"{_fmt(qv.real)} + {_fmt(qv.imag)}*i")
         rows.append(row)
-    csv_rows = [
-        [
-            r["expr"], r["classical"], r["quantum"],
-            *(
-                [r["classical_value"], r["quantum_value_re"], r["quantum_value_im"]]
-                if numeric else []
-            ),
-        ]
-        for r in rows
-    ]
+        csv_rows.append(csv_row)
     header = "expr,classical,quantum" + (
         ",classical_value,quantum_value_re,quantum_value_im" if numeric else ""
     )
     out.add_csv("moments.csv", header, csv_rows)
     out.json_payload = {"mode": "moments", "rows": rows}
     out.footer["provenance"] = "symbolic-exact"
-    out.footer["cutoff"] = "n/a"
 
 
 def _trajectory(scenario: Scenario) -> Trajectory:
@@ -382,7 +389,7 @@ def _trajectory(scenario: Scenario) -> Trajectory:
         )
     return propagate(
         scenario.packet, scenario.potential, scenario.grid,
-        order=max(scenario.order, 2), mode=propagation,
+        order=scenario.order, mode=propagation,
         kind=scenario.kind, v=scenario.volume,
     )
 
@@ -400,14 +407,13 @@ def run_evolve(scenario: Scenario, out: OutputBundle):
     if traj.remainder_estimate:
         out.say(f"last Taylor term magnitude (remainder proxy): {_fmt(traj.remainder_estimate)}")
     out.footer["provenance"] = traj.provenance
-    out.footer["cutoff"] = "n/a"
 
 
 def run_derivatives(scenario: Scenario, out: OutputBundle):
-    order = max(1, scenario.order)
+    order = scenario.order
     potential = scenario.potential
     label = "numeric" if potential.is_numeric else "symbolic"
-    sym = _sym_packet()
+    sym = PacketMoments.symbolic()
     ct = derivatives_classical(potential, order)
     qt = derivatives_quantum(potential, order)
     ca = averaged_derivatives(ct, sym)
@@ -428,13 +434,12 @@ def run_derivatives(scenario: Scenario, out: OutputBundle):
         "classical_averaged_p": [format_expression(e) for e in ca.p],
         "quantum_averaged_p": [format_expression(e) for e in qa.p],
     }
-    out.footer["cutoff"] = "n/a"
 
 
 def run_corrections(scenario: Scenario, out: OutputBundle):
     degree = scenario.potential.degree
     potential = PolynomialPotential.symbolic(degree)
-    orders = scenario.orders or list(range(1, max(scenario.order, 1) + 1))
+    orders = scenario.orders or list(range(1, scenario.order + 1))
     out.say(f"quantum corrections to d^n P/dt^n (symbolic potential of degree {degree})")
     rows = []
     for n in orders:
@@ -452,14 +457,11 @@ def run_corrections(scenario: Scenario, out: OutputBundle):
             rows[-1]["pq2p_factor"] = factor
     out.json_payload = {"mode": "corrections", "rows": rows}
     out.footer["provenance"] = "symbolic-exact"
-    out.footer["cutoff"] = "n/a"
 
 
 def run_limit_sweep(scenario: Scenario, out: OutputBundle):
-    order = scenario.order if scenario.order > 1 else 5
     degree = scenario.potential.degree
-    sym_potential = PolynomialPotential.symbolic(degree)
-    corr = quantum_correction(sym_potential, order)
+    corr = quantum_correction(PolynomialPotential.symbolic(degree), scenario.order)
     base = scenario.packet.bindings()
     base["m"] = scenario.potential.mass_value()
     for k in range(degree + 1):
@@ -484,7 +486,7 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
         return float(np.polyfit(xs, ys, 1)[0])
 
     s_corr, s_mom = slope(1), slope(2)
-    out.say(f"swept nu over {scenario.nu_sweep} at derivative order {order}")
+    out.say(f"swept nu over {scenario.nu_sweep} at derivative order {scenario.order}")
     out.say(f"fitted log-log slope of |correction|: {s_corr if s_corr is not None else 'n/a'}")
     out.say(f"fitted log-log slope of moment deviation: {s_mom if s_mom is not None else 'n/a'}")
     out.json_payload = {
@@ -495,7 +497,6 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
         "moment_slope": s_mom,
     }
     out.footer["provenance"] = "symbolic-evaluated"
-    out.footer["cutoff"] = "n/a"
 
 
 def run_oracle_check(scenario: Scenario, out: OutputBundle):
@@ -503,12 +504,13 @@ def run_oracle_check(scenario: Scenario, out: OutputBundle):
     if packet.is_symbolic:
         raise ValidationError("oracle-check needs a numeric packet", "packet")
     bindings = packet.bindings()
-    operators = [(text, _parse_operator(text, bindings)) for text in _expressions(scenario)]
+    operators = [(text, _parse_operator(text, bindings)) for text in scenario.expressions]
     degree = max(op.degree() for _, op in operators)
     state = fock_state(packet, degree=degree, cutoff=scenario.cutoff)
+    sym = PacketMoments.symbolic()
 
     def job(text, op):
-        engine = expectation_quantum(_sym_packet(), op).evaluate(bindings)
+        engine = expectation_quantum(sym, op).evaluate(bindings)
         oracle = fock_expectation(state, op)
         delta = abs(engine - oracle)
         rel = delta / max(abs(oracle), 1e-300)
@@ -541,7 +543,7 @@ def run_oracle_check(scenario: Scenario, out: OutputBundle):
         "mode": "oracle-check",
         "cutoff": state.cutoff,
         "worst_rel_delta": worst,
-        "rows": [[r[0], r[1].real, r[1].imag, r[2].real, r[2].imag, r[3], r[4]] for r in results],
+        "rows": rows,
     }
     out.footer["provenance"] = "fock-oracle"
     out.footer["cutoff"] = str(state.cutoff)
@@ -578,44 +580,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.mode:
-        scenario.mode = args.mode
-    if args.expr:
-        scenario.expressions = list(args.expr)
-    if args.nu:
-        try:
-            scenario.nu_sweep = [float(Fraction(x)) for x in args.nu.split(",") if x]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad --nu list: {exc}", "--nu")
-    if args.order is not None:
-        scenario.order = args.order
-    if args.cutoff is not None:
-        scenario.cutoff = args.cutoff
-    if args.out is not None:
-        scenario.out_dir = str(args.out)
-    return scenario
+def _with_flags(raw, args):
+    """The scenario object with each given flag in place of its `run` or
+    `output` value, so that Scenario checks flags and file alike."""
+    flags = {
+        "run": {"mode": args.mode, "expressions": args.expr, "order": args.order,
+                "cutoff": args.cutoff,
+                "nu_sweep": [x for x in args.nu.split(",") if x] if args.nu else None},
+        "output": {"dir": args.out and str(args.out)},
+    }
+    for section, values in flags.items():
+        given = {k: v for k, v in values.items() if v is not None}
+        if given and isinstance(raw, dict) and isinstance(raw.get(section, {}), dict):
+            raw = {**raw, section: {**raw.get(section, {}), **given}}
+    return raw
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scenario = Scenario(_load_scenario(args.scenario), args.scenario)
-        scenario = _apply_overrides(scenario, args)
-        scenario.validate_for_mode()
-    except (ValidationError, DomainError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    out = OutputBundle(scenario, Path(scenario.out_dir))
-    out.footer.update(
-        mode=scenario.mode,
-        kind=scenario.kind,
-        order=str(scenario.order),
-        scenario=str(args.scenario),
-        package=f"mepack {__version__}",
-    )
-    try:
+        scenario = Scenario(_with_flags(_load_scenario(args.scenario), args))
+        out = OutputBundle(Path(scenario.out_dir), scenario.formats)
+        out.footer.update(
+            mode=scenario.mode,
+            kind=scenario.kind,
+            order=str(scenario.order),
+            scenario=str(args.scenario),
+            package=f"mepack {__version__}",
+        )
         _RUNNERS[scenario.mode](scenario, out)
+        out.footer.setdefault("cutoff", "n/a")
         written = out.write()
     except (ValidationError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

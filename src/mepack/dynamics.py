@@ -254,11 +254,6 @@ def quantum_correction(
     return correction if packet is None else packet.specialize(correction)
 
 
-def nu_power_profile(expr: Expr) -> dict:
-    """Coefficients of the expression grouped by the power of nu."""
-    return expr.as_poly_in("nu")
-
-
 # ---------------------------------------------------------------------------
 # quadratic closed form
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class QuantumPartition:
         l4 = self.lam4.evaluate(bindings).real
         if l3 <= 0 or l4 <= 0:
             raise DomainError("sinh argument needs positive lam3, lam4")
-        return float(bindings.get("hbar", 1.0)) * math.sqrt(l3 * l4)
+        return float(bindings["hbar"]) * math.sqrt(l3 * l4)
 
     def evaluate(self, bindings: Mapping[str, complex]) -> float:
         return math.exp(self.log_evaluate(bindings))

@@ -42,7 +42,6 @@ from mepack.dynamics import (
     derivatives_classical,
     derivatives_quantum,
     evolve_quadratic,
-    nu_power_profile,
     quantum_correction,
 )
 from mepack.oracle import (
@@ -174,7 +173,7 @@ def test_criterion_3_order5_correction_and_structure():
         assert group * Expr.number(2) * Expr.symbol("m") ** 3 == parse_expression("21 - 2*nu^-2")
         # structural clause: no 1/nu term at any order through 5
         for order in (1, 2, 3, 4, 5):
-            profile = nu_power_profile(quantum_correction(pot, order))
+            profile = quantum_correction(pot, order).as_poly_in("nu")
             assert -1 not in profile
             assert all(e <= 0 for e in profile)
 

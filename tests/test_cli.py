@@ -210,6 +210,54 @@ def test_integer_run_fields_accept_integral_values(tmp_path):
     assert json.loads((tmp_path / "out" / "results.json").read_text())["cutoff"] == 60
 
 
+@pytest.mark.parametrize(
+    "overrides, flags, message",
+    [
+        ({"run": {"expressions": 5}}, [], "run.expressions: expected a list"),
+        ({"run": {"expressions": [5]}}, [], "run.expressions[0]: expected a string"),
+        ({"run": {"expressions": "q*p"}}, [], "run.expressions: expected a list"),
+        ({"run": {"nu_sweep": 5}}, [], "run.nu_sweep: expected a list"),
+        ({"output": {"dir": 5}}, [], "output.dir: expected a string"),
+        ({"output": {"formats": 5}}, [], "output.formats: expected a list"),
+        ({"output": {"formats": "csv"}}, [], "output.formats: expected a list"),
+        ({"oder": 4}, [], "scenario: unknown keys ['oder']"),
+        ({"run": {"oder": 4}}, [], "run: unknown keys ['oder']"),
+        ({"output": {"formts": ["csv"]}}, [], "output: unknown keys ['formts']"),
+        ({"run": {"grid": {"start": 1, "stop": 0, "step": 0.25}}}, [], "run.grid: grid from"),
+        ({"run": {"grid": {"times": [0, 1], "stop": 5}}}, [], "run.grid: times excludes"),
+        ({"run": {"mode": "derivatives", "order": 0}}, [], "run.order: must be at least 1"),
+        ({"run": {"mode": "limit-sweep", "order": 0, "nu_sweep": [10, 20]}}, [],
+         "run.order: must be at least 1"),
+        ({"run": {"mode": "corrections", "orders": [0]}}, [],
+         "run.orders[0]: must be at least 1"),
+        ({"run": {"mode": "derivatives"}}, ["--order", "0"], "run.order: must be at least 1"),
+    ],
+    ids=[
+        "expressions-int", "expressions-int-entry", "expressions-string", "nu_sweep-int",
+        "dir-int", "formats-int", "formats-string", "top-level-typo", "run-typo",
+        "output-typo", "grid-start-after-stop", "grid-times-and-stop", "derivatives-order-0",
+        "limit-sweep-order-0", "orders-entry-0", "order-flag-0",
+    ],
+)
+def test_malformed_scenario_is_a_validation_error(tmp_path, capsys, overrides, flags, message):
+    path = write_scenario(tmp_path, **overrides)
+    assert main(["run", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_limit_sweep_runs_the_order_it_is_given(tmp_path):
+    path = write_scenario(
+        tmp_path,
+        packet={"Q": 0.5, "P": -0.25, "dQ": 1.0, "dP": 1.5, "hbar": 0.1},
+        potential={"m": 1, "V": [0, 0, 0, 1, 1]},
+        run={"mode": "limit-sweep", "order": 1, "nu_sweep": [10, 20], "grid": None},
+    )
+    assert main(["run", str(path)]) == 0
+    assert "at derivative order 1\n" in (tmp_path / "out" / "report.txt").read_text()
+
+
 def test_sub_minimal_quantum_packet_rejected_with_bound_message(tmp_path, capsys):
     path = write_scenario(
         tmp_path,
@@ -259,7 +307,7 @@ def test_cli_flag_overrides(tmp_path):
     assert [row["expr"] for row in payload["rows"]] == ["q*p"]
 
 
-def test_thread_cap_env(tmp_path):
+def test_sweep_rows_follow_nu_sweep_order(tmp_path):
     path = write_scenario(
         tmp_path,
         packet={"Q": 0.5, "P": -0.25, "dQ": 1.0, "dP": 1.5, "hbar": 0.1},
@@ -269,6 +317,25 @@ def test_thread_cap_env(tmp_path):
     assert main(["run", str(path)]) == 0
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[0]) for row in rows] == [10.0, 20.0, 40.0]
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cli"
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_scenario_outputs_match_golden(tmp_path, scenario):
+    """Every data file, and report.txt up to its run-metadata footer, is
+    byte-identical to the reference outputs the benchmark checks."""
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    golden = GOLDEN / scenario.stem
+    expected = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        got, ref = (out / name).read_bytes(), (golden / name).read_bytes()
+        if name == "report.txt":
+            got, ref = got.rpartition(b"\n---\n")[:2], ref.rpartition(b"\n---\n")[:2]
+        assert got == ref, name
 
 
 def test_cli_import_does_not_load_scipy():

@@ -27,7 +27,6 @@ from mepack.dynamics import (
     derivatives_quantum,
     evolve_quadratic,
     hamiltonian,
-    nu_power_profile,
     propagate,
     quadratic_flow,
     quantum_correction,
@@ -290,7 +289,7 @@ def test_order5_v3v4_component(quartic):
 
 
 def test_order5_correction_is_second_order_in_inverse_nu(quartic):
-    profile = nu_power_profile(quantum_correction(quartic, 5))
+    profile = quantum_correction(quartic, 5).as_poly_in("nu")
     assert set(profile) == {-2}
     assert -1 not in profile
 
@@ -300,7 +299,7 @@ def test_corrections_have_no_first_order_term(degree):
     # corrections are O(1/nu^2) for every truncation degree and order <= 5
     pot = PolynomialPotential.symbolic(degree)
     for order in range(1, 6):
-        profile = nu_power_profile(quantum_correction(pot, order))
+        profile = quantum_correction(pot, order).as_poly_in("nu")
         assert -1 not in profile
         assert all(e <= -2 for e in profile)
 

@@ -110,6 +110,13 @@ def test_partition_quantum_rejects_nonpositive():
         )
 
 
+def test_partition_quantum_needs_hbar_in_bindings():
+    # a mapping without hbar is a caller's error, not a packet with hbar = 1
+    z = partition_quantum(_symbol_multipliers())
+    with pytest.raises(KeyError, match="hbar"):
+        z.evaluate({"lam1": 0.3, "lam2": -0.2, "lam3": 0.7, "lam4": 1.3, "pi": math.pi})
+
+
 def test_partition_small_hbar_leading_term_is_classical_with_v_h():
     z_quantum = partition_quantum(_symbol_multipliers())
     leading = z_quantum.leading_small_hbar()
