@@ -8,7 +8,8 @@ A scenario is one JSON object with the sections packet, potential, run
 and output; exact rationals are accepted as strings ("3/2").  Each flag
 replaces its run or output value before `Scenario` reads the object, so
 flags and file pass the same checks in one pass: an unknown key, a value
-of the wrong type, an order below 1 or a grid without points is a
+of the wrong type, an empty `expressions` or `orders` list, an order below
+1 (below 2 for Taylor propagation) or a grid without points is a
 validation failure.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
@@ -112,9 +113,11 @@ def _object(raw, field: str, keys) -> dict:
     return raw
 
 
-def _list(raw, field: str, parse) -> list:
+def _list(raw, field: str, parse, nonempty: bool = False) -> list:
     if not isinstance(raw, list):
         raise ValidationError(f"expected a list, got {type(raw).__name__}", field)
+    if nonempty and not raw:
+        raise ValidationError("must be a non-empty list", field)
     return [parse(x, f"{field}[{k}]") for k, x in enumerate(raw)]
 
 
@@ -162,9 +165,7 @@ def _parse_potential(raw) -> PolynomialPotential:
     if "m" not in raw or "V" not in raw:
         raise ValidationError("needs fields m and V", "potential")
     mass = _number(raw["m"], "potential.m")
-    coeffs = tuple(_list(raw["V"], "potential.V", _number))
-    if not coeffs:
-        raise ValidationError("must be a non-empty list", "potential.V")
+    coeffs = tuple(_list(raw["V"], "potential.V", _number, nonempty=True))
     try:
         return PolynomialPotential(mass, coeffs)
     except DomainError as exc:
@@ -215,13 +216,15 @@ class Scenario:
         self.kind = _choice(run.get("kind", "classical"), ("classical", "quantum"), "run.kind")
         self.grid = _parse_grid(run.get("grid"), "run.grid")
         self.order = _integer(run.get("order", 4), "run.order")
-        self.orders = _list(run.get("orders", []), "run.orders", _integer)
+        # an absent list means the defaults; a given one must not be empty
+        self.orders = (_list(run["orders"], "run.orders", _integer, nonempty=True)
+                       if "orders" in run else [])
         self.propagation = _choice(run.get("propagation"), PROPAGATIONS, "run.propagation")
         self.nu_sweep = _list(run.get("nu_sweep", []), "run.nu_sweep",
                               lambda x, f: float(_number(x, f)))
         self.cutoff = None if run.get("cutoff") is None else _integer(run["cutoff"], "run.cutoff")
-        self.expressions = (_list(run.get("expressions", []), "run.expressions", _string)
-                            or list(_DEFAULT_EXPRESSIONS))
+        self.expressions = _list(run.get("expressions", list(_DEFAULT_EXPRESSIONS)),
+                                 "run.expressions", _string, nonempty=True)
         self.volume = None if run.get("v") is None else float(_number(run["v"], "run.v"))
         out = _object(raw.get("output", {}), "output", ("dir", "formats"))
         self.out_dir = _string(out.get("dir", "out"), "output.dir")
@@ -230,6 +233,15 @@ class Scenario:
 
         if self.mode in ("moments", "limit-sweep", "oracle-check") or self.kind == "quantum":
             self.packet.require_quantum()  # cites the uncertainty bound on failure
+        if self.mode == "evolve":
+            if self.propagation is None:
+                self.propagation = ("quadratic" if self.potential.effective_degree() <= 2
+                                    else "taylor-origin")
+            if self.propagation != "quadratic" and self.order < 2:
+                raise ValidationError(
+                    f"Taylor propagation ({self.propagation}) needs order >= 2, got {self.order}",
+                    "run.order",
+                )
         if self.mode == "limit-sweep":
             if not self.nu_sweep:
                 raise ValidationError("limit-sweep needs run.nu_sweep", "run.nu_sweep")
@@ -379,17 +391,14 @@ def run_moments(scenario: Scenario, out: OutputBundle):
 
 
 def _trajectory(scenario: Scenario) -> Trajectory:
-    propagation = scenario.propagation
-    if propagation is None:
-        propagation = "quadratic" if scenario.potential.effective_degree() <= 2 else "taylor-origin"
-    if propagation == "quadratic":
+    if scenario.propagation == "quadratic":
         return trajectory_quadratic(
             scenario.packet, scenario.potential, scenario.grid,
             kind=scenario.kind, v=scenario.volume,
         )
     return propagate(
         scenario.packet, scenario.potential, scenario.grid,
-        order=scenario.order, mode=propagation,
+        order=scenario.order, mode=scenario.propagation,
         kind=scenario.kind, v=scenario.volume,
     )
 

@@ -8,6 +8,13 @@ eigendecomposition.  Its only shared dependencies with the algebra layer
 are expression evaluation for numeric coefficients and the geometric-tail
 formula of `quantum`.
 
+q and p are tridiagonal on this basis, so the Hamiltonian's p^2 and q^k
+and the moments read by `state_moments` are built by O(n^2) band products
+(`_times_tridiagonal`) and traces; the only O(n^3) work left is an
+operator word's products in `fock_expectation`, one eigendecomposition
+per potential (kept on the state for later times) and the evolution
+U rho U^dagger.
+
 Cutoff policy: smallest N with the neglected weight tail below
 `DEFAULT_TAIL_TOL`, plus a margin of max(8, 2*degree) basis states, since
 a polynomial of degree d couples at most d bands.  A cutoff whose dense matrices would
@@ -17,7 +24,7 @@ exceed `MAX_MATRIX_BYTES` raises CutoffError before anything is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,8 +45,10 @@ LEAK_BAND = 4
 QUADRATURE_NODES = 160
 QUADRATURE_HALF_WIDTH = 10.0
 
-# largest dense complex n x n matrix the oracle builds (n <= 2896);
-# fock_state holds about seven of them at once
+# largest dense complex n x n matrix the oracle builds (n <= 2896); a state
+# holds q, p and rho, states from fock_evolve share the eigenvectors of the
+# last Hamiltonian, and fock_state or fock_evolve holds about four more
+# while it runs
 MAX_MATRIX_BYTES = 128 * 2 ** 20
 
 Word = Union[str, Sequence[str]]
@@ -64,6 +73,9 @@ class FockState:
     p_mat: np.ndarray
     rho: np.ndarray
     leakage: float = 0.0  # top-band weight after the last evolution step
+    # eigendecomposition of H for the last potential fock_evolve saw, keyed by
+    # its numbers; `replace` shares it, valid since q_mat, p_mat and hbar stay
+    eigh_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def trace_deficit(self) -> float:
@@ -110,55 +122,63 @@ def fock_state(
 
 
 def _word_matrix(state: FockState, word: Word) -> np.ndarray:
-    letters = list(word)
-    out = np.eye(state.cutoff, dtype=complex)
-    for letter in letters:
-        if letter == "q":
-            out = out @ state.q_mat
-        elif letter == "p":
-            out = out @ state.p_mat
-        else:
+    letters = {"q": state.q_mat, "p": state.p_mat}
+    out = None
+    for letter in word:
+        if letter not in letters:
             raise DomainError(f"unknown letter {letter!r} in operator word")
-    return out
+        out = letters[letter] if out is None else out @ letters[letter]
+    return np.eye(state.cutoff, dtype=complex) if out is None else out
 
 
-def _operator_matrix(state: FockState, x) -> Tuple[np.ndarray, int]:
+def _operator_terms(x) -> list:
+    """(coefficient, word) pairs of X, each word a sequence of letters."""
     if isinstance(x, WeylPolynomial):
-        x = [(coeff, "q" * a + "p" * b) for (a, b), coeff in x.terms()]
+        return [(coeff, "q" * a + "p" * b) for (a, b), coeff in x.terms()]
     # iterable of (coefficient, word) pairs, evaluated in written word order
-    total = np.zeros((state.cutoff, state.cutoff), dtype=complex)
-    degree = 0
-    for coeff, word in x:
-        degree = max(degree, len(list(word)))
-        value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
-        total += value * _word_matrix(state, word)
-    return total, degree
+    return [(coeff, list(word)) for coeff, word in x]
 
 
 def fock_expectation(state: FockState, x) -> complex:
     """Tr(rho X) with X evaluated by direct word-order matrix products.
 
     X may be a WeylPolynomial (its canonical words are literal products) or
-    an iterable of (coefficient, word) pairs for arbitrary orderings.
+    an iterable of (coefficient, word) pairs for arbitrary orderings.  The
+    cutoff is checked against X's degree before any product is built.
     """
-    matrix, degree = _operator_matrix(state, x)
+    terms = _operator_terms(x)
+    degree = max((len(word) for _, word in terms), default=0)
     needed = choose_cutoff(state.nu, degree)
     if state.cutoff < needed:
         raise CutoffError(
             f"cutoff {state.cutoff} too small for degree {degree}; need >= {needed}"
         )
+    matrix = np.zeros((state.cutoff, state.cutoff), dtype=complex)
+    for coeff, word in terms:
+        value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
+        matrix += value * _word_matrix(state, word)
     return complex(np.trace(state.rho @ matrix))
+
+
+def _times_tridiagonal(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """a @ t for a tridiagonal t in O(n^2): column j of the product is
+    t[j-1, j] a[:, j-1] + t[j, j] a[:, j] + t[j+1, j] a[:, j+1]."""
+    out = a * np.diagonal(t)
+    out[:, 1:] += a[:, :-1] * np.diagonal(t, 1)
+    out[:, :-1] += a[:, 1:] * np.diagonal(t, -1)
+    return out
 
 
 def hamiltonian_matrix(state: FockState, potential: PolynomialPotential) -> np.ndarray:
     m = potential.mass_value()
-    h = (state.p_mat @ state.p_mat) / (2.0 * m)
+    h = _times_tridiagonal(state.p_mat, state.p_mat) / (2.0 * m)
     qk = np.eye(state.cutoff, dtype=complex)
     for k in range(potential.degree + 1):
+        if k:
+            qk = _times_tridiagonal(qk, state.q_mat)
         coeff = potential.coefficient(k) / math.factorial(k)
         if coeff:
-            h = h + coeff * qk
-        qk = qk @ state.q_mat
+            h += coeff * qk
     return h
 
 
@@ -172,11 +192,17 @@ def fock_evolve(
 
     H is Hermitian, so U is built from its eigendecomposition
     H = V diag(w) V^dagger as U = V diag(exp(-i w t / hbar)) V^dagger.
-    The weight that reaches the top `LEAK_BAND` levels estimates truncation
-    leakage; exceeding `leak_tol` raises HorizonError.
+    The eigendecomposition is kept on the state, so later times under the
+    same potential reuse it.  The weight that reaches the top `LEAK_BAND`
+    levels estimates truncation leakage; exceeding `leak_tol` raises
+    HorizonError.
     """
-    h = hamiltonian_matrix(state, potential)
-    w, v = np.linalg.eigh(h)
+    key = (potential.mass_value(),
+           tuple(potential.coefficient(k) for k in range(potential.degree + 1)))
+    if key not in state.eigh_cache:
+        state.eigh_cache.clear()
+        state.eigh_cache[key] = np.linalg.eigh(hamiltonian_matrix(state, potential))
+    w, v = state.eigh_cache[key]
     u = (v * np.exp(-1j * w * float(t) / state.hbar)) @ v.conj().T
     rho = u @ state.rho @ u.conj().T
     top = np.arange(state.cutoff - LEAK_BAND, state.cutoff)
@@ -190,11 +216,15 @@ def fock_evolve(
 
 
 def state_moments(state: FockState) -> PacketMoments:
-    """Read (Q, P, dQ, dP) back off the density matrix."""
-    q1 = float(np.trace(state.rho @ state.q_mat).real)
-    p1 = float(np.trace(state.rho @ state.p_mat).real)
-    q2 = float(np.trace(state.rho @ state.q_mat @ state.q_mat).real)
-    p2 = float(np.trace(state.rho @ state.p_mat @ state.p_mat).real)
+    """Read (Q, P, dQ, dP) back off the density matrix as O(n^2) traces
+    Tr(rho X) = sum(rho * X^T)."""
+    q, p = state.q_mat, state.p_mat
+
+    def mean(x: np.ndarray) -> float:
+        return float(np.sum(state.rho * x.T).real)
+
+    q1, p1 = mean(q), mean(p)
+    q2, p2 = mean(_times_tridiagonal(q, q)), mean(_times_tridiagonal(p, p))
     return PacketMoments(
         q1, p1, math.sqrt(q2 - q1 * q1), math.sqrt(p2 - p1 * p1), hbar=state.hbar
     )

@@ -231,12 +231,25 @@ def test_integer_run_fields_accept_integral_values(tmp_path):
         ({"run": {"mode": "corrections", "orders": [0]}}, [],
          "run.orders[0]: must be at least 1"),
         ({"run": {"mode": "derivatives"}}, ["--order", "0"], "run.order: must be at least 1"),
+        ({"run": {"mode": "moments", "expressions": []}}, [],
+         "run.expressions: must be a non-empty list"),
+        ({"run": {"mode": "corrections", "orders": []}}, [], "run.orders: must be a non-empty list"),
+        ({"run": {"propagation": "taylor-origin", "order": 1}}, [],
+         "run.order: Taylor propagation (taylor-origin) needs order >= 2, got 1"),
+        ({"run": {"propagation": "repacketized-stepping", "order": 1}}, [],
+         "run.order: Taylor propagation (repacketized-stepping) needs order >= 2, got 1"),
+        ({"potential": {"m": 1, "V": [0, 0, 1, 0, 1]}, "run": {"order": 1}}, [],
+         "run.order: Taylor propagation (taylor-origin) needs order >= 2, got 1"),
+        ({"potential": {"m": 1, "V": [0, 0, 1, 0, 1]}}, ["--order", "1"],
+         "run.order: Taylor propagation (taylor-origin) needs order >= 2, got 1"),
     ],
     ids=[
         "expressions-int", "expressions-int-entry", "expressions-string", "nu_sweep-int",
         "dir-int", "formats-int", "formats-string", "top-level-typo", "run-typo",
         "output-typo", "grid-start-after-stop", "grid-times-and-stop", "derivatives-order-0",
-        "limit-sweep-order-0", "orders-entry-0", "order-flag-0",
+        "limit-sweep-order-0", "orders-entry-0", "order-flag-0", "expressions-empty",
+        "orders-empty", "taylor-origin-order-1", "repacketized-order-1",
+        "default-taylor-order-1", "taylor-order-flag-1",
     ],
 )
 def test_malformed_scenario_is_a_validation_error(tmp_path, capsys, overrides, flags, message):
@@ -245,6 +258,24 @@ def test_malformed_scenario_is_a_validation_error(tmp_path, capsys, overrides, f
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_absent_lists_mean_the_defaults(tmp_path):
+    path = write_scenario(tmp_path, run={"mode": "moments", "grid": None})
+    assert main(["run", str(path)]) == 0
+    rows = json.loads((tmp_path / "out" / "results.json").read_text())["rows"]
+    assert [r["expr"] for r in rows] == ["q", "p", "q^2", "p^2", "q*p", "p*q^2*p"]
+    path = write_scenario(tmp_path, run={"mode": "corrections", "order": 3, "grid": None})
+    assert main(["run", str(path)]) == 0
+    rows = json.loads((tmp_path / "out" / "results.json").read_text())["rows"]
+    assert [r["order"] for r in rows] == [1, 2, 3]
+
+
+def test_quadratic_propagation_accepts_order_one(tmp_path):
+    path = write_scenario(tmp_path, potential={"m": 1, "V": [0, 0, 1]},
+                          run={"mode": "evolve", "order": 1})
+    assert main(["run", str(path)]) == 0
+    assert "provenance: quadratic-exact" in (tmp_path / "out" / "report.txt").read_text()
 
 
 def test_limit_sweep_runs_the_order_it_is_given(tmp_path):

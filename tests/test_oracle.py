@@ -1,6 +1,7 @@
 """The Fock-matrix / quadrature oracle itself."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -9,15 +10,19 @@ import pytest
 
 from mepack.algebra import parse_weyl
 from mepack.dynamics import PolynomialPotential, evolve_quadratic
+from mepack import oracle
 from mepack.errors import CutoffError, DomainError, HorizonError
 from mepack.oracle import (
     DEFAULT_TAIL_TOL,
+    _times_tridiagonal,
+    _word_matrix,
     choose_cutoff,
     fock_evolve,
     fock_expectation,
     fock_state,
     gaussian_moment_mc,
     gaussian_moment_numeric,
+    hamiltonian_matrix,
     state_entropy,
     state_moments,
     tail_weight,
@@ -169,6 +174,99 @@ def test_horizon_error_on_leakage():
     pot = PolynomialPotential(1.0, (0.0,))  # free spreading fills the basis
     with pytest.raises(HorizonError):
         fock_evolve(st, pot, 40.0, leak_tol=1e-10)
+
+
+QUARTIC = PolynomialPotential(1.0, (0.0, 0.3, 1.0, -0.4, 0.8))
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def test_times_tridiagonal_matches_dense_product():
+    rng = np.random.default_rng(7)
+    n = 60
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+    t = np.where(band, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0)
+    assert _rel(_times_tridiagonal(a, t), a @ t) < 1e-13
+
+
+def test_hamiltonian_matrix_matches_dense_reference(packet):
+    st = fock_state(packet, cutoff=80)
+    m = QUARTIC.mass_value()
+    dense = st.p_mat @ st.p_mat / (2.0 * m)
+    for k in range(QUARTIC.degree + 1):
+        qk = np.linalg.matrix_power(st.q_mat, k)
+        dense = dense + QUARTIC.coefficient(k) / math.factorial(k) * qk
+    assert _rel(hamiltonian_matrix(st, QUARTIC), dense) < 1e-12
+
+
+def test_state_moments_match_dense_traces(packet):
+    evolved = fock_evolve(fock_state(packet, cutoff=80), QUARTIC, 0.2)
+    rho, q, p = evolved.rho, evolved.q_mat, evolved.p_mat
+    assert np.max(np.abs(rho - np.diag(np.diagonal(rho)))) > 1e-3  # not diagonal
+    q1, p1 = np.trace(rho @ q).real, np.trace(rho @ p).real
+    q2, p2 = np.trace(rho @ q @ q).real, np.trace(rho @ p @ p).real
+    dense = (q1, p1, math.sqrt(q2 - q1 * q1), math.sqrt(p2 - p1 * p1))
+    got = state_moments(evolved)
+    for name, ref in zip(("Q", "P", "dQ", "dP"), dense):
+        assert float(getattr(got, name)) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_repeated_potential_reuses_the_eigendecomposition(packet):
+    st = fock_state(packet, cutoff=80)
+    assert st.eigh_cache == {}
+    first = fock_evolve(st, QUARTIC, 0.2)
+    (entry,) = st.eigh_cache.values()
+    again = fock_evolve(st, QUARTIC, 0.2)
+    assert again.eigh_cache is st.eigh_cache
+    (reused,) = st.eigh_cache.values()
+    assert reused is entry
+    fresh = fock_evolve(fock_state(packet, cutoff=80), QUARTIC, 0.2)
+    assert np.array_equal(first.rho, fresh.rho)
+    assert np.array_equal(again.rho, fresh.rho)
+    # a later state evolves further with the shared eigendecomposition
+    later = fock_evolve(first, QUARTIC, 0.2)
+    once = fock_evolve(fock_state(packet, cutoff=80), QUARTIC, 0.4)
+    assert np.max(np.abs(later.rho - once.rho)) < 1e-12
+
+
+def test_second_potential_gets_its_own_hamiltonian(packet):
+    harmonic = PolynomialPotential(1.0, (0.0, 0.0, 1.0))
+    st = fock_state(packet, cutoff=80)
+    fock_evolve(st, QUARTIC, 0.2)
+    second = fock_evolve(st, harmonic, 0.2)
+    ((w, _),) = st.eigh_cache.values()
+    assert np.array_equal(w, np.linalg.eigh(hamiltonian_matrix(st, harmonic))[0])
+    fresh = fock_evolve(fock_state(packet, cutoff=80), harmonic, 0.2)
+    assert np.array_equal(second.rho, fresh.rho)
+
+
+def test_word_matrix_equals_identity_started_product(state):
+    rng = random.Random(3)
+    for _ in range(10):
+        word = "".join(rng.choice("qp") for _ in range(rng.randint(1, 6)))
+        dense = np.eye(state.cutoff, dtype=complex)
+        for letter in word:
+            dense = dense @ (state.q_mat if letter == "q" else state.p_mat)
+        assert np.array_equal(_word_matrix(state, word), dense)
+    assert np.array_equal(_word_matrix(state, ""), np.eye(state.cutoff))
+    with pytest.raises(DomainError):
+        _word_matrix(state, "qx")
+
+
+def test_expectation_checks_cutoff_before_building_words(packet, monkeypatch):
+    st = fock_state(packet, degree=0)
+    needed = choose_cutoff(packet.nu_value(), 24)
+    built = []
+    monkeypatch.setattr(oracle, "_word_matrix", lambda *args: built.append(args))
+    message = f"cutoff {st.cutoff} too small for degree 24; need >= {needed}"
+    with pytest.raises(CutoffError, match=f"^{message}$"):
+        fock_expectation(st, parse_weyl("q^12*p^12"))
+    with pytest.raises(CutoffError, match=f"^{message}$"):
+        fock_expectation(st, [(1, "q"), (1, "qp" * 12)])
+    assert built == []
 
 
 def test_quadrature_simple_moments(packet):
