@@ -73,6 +73,15 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return _normalize_powers(powers)
 
 
+def _accumulate(terms: Dict[Mono, Scalar], mono: Mono, coeff: Scalar) -> None:
+    """terms[mono] += coeff, dropping the entry when the sum is zero."""
+    acc = terms.get(mono, ZERO) + coeff
+    if acc.is_zero():
+        terms.pop(mono, None)
+    else:
+        terms[mono] = acc
+
+
 def _mono_degree(mono: Mono) -> int:
     return sum(exp for _, exp in mono)
 
@@ -156,11 +165,7 @@ class Expr:
         other = Expr.coerce(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = terms.get(mono, ZERO) + coeff
-            if acc.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
+            _accumulate(terms, mono, coeff)
         return Expr(terms)
 
     __radd__ = __add__
@@ -183,12 +188,7 @@ class Expr:
         terms: Dict[Mono, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = terms.get(mono, ZERO) + c1 * c2
-                if acc.is_zero():
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = acc
+                _accumulate(terms, _mono_mul(m1, m2), c1 * c2)
         return Expr(terms)
 
     __rmul__ = __mul__
@@ -214,9 +214,19 @@ class Expr:
             raise TypeError("Expr exponent must be an int")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = Expr.number(1)
-        for _ in range(exponent):
-            out = out * self
+        if len(self._terms) == 1:
+            # one term: scale the exponents (s^2 -> 1/nu applies) and
+            # raise the coefficient
+            (mono, coeff), = self._terms.items()
+            powers = {sym: exp * exponent for sym, exp in mono}
+            return Expr({_normalize_powers(powers): coeff ** exponent})
+        out, square = Expr.number(1), self
+        while exponent:
+            if exponent & 1:
+                out = out * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return out
 
     # -- calculus / rewriting ---------------------------------------------------
@@ -229,12 +239,7 @@ class Expr:
             if e == 0:
                 continue
             powers[name] = e - 1
-            new = _normalize_powers(powers)
-            acc = terms.get(new, ZERO) + coeff * e
-            if acc.is_zero():
-                terms.pop(new, None)
-            else:
-                terms[new] = acc
+            _accumulate(terms, _normalize_powers(powers), coeff * e)
         return Expr(terms)
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
@@ -242,22 +247,26 @@ class Expr:
 
         Symbols occurring with negative exponents can only be replaced by
         invertible monomials (hbar -> 2*dQ*dP/nu is the main client).
+        Each (symbol, exponent) power is computed once per call.
         """
         reps = {k: Expr.coerce(v) for k, v in mapping.items()}
-        out = Expr()
+        powers: Dict[Tuple[str, int], Expr] = {}
+        terms: Dict[Mono, Scalar] = {}
         for mono, coeff in self._terms.items():
             factor = Expr({(): coeff})
             rest: Dict[str, int] = {}
             for sym, exp in mono:
-                rep = reps.get(sym)
-                if rep is None:
+                if sym not in reps:
                     rest[sym] = exp
-                elif exp >= 0:
-                    factor = factor * rep ** exp
-                else:
-                    factor = factor * rep.inverse() ** (-exp)
-            out = out + factor * Expr({_normalize_powers(rest): ONE})
-        return out
+                    continue
+                power = powers.get((sym, exp))
+                if power is None:
+                    power = powers[sym, exp] = reps[sym] ** exp
+                factor = factor * power
+            rest_mono = _normalize_powers(rest)
+            for m, c in factor._terms.items():
+                _accumulate(terms, _mono_mul(m, rest_mono), c)
+        return Expr(terms)
 
     def evaluate(self, bindings: Mapping[str, complex]) -> complex:
         """Numeric value; raises KeyError naming any unbound symbol."""

@@ -83,6 +83,8 @@ class Scalar:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("Scalar exponent must be an int")
+        if self.im == 0:
+            return Scalar(self.re ** exponent)
         base = self if exponent >= 0 else self.inverse()
         out = Scalar(1)
         for _ in range(abs(exponent)):

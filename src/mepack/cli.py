@@ -13,7 +13,8 @@ of the wrong type, an empty `expressions` or `orders` list, an order below
 validation failure.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
-failure, 4 I/O failure.
+failure (also an oracle-check delta above `ORACLE_CHECK_BOUND`, after the
+outputs are written), 4 I/O failure.
 
 Data files are deterministic: identical configs give byte identical
 CSV/JSON, and run metadata lives in the report footer.
@@ -292,6 +293,8 @@ class OutputBundle:
         self.files: Dict[str, str] = {}
         self.json_payload: Dict = {}
         self.footer: Dict[str, str] = {}
+        # raised by `main` once the outputs are written
+        self.failure: Optional[MepackError] = None
 
     def say(self, text: str = ""):
         self.lines.append(text)
@@ -508,6 +511,10 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
     out.footer["provenance"] = "symbolic-evaluated"
 
 
+# the largest |engine - oracle| / max(|oracle|, 1) that oracle-check accepts
+ORACLE_CHECK_BOUND = 1e-8
+
+
 def run_oracle_check(scenario: Scenario, out: OutputBundle):
     packet = scenario.packet
     if packet.is_symbolic:
@@ -541,6 +548,13 @@ def run_oracle_check(scenario: Scenario, out: OutputBundle):
         out.say(f"  <{r[0]}>: engine {r[1]:.12g}, oracle {r[2]:.12g}, rel delta {r[4]:.3e}")
         worst = max(worst, r[4])
     out.say(f"worst relative delta: {worst:.3e}")
+    scaled = max(r[3] / max(abs(r[2]), 1.0) for r in results)
+    out.footer["oracle_delta"] = f"{scaled:.3e} (bound {ORACLE_CHECK_BOUND:g})"
+    if scaled > ORACLE_CHECK_BOUND:
+        out.failure = CutoffError(
+            f"engine and Fock oracle differ by {scaled:.3e} (|delta| / max(|oracle|, 1)), "
+            f"above the bound {ORACLE_CHECK_BOUND:g}"
+        )
     classical_rows = []
     for a, b in ((1, 0), (0, 1), (2, 0), (0, 2), (2, 2), (4, 2)):
         sym = moment_classical(packet, PhasePolynomial({(a, b): Expr.number(1)}))
@@ -620,6 +634,8 @@ def main(argv=None) -> int:
         _RUNNERS[scenario.mode](scenario, out)
         out.footer.setdefault("cutoff", "n/a")
         written = out.write()
+        if out.failure is not None:
+            raise out.failure
     except (ValidationError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra.expression import Expr
@@ -222,18 +223,41 @@ def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> Avera
     )
 
 
+@lru_cache(maxsize=16)
+def _p_chains(potential: PolynomialPotential, moyal_step, classical_step):
+    """The Moyal and Poisson chains of p for one potential, each an
+    ([entries so far], step) pair that `_chain_entry` grows on demand.
+    The step factories are part of the key, so a replaced factory never
+    reads chains that another one built."""
+    h = hamiltonian(potential, PhasePolynomial)
+    x0 = PhasePolynomial.p()
+    return ([x0], moyal_step(h)), ([x0], classical_step(h))
+
+
+def _chain_entry(chain, order: int):
+    entries, step = chain
+    while len(entries) <= order:
+        entries.append(step(entries[-1]))
+    return entries[order]
+
+
 def averaged_p_derivatives(potential: PolynomialPotential, order: int) -> Tuple[Expr, Expr]:
     """(quantum, classical) averaged d^order P/dt^order in packet symbols,
     with hbar rewritten as 2 dQ dP / nu.
 
     The quantum side runs the Moyal chain on the Weyl symbol of p, the
     classical side the Poisson chain; the hbar^0 part of the quantum symbol
-    must equal the classical entry, or AssertionError is raised.
+    must equal the classical entry, or AssertionError is raised, on every
+    call.  Both chains live in a per-process memo of the last 16
+    potentials (keyed with the step factories), and each call extends them
+    only as far as `order`, so asking for orders 1..n walks each chain n
+    steps in all.
     """
-    h = hamiltonian(potential, PhasePolynomial)
-    x0 = PhasePolynomial.p()
-    quantum = derivative_chain(x0, _moyal_step(h), order)[-1]
-    classical = derivative_chain(x0, _classical_step(h), order)[-1]
+    if order < 1:
+        raise DomainError(f"derivative order must be >= 1, got {order}")
+    moyal, poisson = _p_chains(potential, _moyal_step, _classical_step)
+    quantum = _chain_entry(moyal, order)
+    classical = _chain_entry(poisson, order)
     shadow = quantum.map_coefficients(lambda c: c.drop_symbol("hbar"))
     if shadow != classical:
         raise AssertionError(

@@ -63,14 +63,15 @@ def log_ratio_factor() -> Expr:
 
 
 def solve_multipliers_quantum(packet: PacketMoments) -> QuantumMultipliers:
-    """Closed-form multipliers; defined only for nu > 1."""
+    """Closed-form multipliers; defined only for nu > 1.
+
+    The log stays the symbol Lnu for numeric packets too: it has no exact
+    value, and `packet.bindings()` carries its float.
+    """
     packet.require_quantum(strict=True)
     from .classical import multiplier_expressions
 
     factor = log_ratio_factor()
-    if not packet.is_symbolic:
-        # a float log presented as exact (ROADMAP item 6)
-        factor = factor.substitute({"Lnu": packet.bindings()["Lnu"]})
     exprs = {k: packet.specialize(e * factor) for k, e in multiplier_expressions().items()}
     return QuantumMultipliers(exprs["lam1"], exprs["lam2"], exprs["lam3"], exprs["lam4"])
 

@@ -185,6 +185,30 @@ def test_moment_routes_agree_up_to_degree_8():
             moment_monomial_classical(a, b)
 
 
+def test_moment_route_check_sees_a_perturbed_partition_route(monkeypatch):
+    # lam4 off by one part in a million, entering through the partition
+    # route's multiplier substitution
+    import mepack.classical as classical
+
+    exact = classical.multiplier_expressions
+
+    def perturbed():
+        out = exact()
+        out["lam4"] = out["lam4"] * Expr.number(Fraction(1_000_001, 1_000_000))
+        return out
+
+    monkeypatch.setattr(classical, "multiplier_expressions", perturbed)
+    cached = (moment_monomial_classical, classical._moment_partition_route)
+    for fn in cached:
+        fn.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"moment routes disagree for q\^0 p\^2"):
+            moment_monomial_classical(0, 2)
+    finally:
+        for fn in cached:
+            fn.cache_clear()
+
+
 def test_moment_matches_quadrature_oracle(numeric_packet):
     rng = np.random.default_rng(42)
     bindings = numeric_packet.bindings()

@@ -319,6 +319,24 @@ def test_cutoff_error_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_disagreement_exits_3_after_writing(tmp_path, capsys):
+    # far from the origin both float routes lose their digits: the exact
+    # value is 3 dQ^4 = 4.39, engine and oracle are off by 1e8
+    scenario = json.loads((SCENARIOS / "oracle_check.json").read_text())
+    scenario["packet"]["Q"] = 1e6
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    argv = ["run", str(path), "--out", str(out), "--expr", "(q-1000000)^4"]
+    assert main(argv) == 3
+    assert "numeric range error" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "classical_moments.csv", "oracle.csv", "report.txt", "results.json"
+    ]
+    assert json.loads((out / "results.json").read_text())["worst_rel_delta"] > 1
+    assert "oracle_delta: " in (out / "report.txt").read_text()
+
+
 def test_io_error_exit_4(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")

@@ -22,6 +22,7 @@ from mepack.algebra import (
 from mepack.dynamics import (
     PolynomialPotential,
     averaged_derivatives,
+    averaged_p_derivatives,
     derivative_chain,
     derivatives_classical,
     derivatives_quantum,
@@ -219,6 +220,52 @@ def test_moyal_shadow_check_sees_a_perturbed_step(monkeypatch):
     monkeypatch.setattr(dynamics, "_moyal_step", lambda h: (lambda x: moyal_step(h)(x) + nudge))
     with pytest.raises(AssertionError, match="Poisson chain"):
         quantum_correction(PolynomialPotential.symbolic(3), 2)
+
+
+def _fresh_averaged_p(potential, order):
+    """averaged_p_derivatives by fresh chain walks, without the memo."""
+    h = hamiltonian(potential, PhasePolynomial)
+    x0, sym = PhasePolynomial.p(), PacketMoments.symbolic()
+    quantum = derivative_chain(x0, dynamics._moyal_step(h), order)[-1]
+    classical = derivative_chain(x0, dynamics._classical_step(h), order)[-1]
+    return (
+        dynamics._average("quantum", sym, quantum),
+        dynamics._average("classical", sym, classical),
+    )
+
+
+def test_memoized_chains_match_fresh_walks():
+    pot = PolynomialPotential(Fraction(5, 3), (1, Fraction(-1, 2), 0, Fraction(2, 7), 3))
+    averaged_p_derivatives(pot, 6)
+    for order in range(1, 7):
+        assert averaged_p_derivatives(pot, order) == _fresh_averaged_p(pot, order)
+
+
+def test_memo_does_not_outlive_a_patched_step(monkeypatch):
+    pot = PolynomialPotential.symbolic(4)
+    quantum_correction(pot, 3)
+    moyal_step = dynamics._moyal_step
+    nudge = PhasePolynomial.q().map_coefficients(lambda c: c * Expr.symbol("V0"))
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_moyal_step", lambda h: (lambda x: moyal_step(h)(x) + nudge))
+        with pytest.raises(AssertionError, match="Poisson chain"):
+            quantum_correction(pot, 3)
+    quantum_correction(pot, 3)
+
+
+def test_each_chain_step_runs_once_per_potential(monkeypatch):
+    calls = []
+    exact = dynamics.poisson_bracket
+
+    def counted(x, h):
+        calls.append(1)
+        return exact(x, h)
+
+    monkeypatch.setattr(dynamics, "poisson_bracket", counted)
+    pot = PolynomialPotential(Fraction(7, 4), (Fraction(3, 8), 0, Fraction(-5, 8), 0, 1, 2))
+    for order in range(1, 7):
+        quantum_correction(pot, order)
+    assert len(calls) == 12  # 6 Moyal + 6 Poisson steps
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,18 @@ def test_multipliers_diverge_at_pure_state_limit():
     # and the packet multipliers inherit the divergence
     pk_far = PacketMoments(1.0, 0.0, 1.0, 1.0, hbar=1.0)          # nu = 2
     pk_near = PacketMoments(1.0, 0.0, 1.0, 0.5 + 5e-11, hbar=1.0)  # nu -> 1+
-    lam3_far = solve_multipliers_quantum(pk_far).lam3.evaluate({}).real
-    lam3_near = solve_multipliers_quantum(pk_near).lam3.evaluate({}).real
+    lam3_far = solve_multipliers_quantum(pk_far).lam3.evaluate(pk_far.bindings()).real
+    lam3_near = solve_multipliers_quantum(pk_near).lam3.evaluate(pk_near.bindings()).real
     assert lam3_near > 10 * lam3_far
+
+
+def test_numeric_multipliers_keep_the_log_symbolic():
+    # ln((nu+1)/(nu-1)) has no exact value: the float in bindings() is
+    # only read when a multiplier is evaluated
+    pk = PacketMoments(1.0, 0.0, 1.0, 1.0, hbar=1.0)  # nu = 2
+    lam3 = solve_multipliers_quantum(pk).lam3
+    assert lam3 == parse_expression("Lnu/2")
+    assert lam3.evaluate(pk.bindings()).real == pytest.approx(math.log(3) / 2, rel=1e-15)
 
 
 def test_multipliers_domain_errors():
@@ -296,6 +305,26 @@ def test_route_assertion_sees_a_perturbed_centred_route(monkeypatch):
     weyl_monomial_expectation.cache_clear()
     with pytest.raises(AssertionError, match=r"Wigner and ladder routes disagree for q\^1 p\^1"):
         weyl_monomial_expectation(1, 1)
+
+
+def test_summation_check_sees_a_perturbed_route(monkeypatch):
+    import mepack.quantum as quantum
+
+    exact = quantum._monomial_weight_sum
+
+    def perturbed(n):
+        return exact(n) + (1 if n == 1 else 0)
+
+    monkeypatch.setattr(quantum, "_monomial_weight_sum", perturbed)
+    cached = (weyl_monomial_expectation, quantum._centred_moment)
+    for fn in cached:
+        fn.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"summation routes disagree for X\^2 Y\^0"):
+            weyl_monomial_expectation(2, 0)
+    finally:
+        for fn in cached:
+            fn.cache_clear()
 
 
 def test_moment_engine_stays_off_the_symbolic_ladder_image(monkeypatch):

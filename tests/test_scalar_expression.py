@@ -124,3 +124,92 @@ def test_ring_axioms(a, b, c):
 @given(expressions())
 def test_conjugation_is_involutive(a):
     assert a.conjugate().conjugate() == a
+
+
+# -- exact powers and substitution against repeated products ------------------
+
+_complex_scalars = st.builds(
+    Scalar, st.fractions(max_denominator=7), st.fractions(max_denominator=7)
+).filter(lambda c: not c.is_zero())
+_power_symbols = st.sampled_from(["Q", "dP", "nu", "s", "V3"])
+
+
+@st.composite
+def monomials(draw, min_exp=-3, max_exp=3):
+    term = Expr.number(draw(_complex_scalars))
+    for _ in range(draw(st.integers(0, 3))):
+        term = term * Expr.symbol(draw(_power_symbols), draw(st.integers(min_exp, max_exp)))
+    return term
+
+
+@st.composite
+def polynomials(draw):
+    out = Expr()
+    for _ in range(draw(st.integers(0, 3))):
+        out = out + draw(monomials(min_exp=0, max_exp=2))
+    return out
+
+
+def _repeated_power(base: Expr, exponent: int) -> Expr:
+    factor = base if exponent >= 0 else base.inverse()
+    out = Expr.number(1)
+    for _ in range(abs(exponent)):
+        out = out * factor
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomials(), st.integers(-6, 6))
+def test_monomial_power_matches_repeated_products(base, exponent):
+    assert base ** exponent == _repeated_power(base, exponent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(), st.integers(0, 6))
+def test_polynomial_power_matches_repeated_products(base, exponent):
+    assert base ** exponent == _repeated_power(base, exponent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_complex_scalars, st.integers(-7, 7), st.integers(-2, 2), st.integers(1, 5))
+def test_powers_of_s_apply_the_rewrite(coeff, s_exp, nu_exp, exponent):
+    # odd and even powers of s, with s^2 -> 1/nu applied on the way
+    base = Expr.number(coeff) * Expr.symbol("s", s_exp) * Expr.symbol("nu", nu_exp)
+    assert base ** exponent == _repeated_power(base, exponent)
+    assert base ** -exponent == _repeated_power(base, -exponent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_complex_scalars, st.integers(-8, 8))
+def test_scalar_power_matches_repeated_products(base, exponent):
+    out = Scalar(1)
+    for _ in range(abs(exponent)):
+        out = out * (base if exponent >= 0 else base.inverse())
+    assert base ** exponent == out
+
+
+def _substitute_term_by_term(expr: Expr, mapping) -> Expr:
+    out = Expr()
+    for mono, coeff in expr.terms():
+        term = Expr.number(coeff)
+        for sym, exp in mono:
+            term = term * _repeated_power(mapping.get(sym, Expr.symbol(sym)), exp)
+        out = out + term
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_matches_term_by_term(data):
+    expr = Expr()
+    for _ in range(data.draw(st.integers(0, 4))):
+        expr = expr + data.draw(monomials())
+    mapping = {}
+    for sym in sorted(expr.symbols()):
+        if not data.draw(st.booleans()):
+            continue
+        negative = any(e < 0 for mono, _ in expr.terms() for s, e in mono if s == sym)
+        # negative exponents need an invertible monomial
+        rep = monomials() if negative else st.one_of(monomials(), polynomials())
+        mapping[sym] = data.draw(rep)
+    assert expr.substitute(mapping) == _substitute_term_by_term(expr, mapping)
