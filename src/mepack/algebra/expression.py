@@ -8,8 +8,7 @@ over :class:`~mepack.algebra.scalar.Scalar` coefficients in the symbols
 plus a handful of auxiliary names used internally (lam1..lam4 for
 Lagrange multipliers, pi, v, Lnu = ln((nu+1)/(nu-1)), and k for number
 polynomials).  Denominators are monomials, which is all the closed
-formulas in this package ever need; the one genuine polynomial division
-(by nu + 1) is provided as `div_exact`.
+formulas in this package ever need.
 
 The auxiliary symbol `s` stands for 1/sqrt(nu) and carries the enforced
 rewrite s^2 -> 1/nu, applied during monomial normalization, so canonical
@@ -67,19 +66,23 @@ def _normalize_powers(powers: Dict[str, int]) -> Mono:
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    if not a or not b:
+        return a or b
     powers = dict(a)
     for sym, exp in b:
         powers[sym] = powers.get(sym, 0) + exp
     return _normalize_powers(powers)
 
 
-def _accumulate(terms: Dict[Mono, Scalar], mono: Mono, coeff: Scalar) -> None:
-    """terms[mono] += coeff, dropping the entry when the sum is zero."""
-    acc = terms.get(mono, ZERO) + coeff
-    if acc.is_zero():
-        terms.pop(mono, None)
+def _accumulate(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff, dropping the entry when the sum is zero; for
+    any coefficients with `+` and a truth value (Scalar, Expr, int)."""
+    acc = terms.get(key)
+    acc = coeff if acc is None else acc + coeff
+    if acc:
+        terms[key] = acc
     else:
-        terms[mono] = acc
+        terms.pop(key, None)
 
 
 def _mono_degree(mono: Mono) -> int:
@@ -112,11 +115,15 @@ class Expr:
 
     @classmethod
     def symbol(cls, name: str, exponent: int = 1) -> "Expr":
-        if not is_known_symbol(name):
-            raise KeyError(f"unknown symbol {name!r}")
-        if exponent == 0:
-            return cls.number(1)
-        return cls({_normalize_powers({name: exponent}): ONE})
+        return cls.monomial(ONE, **{name: exponent})
+
+    @classmethod
+    def monomial(cls, coeff=ONE, **powers: int) -> "Expr":
+        """coeff times a product of symbol powers, e.g. monomial(3, Q=2, s=1)."""
+        for name in powers:
+            if not is_known_symbol(name):
+                raise KeyError(f"unknown symbol {name!r}")
+        return cls({_normalize_powers(powers): Scalar.coerce(coeff)})
 
     @classmethod
     def i(cls) -> "Expr":
@@ -184,12 +191,7 @@ class Expr:
     def __mul__(self, other):
         if not isinstance(other, (Expr,) + Expr._COERCIBLE):
             return NotImplemented
-        other = Expr.coerce(other)
-        terms: Dict[Mono, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                _accumulate(terms, _mono_mul(m1, m2), c1 * c2)
-        return Expr(terms)
+        return sum_of_products([(self, Expr.coerce(other))])
 
     __rmul__ = __mul__
 
@@ -308,38 +310,6 @@ class Expr:
             out.setdefault(e, {})[_normalize_powers(powers)] = coeff
         return {e: Expr(t) for e, t in out.items()}
 
-    def div_exact(self, divisor: "Expr", name: str = "nu") -> "Expr":
-        """Exact division, treating both sides as polynomials in `name`.
-
-        Raises ValueError when the division leaves a remainder.  The divisor's
-        leading coefficient must be an invertible monomial.
-        """
-        divisor = Expr.coerce(divisor)
-        if divisor.is_monomial():
-            return self * divisor.inverse()
-        den = divisor.as_poly_in(name)
-        dd = max(den)
-        lead_inv = den[dd].inverse()
-        num = self.as_poly_in(name)
-        quot: Dict[int, Expr] = {}
-        while num:
-            nd = max(num)
-            if nd < dd:
-                raise ValueError(f"{self} is not divisible by {divisor}")
-            q = num[nd] * lead_inv
-            quot[nd - dd] = quot.get(nd - dd, Expr()) + q
-            for e, c in den.items():
-                tgt = nd - dd + e
-                acc = num.get(tgt, Expr()) - q * c
-                if acc.is_zero():
-                    num.pop(tgt, None)
-                else:
-                    num[tgt] = acc
-        out = Expr()
-        for e, c in quot.items():
-            out = out + (c * Expr.symbol(name, e) if e else c)
-        return out
-
     # -- comparisons ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -348,12 +318,25 @@ class Expr:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its number, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         from .parsing import format_expression
 
         return format_expression(self)
+
+
+def sum_of_products(pairs: Iterable[Tuple[Expr, Expr]]) -> Expr:
+    """The sum of x * y over the pairs, accumulated in one term dict."""
+    terms: Dict[Mono, Scalar] = {}
+    for x, y in pairs:
+        for m1, c1 in x._terms.items():
+            for m2, c2 in y._terms.items():
+                _accumulate(terms, _mono_mul(m1, m2), c1 * c2)
+    return Expr(terms)
 
 
 def sqrt_monomial(expr: Expr) -> Expr:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Mapping
 
-from .expression import Expr
+from .expression import Expr, _accumulate
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +55,7 @@ class NumberPolynomial:
             for m in range(n + 1):
                 s = stirling_second(n, m)
                 if s:
-                    falling[m] = falling.get(m, Expr()) + c * s
+                    _accumulate(falling, m, c * s)
         return cls(falling)
 
     def falling_coefficients(self) -> Dict[int, Expr]:
@@ -67,11 +67,7 @@ class NumberPolynomial:
             for n in range(m + 1):
                 s = stirling_first_signed(m, n)
                 if s:
-                    acc = out.get(n, Expr()) + c * s
-                    if acc.is_zero():
-                        out.pop(n, None)
-                    else:
-                        out[n] = acc
+                    _accumulate(out, n, c * s)
         return out
 
     def is_zero(self) -> bool:

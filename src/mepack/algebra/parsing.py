@@ -106,7 +106,7 @@ def format_ordered(poly: OrderedPolynomial) -> str:
     rendered = []
     for (a, b), coeff in poly.terms():
         word = "*".join(w for w in (_power_word(x, a), _power_word(y, b)) if w)
-        for mono, scalar in coeff.terms():
+        for mono, scalar in Expr.coerce(coeff).terms():
             tail = "*".join(w for w in (_format_mono(mono), word) if w)
             rendered.append(_format_term(scalar, tail))
     return _join_terms(rendered)

@@ -9,6 +9,7 @@ dyadic rational).
 from __future__ import annotations
 
 import numbers
+import sys
 from fractions import Fraction
 
 
@@ -46,6 +47,8 @@ class Scalar:
 
     def __add__(self, other):
         other = Scalar.coerce(other)
+        if not (self.im or other.im):  # real: skip the zero imaginary sum
+            return Scalar(self.re + other.re, self.im)
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -61,6 +64,8 @@ class Scalar:
 
     def __mul__(self, other):
         other = Scalar.coerce(other)
+        if not (self.im or other.im):  # real: one product, not four
+            return Scalar(self.re * other.re, self.im)
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -115,7 +120,12 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # CPython's complex hash, hash(re) + hash_info.imag * hash(im) as a
+        # machine word, so an equal int, Fraction, float or complex hashes alike
+        width = sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << width)
+        h -= (h >> (width - 1)) << width
+        return -2 if h == -1 else h
 
     def __repr__(self):
         if self.im == 0:

@@ -20,7 +20,9 @@ so the product of two ordered monomials is
 
 `OrderedPolynomial` implements that ring once; a subclass sets the
 contraction c as `CONTRACTION` (None for the commutative case, which keeps
-only j = 0) and its two letters as `LETTERS`.
+only j = 0), its two letters as `LETTERS`, and the coercion into its
+coefficient ring as `COEFFICIENT` (`Expr` by default; the moment engine's
+centred ladder words use plain `int`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .expression import Expr
+from .expression import Expr, _accumulate
 
 Key = Tuple[int, int]  # exponents of X^a Y^b
 
@@ -54,12 +56,13 @@ class OrderedPolynomial:
 
     CONTRACTION: Optional[Expr]  # None when the letters commute
     LETTERS: Tuple[str, str]  # (X, Y)
+    COEFFICIENT = staticmethod(Expr.coerce)
 
     def __init__(self, terms: Mapping[Key, Expr] = ()):
         cleaned = {}
         for key, coeff in dict(terms).items():
-            coeff = Expr.coerce(coeff)
-            if not coeff.is_zero():
+            coeff = self.COEFFICIENT(coeff)
+            if coeff:
                 cleaned[key] = coeff
         object.__setattr__(self, "_terms", cleaned)
 
@@ -70,7 +73,7 @@ class OrderedPolynomial:
 
     @classmethod
     def constant(cls, value):
-        return cls({(0, 0): Expr.coerce(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def coerce(cls, value):
@@ -82,7 +85,7 @@ class OrderedPolynomial:
     def from_word(cls, word: Iterable[str], coeff=1):
         """Normal-order an arbitrary word over the two letters."""
         x, y = cls.LETTERS
-        letters = {x: cls({(1, 0): Expr.number(1)}), y: cls({(0, 1): Expr.number(1)})}
+        letters = {x: cls({(1, 0): 1}), y: cls({(0, 1): 1})}
         out = cls.constant(coeff)
         for letter in word:
             if letter not in letters:
@@ -96,7 +99,7 @@ class OrderedPolynomial:
         return sorted(self._terms.items())
 
     def coefficient(self, a: int, b: int) -> Expr:
-        return self._terms.get((a, b), Expr())
+        return self._terms.get((a, b), self.COEFFICIENT(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -110,11 +113,7 @@ class OrderedPolynomial:
         other = self.coerce(other)
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = terms.get(key, Expr()) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
+            _accumulate(terms, key, coeff)
         return type(self)(terms)
 
     __radd__ = __add__
@@ -131,7 +130,7 @@ class OrderedPolynomial:
     def __mul__(self, other):
         other = self.coerce(other)
         contraction = self.CONTRACTION
-        powers = [Expr.number(1)]  # contraction ** j, grown on demand
+        powers = [1]  # contraction ** j, grown on demand
         terms: Dict[Key, Expr] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
@@ -142,11 +141,7 @@ class OrderedPolynomial:
                     if j == len(powers):
                         powers.append(powers[-1] * contraction)
                     key = (a1 + a2 - j, b1 + b2 - j)
-                    acc = terms.get(key, Expr()) + (coeff * (powers[j] * count) if j else coeff)
-                    if acc.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = acc
+                    _accumulate(terms, key, coeff * (powers[j] * count) if j else coeff)
         return type(self)(terms)
 
     def __rmul__(self, other):

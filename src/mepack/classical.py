@@ -6,6 +6,10 @@ the partition function are in closed form, and every polynomial moment
 follows either by differentiating the partition function or from the
 central Gaussian moments.  Both routes are computed and checked against
 each other.
+
+The partition route differentiates Z as a (lam1, lam3) factor times a
+(lam2, lam4) factor: each one-variable derivative ratio follows its own
+recurrence, memoised by order, and takes the multipliers' values.
 """
 
 from __future__ import annotations
@@ -41,15 +45,11 @@ class ClassicalMultipliers:
 
 def multiplier_expressions() -> dict:
     """The closed-form multipliers in packet symbols."""
-    Q, P = Expr.symbol("Q"), Expr.symbol("P")
-    dQ2 = Expr.symbol("dQ") ** 2
-    dP2 = Expr.symbol("dP") ** 2
-    half = Expr.number(Fraction(1, 2))
     return {
-        "lam1": -Q / dQ2,
-        "lam2": -P / dP2,
-        "lam3": half / dQ2,
-        "lam4": half / dP2,
+        "lam1": Expr.monomial(-1, Q=1, dQ=-2),
+        "lam2": Expr.monomial(-1, P=1, dP=-2),
+        "lam3": Expr.monomial(Fraction(1, 2), dQ=-2),
+        "lam4": Expr.monomial(Fraction(1, 2), dP=-2),
     }
 
 
@@ -140,17 +140,32 @@ def moment_gaussian_route(a: int, b: int) -> Expr:
 
 
 @lru_cache(maxsize=None)
+def _derivative_ratio(n: int, lam: str, lam_sq: str) -> Expr:
+    """f_n = (d/d lam)^n g / g for g = exp(lam^2 / (4 lam_sq)), in the
+    multiplier symbols: f_0 = 1, f_(n+1) = d f_n/d lam + (lam / 2 lam_sq) f_n."""
+    if not n:
+        return Expr.number(1)
+    f = _derivative_ratio(n - 1, lam, lam_sq)
+    return f.diff(lam) + _LAM[lam] / (Expr.number(2) * _LAM[lam_sq]) * f
+
+
+@lru_cache(maxsize=64)
+def _partition_factor(n: int, lam: str, lam_sq: str, lam_value: Expr, lam_sq_value: Expr) -> Expr:
+    """`_derivative_ratio` with the multipliers' values substituted; they
+    are part of the key, so other values never read this entry."""
+    return _derivative_ratio(n, lam, lam_sq).substitute({lam: lam_value, lam_sq: lam_sq_value})
+
+
+@lru_cache(maxsize=None)
 def _moment_partition_route(a: int, b: int) -> Expr:
-    z = GaussianPartition.from_multipliers(
-        _LAM["lam1"], _LAM["lam2"], _LAM["lam3"], _LAM["lam4"], Expr.symbol("v")
-    )
-    d = z
-    for _ in range(a):
-        d = d.diff("lam1")
-    for _ in range(b):
-        d = d.diff("lam2")
-    ratio = d.ratio(z) * Expr.number((-1) ** (a + b))
-    return ratio.substitute(multiplier_expressions())
+    """(-1)^(a+b) (d/d lam1)^a (d/d lam2)^b Z / Z, with the multipliers
+    from `multiplier_expressions()` substituted.  Z is a (lam1, lam3)
+    factor times a (lam2, lam4) factor, so the ratio is the product of one
+    derivative ratio for each."""
+    mult = multiplier_expressions()
+    q_factor = _partition_factor(a, "lam1", "lam3", mult["lam1"], mult["lam3"])
+    p_factor = _partition_factor(b, "lam2", "lam4", mult["lam2"], mult["lam4"])
+    return Expr.number((-1) ** (a + b)) * q_factor * p_factor
 
 
 @lru_cache(maxsize=None)

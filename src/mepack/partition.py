@@ -67,12 +67,6 @@ class GaussianPartition:
             coeff = coeff + self.coeff * Expr.number(self.e4) / Expr.symbol("lam4")
         return GaussianPartition(coeff, self.e3, self.e4, self.exponent)
 
-    def ratio(self, other: "GaussianPartition") -> Expr:
-        """self / other for two members with identical transcendental part."""
-        if (self.e3, self.e4, self.exponent) != (other.e3, other.e4, other.exponent):
-            raise ValueError("partition ratio requires matching exponential parts")
-        return self.coeff / other.coeff
-
     def evaluate(self, bindings: Mapping[str, complex]) -> complex:
         value = self.coeff.evaluate(bindings) * math.exp(self.exponent.evaluate(bindings).real)
         for name, e in (("lam3", self.e3), ("lam4", self.e4)):

@@ -19,6 +19,11 @@ weights by two independent routes that must agree:
       D = ((nu^2-1)/2) d/dnu, applied in the monomial basis;
   (b) the closed falling-factorial sums  <Ad^m A^m> = m! ((nu-1)/2)^m.
 
+The words are built as X^j (A - Ad)^k with int coefficients, by the same
+closed-form ladder product, since X^j Y^k = (-i)^k X^j (A - Ad)^k; the
+phase (-i)^k is applied once to each summed moment, and the binomial
+terms of <q^a p^b> are added into one term dict.
+
 `ladder_monomial_expectation` keeps the same diagonal route on the full
 symbolic ladder image of q^a p^b, as an uncached reference for tests.
 """
@@ -26,12 +31,13 @@ symbolic ladder image of q^a p^b, as an uncached reference for tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .algebra.expression import Expr
+from .algebra.expression import Expr, sum_of_products
 from .algebra.ladder import HBAR_AS_NU, LadderPolynomial, diagonal_part, to_ladder
 from .algebra.numberpoly import NumberPolynomial
 from .algebra.weyl import WeylPolynomial
@@ -143,24 +149,25 @@ def _falling_weight_sum(m: int) -> Expr:
 
 @lru_cache(maxsize=None)
 def _monomial_weight_sum(n: int) -> Expr:
-    """<k^n> via the derivative operator D = ((nu^2-1)/2) d/dnu."""
-    u = _HALF * (_NU + 1)
+    """<k^n> via the derivative operator D = ((nu^2-1)/2) d/dnu: as
+    <k^n> = (2/(nu+1)) D^n (nu+1)/2, <k^(m+1)> = (nu-1) d/dnu ((nu+1)/2 <k^m>)."""
+    moment = Expr.number(1)
     for _ in range(n):
-        u = _HALF * (_NU * _NU - 1) * u.diff("nu")
-    return (Expr.number(2) * u).div_exact(_NU + 1)
+        moment = (_NU - 1) * (_HALF * (_NU + 1) * moment).diff("nu")
+    return moment
 
 
 def _diagonal_average(number_poly: NumberPolynomial, label: str) -> Expr:
     """Sum a number polynomial against the weights by both routes, which
     must agree."""
-    route_b = Expr()
-    for m, coeff in number_poly.falling_coefficients().items():
-        route_b = route_b + coeff * _falling_weight_sum(m)
-
-    route_a = Expr()
-    for n, coeff in number_poly.monomial_coefficients().items():
-        route_a = route_a + coeff * _monomial_weight_sum(n)
-
+    route_b = sum_of_products(
+        (coeff, _falling_weight_sum(m))
+        for m, coeff in number_poly.falling_coefficients().items()
+    )
+    route_a = sum_of_products(
+        (coeff, _monomial_weight_sum(n))
+        for n, coeff in number_poly.monomial_coefficients().items()
+    )
     if route_a != route_b:
         raise AssertionError(
             f"summation routes disagree for {label}: {route_a} vs {route_b}"
@@ -184,15 +191,28 @@ def ladder_monomial_expectation(a: int, b: int) -> Expr:
     return _diagonal_average(number_poly, f"q^{a} p^{b}")
 
 
+class _IntegerLadder(LadderPolynomial):
+    """Ad^m A^n over the integers: the ring of the centred words."""
+
+    __slots__ = ()
+
+    CONTRACTION = 1
+    COEFFICIENT = staticmethod(operator.index)
+
+
+_X = _IntegerLadder({(0, 1): 1, (1, 0): 1})  # A + Ad
+_A_MINUS_AD = _IntegerLadder({(0, 1): 1, (1, 0): -1})  # i Y
+_MINUS_I_POWERS = tuple((-Expr.i()) ** n for n in range(4))  # (-i)^k has period 4
+
+
 @lru_cache(maxsize=None)
-def _centred_word(j: int, k: int) -> LadderPolynomial:
-    """X^j Y^k for X = A + Ad and Y = -i (A - Ad), grown one letter at a time."""
-    one, i = Expr.number(1), Expr.i()
+def _centred_word(j: int, k: int) -> _IntegerLadder:
+    """X^j (A - Ad)^k, grown one letter at a time; X^j Y^k is (-i)^k times it."""
     if j:
-        return LadderPolynomial({(0, 1): one, (1, 0): one}) * _centred_word(j - 1, k)
+        return _X * _centred_word(j - 1, k)
     if k:
-        return _centred_word(0, k - 1) * LadderPolynomial({(0, 1): -i, (1, 0): i})
-    return LadderPolynomial.constant(1)
+        return _centred_word(0, k - 1) * _A_MINUS_AD
+    return _IntegerLadder.constant(1)
 
 
 @lru_cache(maxsize=None)
@@ -201,27 +221,22 @@ def _centred_moment(j: int, k: int) -> Expr:
     number_poly = diagonal_part(_centred_word(j, k))
     if (j + k) % 2 and not number_poly.is_zero():
         raise AssertionError(f"odd word X^{j} Y^{k} has a diagonal part")
-    return _diagonal_average(number_poly, f"X^{j} Y^{k}")
+    return _MINUS_I_POWERS[k % 4] * _diagonal_average(number_poly, f"X^{j} Y^{k}")
 
 
 def _centred_route(a: int, b: int) -> Expr:
     """q = Q + dQ s X and p = P + dP s Y, expanded binomially:
-    sum_{j,k} C(a,j) C(b,k) Q^(a-j) P^(b-k) dQ^j dP^k s^(j+k) <X^j Y^k>."""
-    q_parts = [
-        Expr.number(math.comb(a, j)) * Expr.symbol("Q", a - j) * Expr.symbol("dQ", j)
-        for j in range(a + 1)
-    ]
-    p_parts = [
-        Expr.number(math.comb(b, k)) * Expr.symbol("P", b - k) * Expr.symbol("dP", k)
-        for k in range(b + 1)
-    ]
-    total = Expr()
-    for j, q_part in enumerate(q_parts):
-        for k, p_part in enumerate(p_parts):
+    sum_{j,k} C(a,j) C(b,k) Q^(a-j) P^(b-k) dQ^j dP^k s^(j+k) <X^j Y^k>,
+    summed into one term dict."""
+    products = []
+    for j in range(a + 1):
+        for k in range(b + 1):
             moment = _centred_moment(j, k)
-            if not moment.is_zero():
-                total = total + q_part * p_part * Expr.symbol("s", j + k) * moment
-    return total
+            if moment:
+                binomials = math.comb(a, j) * math.comb(b, k)
+                prefix = Expr.monomial(binomials, Q=a - j, P=b - k, dQ=j, dP=k, s=j + k)
+                products.append((prefix, moment))
+    return sum_of_products(products)
 
 
 def _wigner_route(a: int, b: int) -> Expr:

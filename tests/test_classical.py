@@ -209,6 +209,24 @@ def test_moment_route_check_sees_a_perturbed_partition_route(monkeypatch):
             fn.cache_clear()
 
 
+def test_factorised_partition_route_matches_the_derivative_chain():
+    # reference: differentiate the whole partition function a times in lam1
+    # and b times in lam2, divide by Z, substitute the multipliers
+    import mepack.classical as classical
+
+    lam = [Expr.symbol(f"lam{i}") for i in (1, 2, 3, 4)]
+    z = GaussianPartition.from_multipliers(*lam, Expr.symbol("v"))
+    mult = classical.multiplier_expressions()
+    d_lam1 = z
+    for a in range(11):
+        d = d_lam1
+        for b in range(11 - a):
+            reference = (Expr.number((-1) ** (a + b)) * d.coeff / z.coeff).substitute(mult)
+            assert classical._moment_partition_route(a, b) == reference, (a, b)
+            d = d.diff("lam2")
+        d_lam1 = d_lam1.diff("lam1")
+
+
 def test_moment_matches_quadrature_oracle(numeric_packet):
     rng = np.random.default_rng(42)
     bindings = numeric_packet.bindings()

@@ -268,6 +268,16 @@ def test_each_chain_step_runs_once_per_potential(monkeypatch):
     assert len(calls) == 12  # 6 Moyal + 6 Poisson steps
 
 
+def test_equal_potentials_share_one_chain_memo_entry():
+    plain = PolynomialPotential(1, (0, 0, Fraction(1, 3)))
+    wrapped = PolynomialPotential(Expr.number(1), (Expr(), 0, Expr.number(Fraction(1, 3))))
+    assert plain == wrapped and hash(plain) == hash(wrapped)
+    dynamics._p_chains.cache_clear()
+    assert quantum_correction(plain, 2) == quantum_correction(wrapped, 2)
+    info = dynamics._p_chains.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # averaged equations
 # ---------------------------------------------------------------------------

@@ -69,14 +69,6 @@ def test_diff_laurent():
     assert Expr.number(5).diff("nu").is_zero()
 
 
-def test_div_exact():
-    nu = Expr.symbol("nu")
-    poly = (nu + 1) * (nu ** 2 + 7 * nu - 2)
-    assert poly.div_exact(nu + 1) == nu ** 2 + 7 * nu - 2
-    with pytest.raises(ValueError):
-        (nu ** 2 + 1).div_exact(nu + 1)
-
-
 def test_sqrt_monomial():
     e = Expr.number(Fraction(1, 4)) * Expr.symbol("dQ") ** -2 * Expr.symbol("dP") ** -2
     assert sqrt_monomial(e) == Expr.number(Fraction(1, 2)) / (Expr.symbol("dQ") * Expr.symbol("dP"))
@@ -213,3 +205,51 @@ def test_substitute_matches_term_by_term(data):
         rep = monomials() if negative else st.one_of(monomials(), polynomials())
         mapping[sym] = data.draw(rep)
     assert expr.substitute(mapping) == _substitute_term_by_term(expr, mapping)
+
+
+# -- hashing agrees with equality -----------------------------------------------
+
+
+def test_numbers_and_their_scalars_hash_alike():
+    assert Expr.number(1) == 1 and 1 in {Expr.number(1)}
+    assert Expr() == 0 and 0 in {Expr()}
+    assert hash(Scalar(1, 2)) == hash(1 + 2j)
+    assert hash(Scalar(Fraction(-1, 2), -1)) == hash(-0.5 - 1j)
+    assert {Expr.number(Fraction(3, 4)): "x"}[0.75] == "x"
+    assert Scalar(Fraction(1, 3), 1) in {Scalar(Fraction(1, 3), 1)}
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(),
+    _floats,
+    st.builds(complex, _floats, _floats),
+))
+def test_scalar_and_expr_hash_like_the_equal_number(value):
+    for exact in (Scalar.coerce(value), Expr.number(value)):
+        assert exact == value
+        assert hash(exact) == hash(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(Scalar, st.fractions(max_denominator=9), st.sampled_from([0, 0, Fraction(2, 3)])),
+    st.builds(Scalar, st.fractions(max_denominator=9), st.sampled_from([0, 0, -1])),
+)
+def test_scalar_sums_and_products_real_or_complex(a, b):
+    # real operands take a shorter path than complex ones; both are exact
+    assert (a + b).re == a.re + b.re and (a + b).im == a.im + b.im
+    assert (a * b).re == a.re * b.re - a.im * b.im
+    assert (a * b).im == a.re * b.im + a.im * b.re
+
+
+def test_monomial_constructor():
+    assert Expr.monomial(3, Q=2, dQ=0, s=3) == parse_expression("3*Q^2*s^3")
+    assert Expr.monomial(Fraction(1, 2), dP=-2) == parse_expression("1/(2*dP^2)")
+    assert Expr.monomial(0, Q=1).is_zero()
+    with pytest.raises(KeyError):
+        Expr.monomial(1, x=1)
