@@ -46,7 +46,6 @@ from .classical import moment_classical
 from .dynamics import (
     PolynomialPotential,
     Trajectory,
-    averaged_derivatives,
     averaged_p_derivatives,
     derivatives_classical,
     derivatives_quantum,
@@ -84,6 +83,8 @@ def _fmt(x: float) -> str:
 def _number(value, field: str):
     if isinstance(value, bool):
         raise ValidationError("expected a number", field)
+    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
+        raise ValidationError(f"expected a finite number, got {value}", field)
     if isinstance(value, (int, float)):
         return value
     if isinstance(value, str):
@@ -372,9 +373,9 @@ def run_moments(scenario: Scenario, out: OutputBundle):
         out.say(f"    quantum:   {quantum_str}")
         row = {"expr": text, "classical": classical_str, "quantum": quantum_str}
         csv_row = [text, classical_str, quantum_str]
-        if numeric:
-            qv = quantum.evaluate(bindings)
-            cv = classical.evaluate(bindings)
+        if numeric:  # exact at the packet's values, then rounded once
+            qv = scenario.packet.specialize(quantum).evaluate(bindings)
+            cv = scenario.packet.specialize(classical).evaluate(bindings)
             row.update(
                 classical_value=cv.real,
                 quantum_value_re=qv.real,
@@ -425,26 +426,24 @@ def run_derivatives(scenario: Scenario, out: OutputBundle):
     order = scenario.order
     potential = scenario.potential
     label = "numeric" if potential.is_numeric else "symbolic"
-    sym = PacketMoments.symbolic()
     ct = derivatives_classical(potential, order)
     qt = derivatives_quantum(potential, order)
-    ca = averaged_derivatives(ct, sym)
-    qa = averaged_derivatives(qt, sym)
+    averages = [averaged_p_derivatives(potential, n) for n in range(1, order + 1)]
     out.say(f"time derivatives at t = 0 ({label} potential, degree {potential.degree})")
-    for n in range(order):
+    for n, (quantum, classical) in enumerate(averages):
         out.say("")
         out.say(f"  d^{n+1}p/dt^{n+1} classical: {format_phase(ct.p[n])}")
         out.say(f"  d^{n+1}p/dt^{n+1} quantum:   {format_weyl(qt.p[n])}")
-        out.say(f"  d^{n+1}P/dt^{n+1} classical average: {format_expression(ca.p[n])}")
-        out.say(f"  d^{n+1}P/dt^{n+1} quantum average:   {format_nu_polynomial(qa.p[n])}")
+        out.say(f"  d^{n+1}P/dt^{n+1} classical average: {format_expression(classical)}")
+        out.say(f"  d^{n+1}P/dt^{n+1} quantum average:   {format_nu_polynomial(quantum)}")
     out.footer["provenance"] = "symbolic-exact"
     out.json_payload = {
         "mode": "derivatives",
         "order": order,
         "classical_p": [format_phase(e) for e in ct.p],
         "quantum_p": [format_weyl(e) for e in qt.p],
-        "classical_averaged_p": [format_expression(e) for e in ca.p],
-        "quantum_averaged_p": [format_expression(e) for e in qa.p],
+        "classical_averaged_p": [format_expression(c) for _, c in averages],
+        "quantum_averaged_p": [format_expression(q) for q, _ in averages],
     }
 
 

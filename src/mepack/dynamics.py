@@ -12,13 +12,16 @@ iterates the equation of motion at t = 0 on phase-space polynomials,
 for X in {q, p, q^2, p^2, qp}.  On the quantum side X is the Weyl symbol
 of the observable and the step is the Moyal bracket with
 H = p^2/2m + V(q) (Moyal, Proc. Camb. Phil. Soc. 45, 99 (1949)), so both
-chains are commutative polynomial arithmetic.  The quantum packet's Wigner
-function is the classical packet Gaussian, so a symbol is averaged with
-the classical moments after hbar -> 2 dQ dP / nu.  `derivatives_quantum`
-converts each symbol once to a q-left ordered `WeylPolynomial`
-(`WeylPolynomial.from_symbol`).  The classical and quantum averaged
-equations coincide through fourth order; `quantum_correction` extracts
-the residual as a polynomial in 1/nu.
+chains are commutative polynomial arithmetic.  The Moyal weights carry
+hbar already written as 2 dQ dP / nu, so the quantum chains are in packet
+symbols; the quantum packet's Wigner function is the classical packet
+Gaussian, so a symbol is averaged with the classical moments as it is.
+Every caller reads one chain store, which walks each chain once per
+potential.  `derivatives_quantum` restores hbar only for its printed
+operators, converting each symbol once to a q-left ordered
+`WeylPolynomial` (`WeylPolynomial.from_symbol`).  The classical and
+quantum averaged equations coincide through fourth order;
+`quantum_correction` extracts the residual as a polynomial in 1/nu.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra.expression import Expr
 from .algebra.ladder import HBAR_AS_NU
@@ -36,22 +39,29 @@ from .algebra.weyl import WeylPolynomial
 from .classical import entropy_classical, moment_classical
 from .errors import DomainError
 from .packets import FieldValue, PacketMoments
-from .quantum import entropy_quantum, expectation_quantum
-
-Number = Union[int, float, Fraction]
+from .quantum import entropy_quantum, expectation_quantum, restore_hbar
 
 
 @dataclass(frozen=True)
 class PolynomialPotential:
-    """V(q) = sum_k V_k q^k / k! with mass m; coefficients[k] is V_k."""
+    """V(q) = sum_k V_k q^k / k! with mass m; coefficients[k] is V_k.  The
+    mass and the coefficients are held as `Expr` (numbers exactly)."""
 
     mass: FieldValue
     coefficients: Tuple[FieldValue, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if not isinstance(self.mass, Expr) and float(self.mass) <= 0:
+        try:  # nan and inf have no exact value
+            mass, coefficients = Expr.coerce(self.mass), tuple(map(Expr.coerce, self.coefficients))
+        except (ValueError, OverflowError):
+            raise DomainError(
+                f"potential values must be finite, got m = {self.mass}, V = {self.coefficients}"
+            ) from None
+        if mass.is_constant() and not (mass.constant_value().is_real()
+                                       and mass.constant_value().re > 0):
             raise DomainError(f"mass must be positive, got {self.mass}")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @classmethod
     def symbolic(cls, degree: int) -> "PolynomialPotential":
@@ -66,47 +76,43 @@ class PolynomialPotential:
 
     @property
     def is_numeric(self) -> bool:
-        return not isinstance(self.mass, Expr) and all(
-            not isinstance(c, Expr) for c in self.coefficients
-        )
+        return all(c.is_constant() for c in (self.mass,) + self.coefficients)
 
     def effective_degree(self) -> int:
-        deg = 0
-        for k, c in enumerate(self.coefficients):
-            if isinstance(c, Expr):
-                if not c.is_zero():
-                    deg = k
-            elif c != 0:
-                deg = k
-        return deg
+        return max((k for k, c in enumerate(self.coefficients) if c), default=0)
 
     def coefficient(self, k: int) -> float:
         if k >= len(self.coefficients):
             return 0.0
-        c = self.coefficients[k]
-        if isinstance(c, Expr):
-            raise DomainError("numeric coefficient requested from symbolic potential")
-        return float(c)
+        return _number(self.coefficients[k], "coefficient")
 
     def mass_value(self) -> float:
-        if isinstance(self.mass, Expr):
-            raise DomainError("numeric mass requested from symbolic potential")
-        return float(self.mass)
+        return _number(self.mass, "mass")
+
+
+def _number(value: Expr, what: str) -> float:
+    if not value.is_constant():
+        raise DomainError(f"numeric {what} requested from symbolic potential")
+    return float(value.constant_value().re)
 
 
 def hamiltonian(potential: PolynomialPotential, cls):
     """H = p^2/(2m) + V(q) as a `cls` polynomial (phase space or Weyl)."""
-    m = Expr.coerce(potential.mass)
-    h = cls({(0, 2): Expr.number(Fraction(1, 2)) / m})
+    h = cls({(0, 2): Expr.number(Fraction(1, 2)) / potential.mass})
     for k, c in enumerate(potential.coefficients):
-        coeff = Expr.coerce(c) * Expr.number(Fraction(1, math.factorial(k)))
-        h = h + cls({(k, 0): coeff})
+        h = h + cls({(k, 0): c * Expr.number(Fraction(1, math.factorial(k)))})
     return h
 
 
 # ---------------------------------------------------------------------------
-# derivative tables
+# derivative chains and tables
 # ---------------------------------------------------------------------------
+
+_Q, _P = PhasePolynomial.q(), PhasePolynomial.p()
+# the tracked observables as phase-space polynomials; they are also the
+# Weyl symbols of the quantum observables q, p, q^2, p^2 and (qp + pq)/2
+_OBSERVABLES = {"q": _Q, "p": _P, "q2": _Q * _Q, "p2": _P * _P, "qp": _Q * _P}
+
 
 @dataclass(frozen=True)
 class DerivativeTable:
@@ -128,14 +134,15 @@ def _classical_step(h):
 
 def _moyal_step(h: PhasePolynomial):
     """The Moyal bracket with H = p^2/2m + V(q) on Weyl symbols:
-    X -> {X, H} - sum_{k>=1} (-hbar^2/4)^k/(2k+1)! V^(2k+1)(q) d_p^(2k+1) X."""
+    X -> {X, H} - sum_{k>=1} (-hbar^2/4)^k/(2k+1)! V^(2k+1)(q) d_p^(2k+1) X,
+    with hbar written as 2 dQ dP / nu in the weights."""
     odd_terms = []  # (-hbar^2/4)^k/(2k+1)! V^(2k+1)(q) for k = 1, 2, ...
     dv = h.diff_q().diff_q().diff_q()  # V'''(q), as p^2/2m has no q
     k = 1
     while not dv.is_zero():
         weight = Expr.number(
             Fraction((-1) ** k, 4 ** k * math.factorial(2 * k + 1))
-        ) * Expr.symbol("hbar", 2 * k)
+        ) * HBAR_AS_NU ** (2 * k)
         odd_terms.append(dv.map_coefficients(lambda c: c * weight))
         dv = dv.diff_q().diff_q()
         k += 1
@@ -163,30 +170,48 @@ def derivative_chain(x0, step, order: int) -> List:
     return chain
 
 
-def _q_and_p_chains(potential: PolynomialPotential, step, order: int):
-    """(d^n q/dt^n, d^n p/dt^n) for n = 1..order from the p chain alone:
-    dq/dt = p/m under both brackets, as d_p^3 q = 0, so
-    d^(n+1) q/dt^(n+1) = (d^n p/dt^n)/m."""
-    ps = derivative_chain(PhasePolynomial.p(), step, order)
-    inv_m = Expr.coerce(potential.mass).inverse()
+@lru_cache(maxsize=16)
+def _chains(potential: PolynomialPotential, moyal_step, classical_step) -> dict:
+    """The chain store of one potential: per bracket ("quantum" is Moyal,
+    "classical" Poisson), its step and the chains walked so far, which
+    `_chain` grows on demand.  The step factories are part of the key, so
+    a replaced factory never reads chains that another one built."""
+    h = hamiltonian(potential, PhasePolynomial)
+    return {"quantum": (moyal_step(h), {}), "classical": (classical_step(h), {})}
+
+
+def _chain(store, name: str, order: int) -> List:
+    """[x0, ..., d^order x0/dt^order] for the tracked observable `name`,
+    walking only the steps that `store` does not hold yet."""
+    if order < 1:
+        raise DomainError(f"derivative order must be >= 1, got {order}")
+    step, chains = store
+    chain = chains.setdefault(name, [_OBSERVABLES[name]])
+    while len(chain) <= order:
+        chain.append(step(chain[-1]))
+    return chain[: order + 1]
+
+
+def _derivative_table(potential: PolynomialPotential, order: int, kind: str, convert):
+    """The table from the p chain alone: dq/dt = p/m under both brackets,
+    as d_p^3 q = 0, so d^(n+1) q/dt^(n+1) = (d^n p/dt^n)/m."""
+    ps = _chain(_chains(potential, _moyal_step, _classical_step)[kind], "p", order)
+    inv_m = potential.mass.inverse()
     qs = [x.map_coefficients(lambda c: c * inv_m) for x in ps[:-1]]
-    return qs, ps[1:]
+    return DerivativeTable(kind, potential, tuple(map(convert, qs)), tuple(map(convert, ps[1:])))
 
 
 def derivatives_classical(potential: PolynomialPotential, order: int) -> DerivativeTable:
-    step = _classical_step(hamiltonian(potential, PhasePolynomial))
-    qs, ps = _q_and_p_chains(potential, step, order)
-    return DerivativeTable("classical", potential, tuple(qs), tuple(ps))
+    return _derivative_table(potential, order, "classical", lambda x: x)
 
 
 def derivatives_quantum(potential: PolynomialPotential, order: int) -> DerivativeTable:
-    """The Heisenberg derivatives as q-left ordered operators, converted
-    once from the Moyal chain of Weyl symbols."""
-    step = _moyal_step(hamiltonian(potential, PhasePolynomial))
-    qs, ps = _q_and_p_chains(potential, step, order)
-    to_operator = WeylPolynomial.from_symbol
-    return DerivativeTable(
-        "quantum", potential, tuple(map(to_operator, qs)), tuple(map(to_operator, ps))
+    """The Heisenberg derivatives as q-left ordered operators in hbar,
+    converted once from the Moyal chain of Weyl symbols (the rewrite
+    nu -> 2 dQ dP / hbar is exact, as the chain has Laurent monomials)."""
+    return _derivative_table(
+        potential, order, "quantum",
+        lambda x: WeylPolynomial.from_symbol(x.map_coefficients(restore_hbar)),
     )
 
 
@@ -199,20 +224,16 @@ class AveragedDerivatives:
     p: Tuple[Expr, ...]
 
 
-_HBAR_AS_NU = {"hbar": HBAR_AS_NU}
-
-
 def _average(kind: str, packet: PacketMoments, entry) -> Expr:
     """Packet average of a phase-space polynomial (classical), a q-left
-    ordered operator (quantum `WeylPolynomial`) or a Weyl symbol (quantum
-    `PhasePolynomial`, averaged over the Wigner function, which is the
-    classical Gaussian)."""
-    if kind == "classical":
-        return moment_classical(packet, entry)
+    ordered operator (quantum `WeylPolynomial`) or a Weyl symbol in packet
+    symbols (quantum `PhasePolynomial`, averaged over the Wigner function,
+    which is the classical Gaussian)."""
     if isinstance(entry, WeylPolynomial):
         return expectation_quantum(packet, entry)
-    packet.require_quantum()
-    return moment_classical(packet, entry.map_coefficients(lambda c: c.substitute(_HBAR_AS_NU)))
+    if kind == "quantum":
+        packet.require_quantum()
+    return moment_classical(packet, entry)
 
 
 def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> AveragedDerivatives:
@@ -223,42 +244,18 @@ def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> Avera
     )
 
 
-@lru_cache(maxsize=16)
-def _p_chains(potential: PolynomialPotential, moyal_step, classical_step):
-    """The Moyal and Poisson chains of p for one potential, each an
-    ([entries so far], step) pair that `_chain_entry` grows on demand.
-    The step factories are part of the key, so a replaced factory never
-    reads chains that another one built."""
-    h = hamiltonian(potential, PhasePolynomial)
-    x0 = PhasePolynomial.p()
-    return ([x0], moyal_step(h)), ([x0], classical_step(h))
-
-
-def _chain_entry(chain, order: int):
-    entries, step = chain
-    while len(entries) <= order:
-        entries.append(step(entries[-1]))
-    return entries[order]
-
-
 def averaged_p_derivatives(potential: PolynomialPotential, order: int) -> Tuple[Expr, Expr]:
-    """(quantum, classical) averaged d^order P/dt^order in packet symbols,
-    with hbar rewritten as 2 dQ dP / nu.
+    """(quantum, classical) averaged d^order P/dt^order in packet symbols.
 
-    The quantum side runs the Moyal chain on the Weyl symbol of p, the
-    classical side the Poisson chain; the hbar^0 part of the quantum symbol
-    must equal the classical entry, or AssertionError is raised, on every
-    call.  Both chains live in a per-process memo of the last 16
-    potentials (keyed with the step factories), and each call extends them
-    only as far as `order`, so asking for orders 1..n walks each chain n
-    steps in all.
+    The quantum side is the Moyal chain of the Weyl symbol of p, the
+    classical side the Poisson chain, both read from the chain store; the
+    hbar^0 (nu^0) part of the quantum symbol must equal the classical
+    entry, or AssertionError is raised, on every call.
     """
-    if order < 1:
-        raise DomainError(f"derivative order must be >= 1, got {order}")
-    moyal, poisson = _p_chains(potential, _moyal_step, _classical_step)
-    quantum = _chain_entry(moyal, order)
-    classical = _chain_entry(poisson, order)
-    shadow = quantum.map_coefficients(lambda c: c.drop_symbol("hbar"))
+    store = _chains(potential, _moyal_step, _classical_step)
+    quantum = _chain(store["quantum"], "p", order)[-1]
+    classical = _chain(store["classical"], "p", order)[-1]
+    shadow = quantum.map_coefficients(lambda c: c.drop_symbol("nu"))
     if shadow != classical:
         raise AssertionError(
             f"hbar^0 part of the Moyal chain differs from the Poisson chain at "
@@ -272,7 +269,7 @@ def quantum_correction(
     potential: PolynomialPotential, order: int, packet: Optional[PacketMoments] = None
 ) -> Expr:
     """Quantum minus classical averaged d^order P/dt^order, as a polynomial
-    in 1/nu (hbar already rewritten as 2 dQ dP / nu)."""
+    in 1/nu."""
     quantum, classical = averaged_p_derivatives(potential, order)
     correction = quantum - classical
     return correction if packet is None else packet.specialize(correction)
@@ -370,27 +367,17 @@ class Trajectory:
             yield (t, b["Q"], b["P"], b["dQ"], b["dP"], nu, s)
 
 
-def _observables() -> dict:
-    """The tracked observables as phase-space polynomials.  They are also
-    the Weyl symbols of the quantum observables q, p, q^2, p^2 and
-    (qp + pq)/2."""
-    q, p = PhasePolynomial.q(), PhasePolynomial.p()
-    return {"q": q, "p": p, "q2": q * q, "p2": p * p, "qp": q * p}
-
-
 def _taylor_series(potential: PolynomialPotential, order: int, kind: str) -> dict:
     """Averaged Taylor coefficient expressions for each tracked observable."""
-    h = hamiltonian(potential, PhasePolynomial)
-    step = _classical_step(h) if kind == "classical" else _moyal_step(h)
+    store = _chains(potential, _moyal_step, _classical_step)[kind]
     sym = PacketMoments.symbolic()
-    series = {}
-    for name, x0 in _observables().items():
-        chain = derivative_chain(x0, step, order)
-        series[name] = [
+    return {
+        name: [
             _average(kind, sym, entry) * Expr.number(Fraction(1, math.factorial(n)))
-            for n, entry in enumerate(chain)
+            for n, entry in enumerate(_chain(store, name, order))
         ]
-    return series
+        for name in _OBSERVABLES
+    }
 
 
 def _grid_checked(grid: Sequence[float]) -> List[float]:

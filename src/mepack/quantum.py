@@ -89,29 +89,26 @@ def partition_quantum(mult: QuantumMultipliers) -> QuantumPartition:
     return QuantumPartition(mult.lam1, mult.lam2, mult.lam3, mult.lam4)
 
 
+def _exact_nu(nu):
+    """nu after the check nu >= 1, an int as a Fraction, so that the
+    weights are exact for exact input and floats for float input."""
+    if nu < 1:
+        raise DomainError(f"fock weights need nu >= 1, got {nu}")
+    return Fraction(nu) if isinstance(nu, int) else nu
+
+
 def fock_weight(nu: Union[int, float, Fraction], k: int):
     """R_k = 2 (nu-1)^k / (nu+1)^(k+1); exact for exact input."""
     if k < 0:
         raise DomainError(f"weight index must be non-negative, got {k}")
-    if nu < 1:
-        raise DomainError(f"fock weights need nu >= 1, got {nu}")
-    if nu == 1:
-        one = Fraction(1) if isinstance(nu, (int, Fraction)) else 1.0
-        return one if k == 0 else one * 0
-    if isinstance(nu, (int, Fraction)):
-        nu = Fraction(nu)
-        return 2 * (nu - 1) ** k / (nu + 1) ** (k + 1)
-    return 2.0 * (nu - 1.0) ** k / (nu + 1.0) ** (k + 1)
+    nu = _exact_nu(nu)
+    return 2 * (nu - 1) ** k / (nu + 1) ** (k + 1)
 
 
 def _weight_ratio(nu):
     """x = (nu-1)/(nu+1), the ratio R_(k+1)/R_k; exact for exact input."""
-    if nu < 1:
-        raise DomainError(f"fock weights need nu >= 1, got {nu}")
-    if isinstance(nu, (int, Fraction)):
-        nu = Fraction(nu)
-        return (nu - 1) / (nu + 1)
-    return (nu - 1.0) / (nu + 1.0)
+    nu = _exact_nu(nu)
+    return (nu - 1) / (nu + 1)
 
 
 def tail_weight(nu, n: int):
@@ -278,10 +275,9 @@ def expectation_quantum(packet: PacketMoments, x: WeylPolynomial) -> Expr:
 
 
 def expectation_value(packet: PacketMoments, x: WeylPolynomial) -> complex:
-    """Numeric expectation for a numeric packet: the symbolic moment
-    evaluated in floats at `packet.bindings()`."""
-    packet.require_quantum()
-    return expectation_quantum(PacketMoments.symbolic(), x).evaluate(packet.bindings())
+    """Numeric expectation for a numeric packet: the exact moment at the
+    packet's values (`expectation_quantum`), rounded once."""
+    return expectation_quantum(packet, x).evaluate(packet.bindings())
 
 
 def restore_hbar(expr: Expr) -> Expr:

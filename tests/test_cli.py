@@ -126,6 +126,54 @@ def test_derivatives_mode(tmp_path):
     assert "d^1p/dt^1" in report and "quantum average" in report
 
 
+def test_derivatives_mode_reads_averages_from_the_chain_store(tmp_path, monkeypatch):
+    # the averaged lines come from the Moyal symbols, not the operator engine
+    from mepack import cli, dynamics, quantum
+
+    def refuse(*_):
+        raise AssertionError("operator moment engine in derivatives mode")
+
+    for module in (cli, dynamics, quantum):
+        monkeypatch.setattr(module, "expectation_quantum", refuse)
+    path = write_scenario(
+        tmp_path,
+        run={"mode": "derivatives", "order": 5, "grid": None},
+        potential={"m": 1, "V": [0, 0, 0, 1, 1]},
+    )
+    assert main(["run", str(path)]) == 0
+    payload = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert len(payload["quantum_averaged_p"]) == 5
+
+
+def test_derivatives_mode_runs_the_shadow_check(tmp_path, monkeypatch):
+    from mepack import dynamics
+    from mepack.algebra import Expr, PhasePolynomial
+
+    moyal_step = dynamics._moyal_step
+    nudge = PhasePolynomial.q().map_coefficients(lambda c: c * Expr.number(3))
+    monkeypatch.setattr(dynamics, "_moyal_step", lambda h: (lambda x: moyal_step(h)(x) + nudge))
+    path = write_scenario(
+        tmp_path,
+        run={"mode": "derivatives", "order": 2, "grid": None},
+        potential={"m": 1, "V": [0, 0, 0, 1, 1]},
+    )
+    with pytest.raises(AssertionError, match="Poisson chain"):
+        main(["run", str(path)])
+
+
+def test_moments_far_from_the_origin_round_once(tmp_path):
+    path = write_scenario(
+        tmp_path,
+        packet={"Q": 1e6, "P": 0, "dQ": 1, "dP": 1, "hbar": 1},
+        run={"mode": "moments", "grid": None},
+    )
+    assert main(["run", str(path), "--expr", "(q-1000000)^4"]) == 0
+    row = json.loads((tmp_path / "out" / "results.json").read_text())["rows"][0]
+    assert (row["classical_value"], row["quantum_value_re"]) == (3.0, 3.0)
+    csv = (tmp_path / "out" / "moments.csv").read_text().splitlines()
+    assert csv[1].split(",")[-3:-1] == ["3.0", "3.0"]
+
+
 def test_exact_rational_strings_accepted(tmp_path):
     path = write_scenario(
         tmp_path,
@@ -242,6 +290,10 @@ def test_integer_run_fields_accept_integral_values(tmp_path):
          "run.order: Taylor propagation (taylor-origin) needs order >= 2, got 1"),
         ({"potential": {"m": 1, "V": [0, 0, 1, 0, 1]}}, ["--order", "1"],
          "run.order: Taylor propagation (taylor-origin) needs order >= 2, got 1"),
+        ({"potential": {"m": 1, "V": [0, float("inf")]}}, [],
+         "potential.V[1]: expected a finite number, got inf"),
+        ({"packet": {"Q": 0, "P": float("nan"), "dQ": 1, "dP": 1}}, [],
+         "packet.P: expected a finite number, got nan"),
     ],
     ids=[
         "expressions-int", "expressions-int-entry", "expressions-string", "nu_sweep-int",
@@ -249,7 +301,8 @@ def test_integer_run_fields_accept_integral_values(tmp_path):
         "output-typo", "grid-start-after-stop", "grid-times-and-stop", "derivatives-order-0",
         "limit-sweep-order-0", "orders-entry-0", "order-flag-0", "expressions-empty",
         "orders-empty", "taylor-origin-order-1", "repacketized-order-1",
-        "default-taylor-order-1", "taylor-order-flag-1",
+        "default-taylor-order-1", "taylor-order-flag-1", "potential-inf",
+        "packet-nan",
     ],
 )
 def test_malformed_scenario_is_a_validation_error(tmp_path, capsys, overrides, flags, message):

@@ -272,10 +272,64 @@ def test_equal_potentials_share_one_chain_memo_entry():
     plain = PolynomialPotential(1, (0, 0, Fraction(1, 3)))
     wrapped = PolynomialPotential(Expr.number(1), (Expr(), 0, Expr.number(Fraction(1, 3))))
     assert plain == wrapped and hash(plain) == hash(wrapped)
-    dynamics._p_chains.cache_clear()
+    dynamics._chains.cache_clear()
     assert quantum_correction(plain, 2) == quantum_correction(wrapped, 2)
-    info = dynamics._p_chains.cache_info()
+    info = dynamics._chains.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_one_chain_store_serves_every_caller(monkeypatch):
+    calls = []
+    exact = dynamics.poisson_bracket
+
+    def counted(x, h):
+        calls.append(1)
+        return exact(x, h)
+
+    monkeypatch.setattr(dynamics, "poisson_bracket", counted)
+    pot = PolynomialPotential(Fraction(5, 4), (0, Fraction(1, 8), Fraction(3, 4), 0, Fraction(1, 2)))
+    dynamics._chains.cache_clear()
+    quantum_correction(pot, 6)
+    assert len(calls) == 12  # the Moyal and the Poisson p chains
+    derivatives_quantum(pot, 6)
+    derivatives_classical(pot, 6)
+    assert len(calls) == 12  # the tables read the same p chains
+    pk = PacketMoments(0.4, 0.2, 1, 1, hbar=1)
+    propagate(pk, pot, [0.0, 0.01], order=6, kind="quantum")
+    assert len(calls) == 12 + 4 * 6  # only the q, q2, p2 and qp chains are new
+
+
+def test_moyal_chains_carry_no_hbar():
+    # hbar is written as 2 dQ dP / nu once, in the Moyal weights
+    pot = PolynomialPotential.symbolic(6)
+    step = dynamics._moyal_step(hamiltonian(pot, PhasePolynomial))
+    x0s = [PhasePolynomial.q(), PhasePolynomial.p(), parse_phase("q^2"), parse_phase("q*p")]
+    symbols = set()
+    for x0 in x0s:
+        for entry in derivative_chain(x0, step, 6):
+            symbols |= set().union(*(c.symbols() for _, c in entry.terms()))
+    assert "hbar" not in symbols and {"nu", "dQ", "dP"} <= symbols
+
+
+def test_constant_expr_mass_must_be_positive():
+    for mass in (Expr.number(-1), Expr()):
+        with pytest.raises(DomainError, match="mass must be positive"):
+            PolynomialPotential(mass, (0, 0, 1))
+    with pytest.raises(DomainError, match="mass must be positive, got -2"):
+        PolynomialPotential(-2, (0, 0, 1))
+    for mass, coefficients in ((math.inf, (0,)), (1, (0, math.nan))):
+        with pytest.raises(DomainError, match="finite"):
+            PolynomialPotential(mass, coefficients)
+
+
+def test_constant_expr_potential_is_numeric():
+    pot = PolynomialPotential(Expr.number(2), (Expr.number(Fraction(1, 2)), Expr(), 0.1))
+    assert pot.is_numeric and pot.effective_degree() == 2
+    assert (pot.mass_value(), pot.coefficient(0), pot.coefficient(1)) == (2.0, 0.5, 0.0)
+    assert pot.coefficient(2) == 0.1 and pot.coefficient(7) == 0.0
+    assert not PolynomialPotential.symbolic(2).is_numeric
+    with pytest.raises(DomainError, match="symbolic potential"):
+        PolynomialPotential.symbolic(2).coefficient(1)
 
 
 # ---------------------------------------------------------------------------

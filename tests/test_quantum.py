@@ -402,6 +402,13 @@ def test_expectation_on_numeric_packet_is_a_number(numeric_packet, sym_packet):
     assert sym_packet.specialize(got) is got
 
 
+@pytest.mark.parametrize("centre", [1e4, 1e6, 1e8])
+def test_expectation_value_is_exact_far_from_the_origin(centre):
+    # exact at the packet's values, rounded once: no cancellation of Q^4 terms
+    packet = PacketMoments(centre, 0, 1, 1, hbar=1)
+    assert expectation_value(packet, parse_weyl("(q-Q)^4")) == 3
+
+
 def test_expectation_matches_fock_oracle(numeric_packet):
     state = fock_state(numeric_packet, degree=6)
     rng = random.Random(99)
