@@ -30,8 +30,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .algebra import (
     ParseError,
     format_expression,
@@ -493,6 +491,8 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
         pts = [(math.log(r[0]), math.log(r[idx])) for r in rows if r[idx] > 0]
         if len(pts) < 2:
             return None
+        import numpy as np
+
         xs, ys = zip(*pts)
         return float(np.polyfit(xs, ys, 1)[0])
 

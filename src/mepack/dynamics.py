@@ -368,16 +368,22 @@ class Trajectory:
 
 
 def _taylor_series(potential: PolynomialPotential, order: int, kind: str) -> dict:
-    """Averaged Taylor coefficient expressions for each tracked observable."""
+    """Averaged Taylor coefficients <d^n X/dt^n>/n! for each tracked
+    observable.  The q series past order 0 is read off the p series, as
+    d^n q/dt^n = (d^(n-1) p/dt^(n-1))/m, so the q chain is never walked."""
     store = _chains(potential, _moyal_step, _classical_step)[kind]
     sym = PacketMoments.symbolic()
-    return {
+    series = {
         name: [
             _average(kind, sym, entry) * Expr.number(Fraction(1, math.factorial(n)))
             for n, entry in enumerate(_chain(store, name, order))
         ]
-        for name in _OBSERVABLES
+        for name in _OBSERVABLES if name != "q"
     }
+    inv_m = potential.mass.inverse()
+    q = [_average(kind, sym, _OBSERVABLES["q"])]
+    q += [c * inv_m / n for n, c in enumerate(series["p"][:-1], 1)]
+    return {"q": q, **series}
 
 
 def _grid_checked(grid: Sequence[float]) -> List[float]:

@@ -10,10 +10,15 @@ formula of `quantum`.
 
 q and p are tridiagonal on this basis, so the Hamiltonian's p^2 and q^k
 and the moments read by `state_moments` are built by O(n^2) band products
-(`_times_tridiagonal`) and traces; the only O(n^3) work left is an
-operator word's products in `fock_expectation`, one eigendecomposition
-per potential (kept on the state for later times) and the evolution
-U rho U^dagger.
+(`_times_tridiagonal`), and every Tr(rho X) is an O(n^2) elementwise sum.
+The only O(n^3) work left is an operator word's products in
+`fock_expectation`, one eigendecomposition per potential (kept on the
+state for later times) and two products per evolution time: U itself and
+U rho U^dagger, where a diagonal rho (every fresh state) scales U's columns
+instead of costing a third product.
+
+numpy is imported inside the functions that use it, so it loads on the
+first oracle call, not with `mepack`: the exact engine never needs it.
 
 Cutoff policy: smallest N with the neglected weight tail below
 `DEFAULT_TAIL_TOL`, plus a margin of max(8, 2*degree) basis states, since
@@ -25,15 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from .algebra.weyl import WeylPolynomial
 from .dynamics import PolynomialPotential
 from .errors import CutoffError, DomainError, HorizonError
 from .packets import PacketMoments
 from .quantum import tail_levels, tail_weight
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -79,7 +85,7 @@ class FockState:
 
     @property
     def trace_deficit(self) -> float:
-        return 1.0 - float(np.trace(self.rho).real)
+        return 1.0 - float(self.rho.trace().real)
 
 
 def fock_state(
@@ -103,6 +109,8 @@ def fock_state(
             f"cutoff {n} needs {matrix_bytes / 2 ** 20:.0f} MiB per dense matrix, over the "
             f"{MAX_MATRIX_BYTES / 2 ** 20:.0f} MiB limit (nu = {nu:.6g})"
         )
+    import numpy as np
+
     lower = np.zeros((n, n), dtype=complex)
     idx = np.arange(1, n)
     lower[idx - 1, idx] = np.sqrt(idx)
@@ -122,6 +130,8 @@ def fock_state(
 
 
 def _word_matrix(state: FockState, word: Word) -> np.ndarray:
+    import numpy as np
+
     letters = {"q": state.q_mat, "p": state.p_mat}
     out = None
     for letter in word:
@@ -153,23 +163,30 @@ def fock_expectation(state: FockState, x) -> complex:
         raise CutoffError(
             f"cutoff {state.cutoff} too small for degree {degree}; need >= {needed}"
         )
+    import numpy as np
+
     matrix = np.zeros((state.cutoff, state.cutoff), dtype=complex)
     for coeff, word in terms:
         value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
         matrix += value * _word_matrix(state, word)
-    return complex(np.trace(state.rho @ matrix))
+    # Tr(rho M) in O(n^2): row i of rho * M^T sums to (rho M)[i, i], and the
+    # row sums then add as trace(rho @ M) adds its diagonal (bit for bit when
+    # rho is diagonal, as a fresh state's is)
+    return complex((state.rho * matrix.T).sum(axis=1).sum())
 
 
 def _times_tridiagonal(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """a @ t for a tridiagonal t in O(n^2): column j of the product is
     t[j-1, j] a[:, j-1] + t[j, j] a[:, j] + t[j+1, j] a[:, j+1]."""
-    out = a * np.diagonal(t)
-    out[:, 1:] += a[:, :-1] * np.diagonal(t, 1)
-    out[:, :-1] += a[:, 1:] * np.diagonal(t, -1)
+    out = a * t.diagonal()
+    out[:, 1:] += a[:, :-1] * t.diagonal(1)
+    out[:, :-1] += a[:, 1:] * t.diagonal(-1)
     return out
 
 
 def hamiltonian_matrix(state: FockState, potential: PolynomialPotential) -> np.ndarray:
+    import numpy as np
+
     m = potential.mass_value()
     h = _times_tridiagonal(state.p_mat, state.p_mat) / (2.0 * m)
     qk = np.eye(state.cutoff, dtype=complex)
@@ -182,6 +199,17 @@ def hamiltonian_matrix(state: FockState, potential: PolynomialPotential) -> np.n
     return h
 
 
+def _diagonal_weights(rho: np.ndarray) -> Optional[np.ndarray]:
+    """The real diagonal of rho when every off-diagonal entry is zero,
+    else None; counting nonzeros allocates nothing."""
+    import numpy as np
+
+    diagonal = rho.diagonal()
+    if np.count_nonzero(rho) != np.count_nonzero(diagonal):
+        return None
+    return diagonal.real
+
+
 def fock_evolve(
     state: FockState,
     potential: PolynomialPotential,
@@ -192,11 +220,14 @@ def fock_evolve(
 
     H is Hermitian, so U is built from its eigendecomposition
     H = V diag(w) V^dagger as U = V diag(exp(-i w t / hbar)) V^dagger.
+    A diagonal rho weights U's columns, so U rho U^dagger is one product.
     The eigendecomposition is kept on the state, so later times under the
     same potential reuse it.  The weight that reaches the top `LEAK_BAND`
     levels estimates truncation leakage; exceeding `leak_tol` raises
     HorizonError.
     """
+    import numpy as np
+
     key = (potential.mass_value(),
            tuple(potential.coefficient(k) for k in range(potential.degree + 1)))
     if key not in state.eigh_cache:
@@ -204,7 +235,13 @@ def fock_evolve(
         state.eigh_cache[key] = np.linalg.eigh(hamiltonian_matrix(state, potential))
     w, v = state.eigh_cache[key]
     u = (v * np.exp(-1j * w * float(t) / state.hbar)) @ v.conj().T
-    rho = u @ state.rho @ u.conj().T
+    weights = _diagonal_weights(state.rho)
+    if weights is None:
+        rho = u @ state.rho @ u.conj().T
+    else:  # U diag(weights) U^dagger, scaling U's columns in place
+        uh = u.conj().T
+        u *= weights
+        rho = u @ uh
     top = np.arange(state.cutoff - LEAK_BAND, state.cutoff)
     leakage = float(np.sum(np.diag(rho).real[top]))
     if leakage > leak_tol:
@@ -221,7 +258,7 @@ def state_moments(state: FockState) -> PacketMoments:
     q, p = state.q_mat, state.p_mat
 
     def mean(x: np.ndarray) -> float:
-        return float(np.sum(state.rho * x.T).real)
+        return float((state.rho * x.T).sum().real)
 
     q1, p1 = mean(q), mean(p)
     q2, p2 = mean(_times_tridiagonal(q, q)), mean(_times_tridiagonal(p, p))
@@ -231,8 +268,13 @@ def state_moments(state: FockState) -> PacketMoments:
 
 
 def state_entropy(state: FockState) -> float:
-    """-Tr(rho ln rho) over the retained block."""
-    eigenvalues = np.linalg.eigvalsh(state.rho)
+    """-Tr(rho ln rho) over the retained block; a diagonal rho's
+    eigenvalues are its diagonal."""
+    import numpy as np
+
+    eigenvalues = _diagonal_weights(state.rho)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(state.rho)
     ent = 0.0
     for lam in eigenvalues:
         if lam > 1e-300:
@@ -249,6 +291,8 @@ def gaussian_moment_numeric(packet: PacketMoments, a: int, b: int) -> float:
     """<q^a p^b> by Gauss-Hermite quadrature (exact at polynomial degree)."""
     if a < 0 or b < 0:
         raise DomainError("moment exponents must be non-negative")
+    import numpy as np
+
     bd = packet.bindings()
 
     def axis_moment(mean: float, sd: float, n: int) -> float:
@@ -264,6 +308,8 @@ def gaussian_moment_mc(
     packet: PacketMoments, a: int, b: int, samples: int = 200_000, seed: int = 0
 ) -> Tuple[float, float]:
     """Monte-Carlo fallback; returns (estimate, standard error)."""
+    import numpy as np
+
     bd = packet.bindings()
     rng = np.random.default_rng(seed)
     qs = rng.normal(bd["Q"], bd["dQ"], samples)

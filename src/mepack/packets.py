@@ -18,6 +18,7 @@ are); symbolic packets leave the expression as it is.  The float route is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -49,6 +50,10 @@ class PacketMoments:
     hbar: Optional[Number] = None
 
     def __post_init__(self):
+        for name in ("Q", "P", "dQ", "dP", "hbar"):
+            value = getattr(self, name)  # exact values are always finite
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         for name in ("dQ", "dP"):
             value = _numeric(getattr(self, name))
             if value is not None and value <= 0:
@@ -100,8 +105,6 @@ class PacketMoments:
         """Numeric bindings for Expr.evaluate; symbolic packets refuse."""
         if self.is_symbolic:
             raise DomainError("symbolic packet cannot be bound numerically")
-        import math
-
         hbar = float(self.hbar if self.hbar is not None else DEFAULT_HBAR)
         out = {
             "Q": _numeric(self.Q),

@@ -296,7 +296,7 @@ def test_one_chain_store_serves_every_caller(monkeypatch):
     assert len(calls) == 12  # the tables read the same p chains
     pk = PacketMoments(0.4, 0.2, 1, 1, hbar=1)
     propagate(pk, pot, [0.0, 0.01], order=6, kind="quantum")
-    assert len(calls) == 12 + 4 * 6  # only the q, q2, p2 and qp chains are new
+    assert len(calls) == 12 + 3 * 6  # only the q2, p2 and qp chains are new
 
 
 def test_moyal_chains_carry_no_hbar():

@@ -243,6 +243,62 @@ def test_second_potential_gets_its_own_hamiltonian(packet):
     assert np.array_equal(second.rho, fresh.rho)
 
 
+def _random_packet(rng):
+    dq, dp = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+    hbar = 2.0 * dq * dp / rng.uniform(1.0, 4.0)  # nu in [1, 4]
+    return PacketMoments(rng.uniform(-2, 2), rng.uniform(-2, 2), dq, dp, hbar=hbar)
+
+
+def test_expectation_trace_matches_the_dense_product_exactly():
+    rng = random.Random(14)
+    for _ in range(30):
+        st = fock_state(_random_packet(rng), degree=8)
+        for _ in range(3):
+            word = "".join(rng.choice("qp") for _ in range(rng.randint(1, 8)))
+            dense = complex(np.trace(st.rho @ _word_matrix(st, word)))
+            assert repr(fock_expectation(st, [(1, word)])) == repr(dense)
+
+
+def test_expectation_trace_on_an_evolved_state(packet):
+    evolved = fock_evolve(fock_state(packet, degree=8), QUARTIC, 0.2)
+    for word in ("q", "pq", "qqpp", "pqpqpqqp"):
+        dense = complex(np.trace(evolved.rho @ _word_matrix(evolved, word)))
+        assert abs(fock_expectation(evolved, [(1, word)]) - dense) <= 1e-12 * abs(dense)
+
+
+def test_diagonal_weights_only_of_a_diagonal_rho(state):
+    assert np.array_equal(oracle._diagonal_weights(state.rho), np.diagonal(state.rho).real)
+    rho = state.rho.copy()
+    rho[3, 1] = 1e-30
+    assert oracle._diagonal_weights(rho) is None
+
+
+def test_diagonal_evolution_matches_the_dense_product(packet):
+    st = fock_state(packet, cutoff=80)
+    t = 0.3
+    evolved = fock_evolve(st, QUARTIC, t)
+    ((w, v),) = st.eigh_cache.values()
+    u = (v * np.exp(-1j * w * t / st.hbar)) @ v.conj().T
+    dense = u @ st.rho @ u.conj().T
+    assert np.max(np.abs(evolved.rho - dense)) < 1e-13
+
+
+def test_evolving_an_evolved_state_adds_the_times(packet):
+    first = fock_evolve(fock_state(packet, cutoff=80), QUARTIC, 0.15)
+    assert oracle._diagonal_weights(first.rho) is None  # the general path
+    later = fock_evolve(first, QUARTIC, 0.25)
+    once = fock_evolve(fock_state(packet, cutoff=80), QUARTIC, 0.4)
+    assert np.max(np.abs(later.rho - once.rho)) < 1e-12
+
+
+def test_entropy_of_a_fresh_state_matches_its_eigenvalues():
+    rng = random.Random(5)
+    for _ in range(10):
+        st = fock_state(_random_packet(rng), degree=4)
+        dense = -sum(lam * math.log(lam) for lam in np.linalg.eigvalsh(st.rho) if lam > 1e-300)
+        assert abs(state_entropy(st) - dense) <= 1e-14
+
+
 def test_word_matrix_equals_identity_started_product(state):
     rng = random.Random(3)
     for _ in range(10):

@@ -409,6 +409,23 @@ def test_expectation_value_is_exact_far_from_the_origin(centre):
     assert expectation_value(packet, parse_weyl("(q-Q)^4")) == 3
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["Q", "P", "dQ", "dP", "hbar"])
+def test_packet_rejects_non_finite_values(field, bad):
+    values = {"Q": 0.5, "P": -0.25, "dQ": 1.0, "dP": 1.5, "hbar": 1.0}
+    values[field] = bad
+    with pytest.raises(DomainError, match=f"^{field} must be finite, got {bad}$"):
+        PacketMoments(**values)
+
+
+def test_non_finite_packet_fails_before_any_route():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="^Q must be finite"):
+            expectation_value(PacketMoments(bad, 0, 1, 1, hbar=1), parse_weyl("q"))
+    # symbolic fields are unaffected
+    assert PacketMoments(Expr.symbol("Q"), 0.5, 1.0, 1.5, hbar=1.0).is_symbolic
+
+
 def test_expectation_matches_fock_oracle(numeric_packet):
     state = fock_state(numeric_packet, degree=6)
     rng = random.Random(99)
