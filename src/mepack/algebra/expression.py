@@ -286,12 +286,9 @@ class Expr:
         # all symbols in the set denote real quantities
         return Expr({m: c.conjugate() for m, c in self._terms.items()})
 
-    def filter_terms(self, keep) -> "Expr":
-        return Expr({m: c for m, c in self._terms.items() if keep(m, c)})
-
     def drop_symbol(self, name: str) -> "Expr":
         """Keep only the terms not containing `name`."""
-        return self.filter_terms(lambda m, _c: all(s != name for s, _ in m))
+        return Expr({m: c for m, c in self._terms.items() if all(s != name for s, _ in m)})
 
     def coefficient_of(self, name: str, power: int) -> "Expr":
         """Coefficient of name**power (an Expr free of `name`)."""

@@ -55,7 +55,7 @@ class WeylPolynomial(OrderedPolynomial):
         """Hermitian adjoint: reverse each word, conjugate coefficients."""
         out = WeylPolynomial()
         for (a, b), c in self._terms.items():
-            out = out + WeylPolynomial.from_word("p" * b + "q" * a, c.conjugate())
+            out = out + WeylPolynomial({(0, b): c.conjugate()}) * WeylPolynomial.q(a)
         return out
 
     def classical(self) -> PhasePolynomial:

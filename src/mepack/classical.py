@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .algebra.expression import Expr
 from .algebra.phase import PhasePolynomial
-from .errors import DomainError
+from .errors import DomainError, routes_agree
 from .packets import PacketMoments
 from .partition import GaussianPartition
 
@@ -156,7 +156,6 @@ def _partition_factor(n: int, lam: str, lam_sq: str, lam_value: Expr, lam_sq_val
     return _derivative_ratio(n, lam, lam_sq).substitute({lam: lam_value, lam_sq: lam_sq_value})
 
 
-@lru_cache(maxsize=None)
 def _moment_partition_route(a: int, b: int) -> Expr:
     """(-1)^(a+b) (d/d lam1)^a (d/d lam2)^b Z / Z, with the multipliers
     from `multiplier_expressions()` substituted.  Z is a (lam1, lam3)
@@ -171,13 +170,10 @@ def _moment_partition_route(a: int, b: int) -> Expr:
 @lru_cache(maxsize=None)
 def moment_monomial_classical(a: int, b: int) -> Expr:
     """< q^a p^b > in packet symbols; both computation routes must agree."""
-    gauss = moment_gaussian_route(a, b)
-    partition = _moment_partition_route(a, b)
-    if gauss != partition:
-        raise AssertionError(
-            f"moment routes disagree for q^{a} p^{b}: {gauss} vs {partition}"
-        )
-    return gauss
+    return routes_agree(
+        f"moment routes disagree for q^{a} p^{b}",
+        moment_gaussian_route(a, b), _moment_partition_route(a, b),
+    )
 
 
 def moment_classical(packet: PacketMoments, monomial) -> Expr:

@@ -37,7 +37,7 @@ from .algebra.ladder import HBAR_AS_NU
 from .algebra.phase import PhasePolynomial, poisson_bracket
 from .algebra.weyl import WeylPolynomial
 from .classical import entropy_classical, moment_classical
-from .errors import DomainError
+from .errors import DomainError, HorizonError, routes_agree
 from .packets import FieldValue, PacketMoments
 from .quantum import entropy_quantum, expectation_quantum, restore_hbar
 
@@ -60,6 +60,8 @@ class PolynomialPotential:
         if mass.is_constant() and not (mass.constant_value().is_real()
                                        and mass.constant_value().re > 0):
             raise DomainError(f"mass must be positive, got {self.mass}")
+        if any(c.is_constant() and not c.constant_value().is_real() for c in coefficients):
+            raise DomainError(f"potential coefficients must be real, got V = {self.coefficients}")
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "coefficients", coefficients)
 
@@ -255,12 +257,10 @@ def averaged_p_derivatives(potential: PolynomialPotential, order: int) -> Tuple[
     store = _chains(potential, _moyal_step, _classical_step)
     quantum = _chain(store["quantum"], "p", order)[-1]
     classical = _chain(store["classical"], "p", order)[-1]
-    shadow = quantum.map_coefficients(lambda c: c.drop_symbol("nu"))
-    if shadow != classical:
-        raise AssertionError(
-            f"hbar^0 part of the Moyal chain differs from the Poisson chain at "
-            f"order {order}: {shadow} vs {classical}"
-        )
+    routes_agree(
+        f"hbar^0 part of the Moyal chain differs from the Poisson chain at order {order}",
+        quantum.map_coefficients(lambda c: c.drop_symbol("nu")), classical,
+    )
     sym = PacketMoments.symbolic()
     return _average("quantum", sym, quantum), _average("classical", sym, classical)
 
@@ -333,17 +333,24 @@ def evolve_quadratic(
     packet: PacketMoments, potential: PolynomialPotential, t: float
 ) -> PacketMoments:
     """Exact moment evolution for degree <= 2; the same formulas hold for
-    classical and quantum packets because <qp + pq> = 2 Q P."""
-    f = quadratic_flow(potential, t)
+    classical and quantum packets because <qp + pq> = 2 Q P.  Raises
+    HorizonError where a moment leaves float range (an inverted
+    oscillator's spreads grow as e^(omega t))."""
     b = packet.bindings()
     q, p, dq, dp = b["Q"], b["P"], b["dQ"], b["dP"]
-    return PacketMoments(
-        Q=f.f0 + q * f.f1 + p * f.f2,
-        P=f.g0 + q * f.g1 + p * f.g2,
-        dQ=math.sqrt(f.f1 ** 2 * dq ** 2 + f.f2 ** 2 * dp ** 2),
-        dP=math.sqrt(f.g1 ** 2 * dq ** 2 + f.g2 ** 2 * dp ** 2),
-        hbar=packet.hbar,
-    )
+    try:
+        f = quadratic_flow(potential, t)
+        moments = (
+            f.f0 + q * f.f1 + p * f.f2,
+            f.g0 + q * f.g1 + p * f.g2,
+            math.sqrt(f.f1 ** 2 * dq ** 2 + f.f2 ** 2 * dp ** 2),
+            math.sqrt(f.g1 ** 2 * dq ** 2 + f.g2 ** 2 * dp ** 2),
+        )
+        if all(map(math.isfinite, moments)):
+            return PacketMoments(*moments, hbar=packet.hbar)
+    except OverflowError:
+        pass
+    raise HorizonError(f"closed-form moments leave float range at t = {t}")
 
 
 # ---------------------------------------------------------------------------

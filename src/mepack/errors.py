@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the route-agreement check."""
 
 
 class MepackError(Exception):
@@ -31,3 +31,12 @@ class ValidationError(MepackError, ValueError):
     def __init__(self, message, field=None):
         self.field = field
         super().__init__(f"{field}: {message}" if field else message)
+
+
+def routes_agree(what, answer, check):
+    """The runtime check that two independent routes to one result agree:
+    `answer` if it equals `check`, else AssertionError "what: answer vs
+    check".  Each of the engine's route checks calls it."""
+    if answer != check:
+        raise AssertionError(f"{what}: {answer} vs {check}")
+    return answer

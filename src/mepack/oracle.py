@@ -119,12 +119,8 @@ def fock_state(
     scale_p = b["dP"] / math.sqrt(nu)
     q_mat = b["Q"] * np.eye(n) + scale_q * (lower + raise_)
     p_mat = b["P"] * np.eye(n) - 1j * scale_p * (lower - raise_)
-    if nu == 1.0:
-        weights = np.zeros(n)
-        weights[0] = 1.0
-    else:
-        x = (nu - 1.0) / (nu + 1.0)
-        weights = 2.0 / (nu + 1.0) * x ** np.arange(n)
+    x = (nu - 1.0) / (nu + 1.0)
+    weights = 2.0 / (nu + 1.0) * x ** np.arange(n)
     rho = np.diag(weights).astype(complex)
     return FockState(n, nu, b["hbar"], b, q_mat, p_mat, rho)
 

@@ -11,9 +11,9 @@ hbar is `DEFAULT_HBAR`.
 
 The engine computes every average in packet symbols.  A numeric packet's
 values enter an exact result in one place, `PacketMoments.specialize`,
-which substitutes Q, P, dQ, dP and nu (floats as the dyadic rationals they
-are); symbolic packets leave the expression as it is.  The float route is
-`bindings()`, the values that `Expr.evaluate` reads.
+which substitutes Q, P, dQ, dP and the exact `nu` (floats as the dyadic
+rationals they are); symbolic packets leave the expression as it is.  The
+float route is `bindings()`, the values that `Expr.evaluate` reads.
 """
 
 from __future__ import annotations
@@ -77,20 +77,17 @@ class PacketMoments:
 
     @property
     def nu(self) -> FieldValue:
-        """Uncertainty ratio 2*dQ*dP/hbar."""
+        """Uncertainty ratio 2*dQ*dP/hbar; an exact rational for a numeric packet."""
         if self.is_symbolic:
             return Expr.symbol("nu")
         hbar = self.hbar if self.hbar is not None else DEFAULT_HBAR
-        if isinstance(self.dQ, (int, Fraction)) and isinstance(self.dP, (int, Fraction)) \
-                and isinstance(hbar, (int, Fraction)):
-            return Fraction(2) * Fraction(self.dQ) * Fraction(self.dP) / Fraction(hbar)
-        return 2.0 * _numeric(self.dQ) * _numeric(self.dP) / float(hbar)
+        dQ, dP = (Expr.coerce(v).constant_value().re for v in (self.dQ, self.dP))
+        return 2 * dQ * dP / Fraction(hbar)
 
     def nu_value(self) -> float:
-        nu = self.nu
-        if isinstance(nu, Expr):
+        if self.is_symbolic:
             raise DomainError("symbolic packet has no numeric uncertainty ratio")
-        return float(nu)
+        return float(self.nu)
 
     def specialize(self, expr: Expr) -> Expr:
         """Substitute a numeric packet's Q, P, dQ, dP and nu exactly;

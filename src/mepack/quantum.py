@@ -42,8 +42,8 @@ from .algebra.ladder import HBAR_AS_NU, LadderPolynomial, diagonal_part, to_ladd
 from .algebra.numberpoly import NumberPolynomial
 from .algebra.weyl import WeylPolynomial
 from .algebra.words import swap_counts
-from .classical import moment_gaussian_route
-from .errors import DomainError
+from .classical import moment_gaussian_route, multiplier_expressions
+from .errors import DomainError, routes_agree
 from .packets import PacketMoments
 from .partition import QuantumPartition, check_positive
 
@@ -75,8 +75,6 @@ def solve_multipliers_quantum(packet: PacketMoments) -> QuantumMultipliers:
     value, and `packet.bindings()` carries its float.
     """
     packet.require_quantum(strict=True)
-    from .classical import multiplier_expressions
-
     factor = log_ratio_factor()
     exprs = {k: packet.specialize(e * factor) for k, e in multiplier_expressions().items()}
     return QuantumMultipliers(exprs["lam1"], exprs["lam2"], exprs["lam3"], exprs["lam4"])
@@ -165,11 +163,7 @@ def _diagonal_average(number_poly: NumberPolynomial, label: str) -> Expr:
         (coeff, _monomial_weight_sum(n))
         for n, coeff in number_poly.monomial_coefficients().items()
     )
-    if route_a != route_b:
-        raise AssertionError(
-            f"summation routes disagree for {label}: {route_a} vs {route_b}"
-        )
-    return route_b
+    return routes_agree(f"summation routes disagree for {label}", route_b, route_a)
 
 
 def ladder_monomial_expectation(a: int, b: int) -> Expr:
@@ -255,13 +249,10 @@ def weyl_monomial_expectation(a: int, b: int) -> Expr:
     Computed by the Wigner route and checked against the centred
     diagonal representation; raises AssertionError if they differ.
     """
-    wigner = _wigner_route(a, b)
-    ladder = _centred_route(a, b)
-    if wigner != ladder:
-        raise AssertionError(
-            f"Wigner and ladder routes disagree for q^{a} p^{b}: {wigner} vs {ladder}"
-        )
-    return wigner
+    return routes_agree(
+        f"Wigner and ladder routes disagree for q^{a} p^{b}",
+        _wigner_route(a, b), _centred_route(a, b),
+    )
 
 
 def expectation_quantum(packet: PacketMoments, x: WeylPolynomial) -> Expr:

@@ -198,7 +198,7 @@ def test_moment_route_check_sees_a_perturbed_partition_route(monkeypatch):
         return out
 
     monkeypatch.setattr(classical, "multiplier_expressions", perturbed)
-    cached = (moment_monomial_classical, classical._moment_partition_route)
+    cached = (moment_monomial_classical,)
     for fn in cached:
         fn.cache_clear()
     try:

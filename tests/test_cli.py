@@ -372,6 +372,16 @@ def test_cutoff_error_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_quadratic_overflow_exits_3(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path, potential={"m": 1, "V": [0, 0, -1]}, run={"mode": "evolve", "grid": [0, 400]}
+    )
+    assert main(["run", str(path)]) == 3
+    assert "numeric range error: closed-form moments leave float range at t = 400.0" in (
+        capsys.readouterr().err
+    )
+
+
 def test_oracle_disagreement_exits_3_after_writing(tmp_path, capsys):
     # far from the origin both float routes lose their digits: the exact
     # value is 3 dQ^4 = 4.39, engine and oracle are off by 1e8

@@ -33,7 +33,7 @@ from mepack.dynamics import (
     quantum_correction,
     trajectory_quadratic,
 )
-from mepack.errors import DomainError
+from mepack.errors import DomainError, HorizonError
 from mepack.oracle import fock_evolve, fock_expectation, fock_state, state_moments
 from mepack.packets import PacketMoments
 from mepack.quantum import expectation_quantum
@@ -322,6 +322,14 @@ def test_constant_expr_mass_must_be_positive():
             PolynomialPotential(mass, coefficients)
 
 
+def test_complex_potential_coefficients_are_rejected():
+    for coefficients in ((0, 0, 1 + 1j), (Expr.i(),), (0, Expr.number(2) * Expr.i())):
+        with pytest.raises(DomainError, match="potential coefficients must be real"):
+            PolynomialPotential(1, coefficients)
+    # a symbolic coefficient is no constant, so it stays allowed
+    assert not PolynomialPotential(1, (0, Expr.i() * Expr.symbol("V1"))).is_numeric
+
+
 def test_constant_expr_potential_is_numeric():
     pot = PolynomialPotential(Expr.number(2), (Expr.number(Fraction(1, 2)), Expr(), 0.1))
     assert pot.is_numeric and pot.effective_degree() == 2
@@ -535,6 +543,20 @@ def test_evolve_free_particle_spreading():
     out = evolve_quadratic(pk, pot, 1.0)
     assert float(out.dQ) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert float(out.dP) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [360.0, 400.0, 720.0])
+def test_inverted_oscillator_overflow_is_a_horizon_error(t):
+    # the variance squares overflow from about t = 355, cosh and sinh from
+    # about t = 710; either way the error names t
+    pk = PacketMoments(0.0, 0.0, 1.0, 1.0, hbar=1.0)
+    pot = PolynomialPotential(1, (0, 0, -1))
+    assert float(evolve_quadratic(pk, pot, 300.0).dQ) > 1e129
+    with pytest.raises(HorizonError, match=f"float range at t = {t}$"):
+        evolve_quadratic(pk, pot, t)
+    # a finite product that rounds to inf is caught as well
+    with pytest.raises(HorizonError):
+        evolve_quadratic(pk.with_moments(Q=1e300), pot, 300.0)
 
 
 def test_evolve_identity_at_t0(numeric_packet):

@@ -146,6 +146,13 @@ def test_nu_one_is_ground_state():
     assert np.trace(st.rho).real == pytest.approx(1.0)
 
 
+def test_nu_one_weights_are_the_ground_projector_exactly():
+    st = fock_state(PacketMoments(0.0, 0.0, 1.0, 0.5, hbar=1.0), cutoff=12)
+    expected = np.zeros((12, 12), dtype=complex)
+    expected[0, 0] = 1.0
+    assert np.array_equal(st.rho, expected)
+
+
 def test_harmonic_evolution_matches_closed_form(packet):
     pot = PolynomialPotential(1.0, (0.0, 0.0, 1.0))
     st = fock_state(packet, cutoff=100)

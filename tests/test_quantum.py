@@ -8,7 +8,7 @@ import pytest
 
 from mepack.algebra import Expr, WeylPolynomial, parse_expression, parse_weyl
 from mepack.classical import ClassicalMultipliers, moment_classical, partition_classical
-from mepack.errors import DomainError, PureStateLimitError
+from mepack.errors import DomainError, PureStateLimitError, routes_agree
 from mepack.oracle import choose_cutoff, fock_expectation, fock_state
 from mepack.packets import PacketMoments
 from mepack.quantum import (
@@ -327,6 +327,12 @@ def test_summation_check_sees_a_perturbed_route(monkeypatch):
             fn.cache_clear()
 
 
+def test_routes_agree_returns_the_answer_or_names_both_values():
+    assert routes_agree("unused", Fraction(1, 2), Fraction(2, 4)) == Fraction(1, 2)
+    with pytest.raises(AssertionError, match=r"^q\^2 routes disagree: 1 vs 2$"):
+        routes_agree("q^2 routes disagree", 1, 2)
+
+
 def test_moment_engine_stays_off_the_symbolic_ladder_image(monkeypatch):
     # perf guard: the full symbolic to_ladder expansion is the reference
     # route only, never the engine's
@@ -407,6 +413,34 @@ def test_expectation_value_is_exact_far_from_the_origin(centre):
     # exact at the packet's values, rounded once: no cancellation of Q^4 terms
     packet = PacketMoments(centre, 0, 1, 1, hbar=1)
     assert expectation_value(packet, parse_weyl("(q-Q)^4")) == 3
+
+
+def _random_float_packets(count, seed=1):
+    rng = random.Random(seed)
+    while count:
+        hbar = rng.choice([1.0, 0.1, 0.3, 0.02])
+        packet = PacketMoments(0.0, 0.0, rng.uniform(0.5, 2), rng.uniform(0.5, 2), hbar=hbar)
+        if packet.nu_value() > 1.01:
+            count -= 1
+            yield packet
+
+
+def test_float_packet_nu_is_the_exact_rational():
+    packet = PacketMoments(0, 0, 0.7, 1.3, hbar=0.1)
+    assert packet.nu == 2 * Fraction(0.7) * Fraction(1.3) / Fraction(0.1)
+    assert packet.nu_value() == 18.2
+    for packet in _random_float_packets(50, seed=2):
+        exact = 2 * Fraction(packet.dQ) * Fraction(packet.dP) / Fraction(packet.hbar)
+        assert packet.nu == exact and packet.nu_value() == float(exact)
+
+
+def test_commutator_moments_of_float_packets_are_exactly_half_hbar():
+    # <q p> = i hbar/2 holds exactly when nu enters as the exact rational;
+    # a rounded float nu missed it on about one packet in five
+    for packet in _random_float_packets(200):
+        half = packet.hbar / 2
+        assert expectation_value(packet, parse_weyl("q*p")).imag == half
+        assert expectation_value(packet, parse_weyl("p*q")).imag == -half
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
