@@ -321,7 +321,10 @@ def quadratic_flow(potential: PolynomialPotential, t: float) -> QuadraticFlow:
             "uniform",
         )
     xi, omega = math.sqrt(-m * v2), math.sqrt(-v2 / m)
-    ch, sh = math.cosh(omega * t), math.sinh(omega * t)
+    try:
+        ch, sh = math.cosh(omega * t), math.sinh(omega * t)
+    except OverflowError:
+        raise HorizonError(f"closed-form flow leaves float range at t = {t}") from None
     return QuadraticFlow(
         -v1 / v2 * (1.0 - ch), ch, sh / xi,
         xi * v1 / v2 * sh, xi * sh, ch,

@@ -2,20 +2,17 @@
 
 This module deliberately avoids the symbolic normal-ordering machinery:
 operators are evaluated as literal matrix products on a finite basis, the
-state is the diagonal geometric-weight density matrix, and evolution
-exponentiates the truncated Hermitian Hamiltonian through its
-eigendecomposition.  Its only shared dependencies with the algebra layer
-are expression evaluation for numeric coefficients and the geometric-tail
-formula of `quantum`.
+state is the geometric-weight density matrix held as rho = V diag(w) V^dagger,
+and evolution exponentiates the truncated Hermitian Hamiltonian through its
+eigendecomposition, keeping w and turning V.  Its only shared dependencies
+with the algebra layer are expression evaluation for numeric coefficients
+and the geometric-tail formula of `quantum`.
 
 q and p are tridiagonal on this basis, so the Hamiltonian's p^2 and q^k
 and the moments read by `state_moments` are built by O(n^2) band products
-(`_times_tridiagonal`), and every Tr(rho X) is an O(n^2) elementwise sum.
-The only O(n^3) work left is an operator word's products in
-`fock_expectation`, one eigendecomposition per potential (kept on the
-state for later times) and two products per evolution time: U itself and
-U rho U^dagger, where a diagonal rho (every fresh state) scales U's columns
-instead of costing a third product.
+(`_times_tridiagonal`).  The only O(n^3) work left is an operator word's
+products in `fock_expectation`, one eigendecomposition per potential (kept
+on the state for later times) and one product per evolution time, U itself.
 
 numpy is imported inside the functions that use it, so it loads on the
 first oracle call, not with `mepack`: the exact engine never needs it.
@@ -52,9 +49,9 @@ QUADRATURE_NODES = 160
 QUADRATURE_HALF_WIDTH = 10.0
 
 # largest dense complex n x n matrix the oracle builds (n <= 2896); a state
-# holds q, p and rho, states from fock_evolve share the eigenvectors of the
-# last Hamiltonian, and fock_state or fock_evolve holds about four more
-# while it runs
+# holds q, p and, once evolved, its vectors, states from fock_evolve share
+# the eigenvectors of the last Hamiltonian, and fock_state or fock_evolve
+# holds about four more while it runs
 MAX_MATRIX_BYTES = 128 * 2 ** 20
 
 Word = Union[str, Sequence[str]]
@@ -69,7 +66,9 @@ def choose_cutoff(nu: float, degree: int = 0) -> int:
 
 @dataclass(frozen=True)
 class FockState:
-    """rho, q, p as dense matrices on the packet-adapted number basis."""
+    """q, p as dense matrices on the packet-adapted number basis and
+    rho = V diag(weights) V^dagger; `vectors` V is None for a fresh state,
+    whose V is the number basis itself."""
 
     cutoff: int
     nu: float
@@ -77,15 +76,28 @@ class FockState:
     bindings: dict
     q_mat: np.ndarray
     p_mat: np.ndarray
-    rho: np.ndarray
+    weights: np.ndarray
+    vectors: Optional[np.ndarray] = None
     leakage: float = 0.0  # top-band weight after the last evolution step
     # eigendecomposition of H for the last potential fock_evolve saw, keyed by
     # its numbers; `replace` shares it, valid since q_mat, p_mat and hbar stay
     eigh_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
+    def rho(self) -> np.ndarray:
+        """The dense density matrix, derived on each access (one n^3
+        product for an evolved state); the oracle itself reads the factor."""
+        import numpy as np
+
+        if self.vectors is None:
+            return np.diag(self.weights).astype(complex)
+        return (self.vectors * self.weights) @ self.vectors.conj().T
+
+    @property
     def trace_deficit(self) -> float:
-        return 1.0 - float(self.rho.trace().real)
+        # summed as complex numbers, in the order trace(rho) adds a complex
+        # diagonal, so the printed deficit keeps its last bits
+        return 1.0 - float(self.weights.astype(complex).sum().real)
 
 
 def fock_state(
@@ -94,9 +106,8 @@ def fock_state(
     cutoff: Optional[int] = None,
 ) -> FockState:
     b = packet.bindings()
+    packet.require_quantum()
     nu = b["nu"]
-    if nu < 1:
-        raise DomainError(f"fock basis needs nu >= 1, got {nu}")
     n = cutoff if cutoff is not None else choose_cutoff(nu, degree)
     dropped = tail_weight(nu, n - 1)
     if dropped > DEFAULT_TAIL_TOL:
@@ -121,8 +132,7 @@ def fock_state(
     p_mat = b["P"] * np.eye(n) - 1j * scale_p * (lower - raise_)
     x = (nu - 1.0) / (nu + 1.0)
     weights = 2.0 / (nu + 1.0) * x ** np.arange(n)
-    rho = np.diag(weights).astype(complex)
-    return FockState(n, nu, b["hbar"], b, q_mat, p_mat, rho)
+    return FockState(n, nu, b["hbar"], b, q_mat, p_mat, weights)
 
 
 def _word_matrix(state: FockState, word: Word) -> np.ndarray:
@@ -165,9 +175,9 @@ def fock_expectation(state: FockState, x) -> complex:
     for coeff, word in terms:
         value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
         matrix += value * _word_matrix(state, word)
-    # Tr(rho M) in O(n^2): row i of rho * M^T sums to (rho M)[i, i], and the
-    # row sums then add as trace(rho @ M) adds its diagonal (bit for bit when
-    # rho is diagonal, as a fresh state's is)
+    if state.vectors is None:  # sum_i w_i M_ii, as trace(rho @ M) adds it
+        return complex((state.weights * matrix.diagonal()).sum())
+    # Tr(rho M): row i of rho * M^T sums to (rho M)[i, i]
     return complex((state.rho * matrix.T).sum(axis=1).sum())
 
 
@@ -195,17 +205,6 @@ def hamiltonian_matrix(state: FockState, potential: PolynomialPotential) -> np.n
     return h
 
 
-def _diagonal_weights(rho: np.ndarray) -> Optional[np.ndarray]:
-    """The real diagonal of rho when every off-diagonal entry is zero,
-    else None; counting nonzeros allocates nothing."""
-    import numpy as np
-
-    diagonal = rho.diagonal()
-    if np.count_nonzero(rho) != np.count_nonzero(diagonal):
-        return None
-    return diagonal.real
-
-
 def fock_evolve(
     state: FockState,
     potential: PolynomialPotential,
@@ -215,12 +214,12 @@ def fock_evolve(
     """Evolve rho by U = exp(-i H t / hbar) of the truncated Hamiltonian.
 
     H is Hermitian, so U is built from its eigendecomposition
-    H = V diag(w) V^dagger as U = V diag(exp(-i w t / hbar)) V^dagger.
-    A diagonal rho weights U's columns, so U rho U^dagger is one product.
-    The eigendecomposition is kept on the state, so later times under the
-    same potential reuse it.  The weight that reaches the top `LEAK_BAND`
-    levels estimates truncation leakage; exceeding `leak_tol` raises
-    HorizonError.
+    H = E diag(h) E^dagger as U = E diag(exp(-i h t / hbar)) E^dagger,
+    and U V (U for a fresh state) are the new vectors.  The
+    eigendecomposition is kept on the state, so later times under the same
+    potential reuse it.  The weight that reaches the top `LEAK_BAND` levels,
+    sum_k w_k |V_ik|^2, estimates truncation leakage; exceeding `leak_tol`
+    raises HorizonError.
     """
     import numpy as np
 
@@ -229,50 +228,42 @@ def fock_evolve(
     if key not in state.eigh_cache:
         state.eigh_cache.clear()
         state.eigh_cache[key] = np.linalg.eigh(hamiltonian_matrix(state, potential))
-    w, v = state.eigh_cache[key]
-    u = (v * np.exp(-1j * w * float(t) / state.hbar)) @ v.conj().T
-    weights = _diagonal_weights(state.rho)
-    if weights is None:
-        rho = u @ state.rho @ u.conj().T
-    else:  # U diag(weights) U^dagger, scaling U's columns in place
-        uh = u.conj().T
-        u *= weights
-        rho = u @ uh
-    top = np.arange(state.cutoff - LEAK_BAND, state.cutoff)
-    leakage = float(np.sum(np.diag(rho).real[top]))
+    h, e = state.eigh_cache[key]
+    u = (e * np.exp(-1j * h * float(t) / state.hbar)) @ e.conj().T
+    vectors = u if state.vectors is None else u @ state.vectors
+    leakage = float(np.sum(np.abs(vectors[-LEAK_BAND:]) ** 2 @ state.weights))
     if leakage > leak_tol:
         raise HorizonError(
             f"truncation leakage {leakage:.3e} > {leak_tol:.1e} at t = {t}; "
             "raise the cutoff or shorten the horizon"
         )
-    return replace(state, rho=rho, leakage=leakage)
+    return replace(state, vectors=vectors, leakage=leakage)
 
 
 def state_moments(state: FockState) -> PacketMoments:
-    """Read (Q, P, dQ, dP) back off the density matrix as O(n^2) traces
-    Tr(rho X) = sum(rho * X^T)."""
-    q, p = state.q_mat, state.p_mat
+    """Read (Q, P, dQ, dP) back off the factor in O(n^2): rho = S S^dagger
+    with S = V diag(sqrt(w)), so <X> = vdot(S, X S) and <X^2> = ||X S||^2."""
+    import numpy as np
 
-    def mean(x: np.ndarray) -> float:
-        return float((state.rho * x.T).sum().real)
+    root = np.sqrt(state.weights)
+    s = np.diag(root) if state.vectors is None else state.vectors * root
 
-    q1, p1 = mean(q), mean(p)
-    q2, p2 = mean(_times_tridiagonal(q, q)), mean(_times_tridiagonal(p, p))
+    def mean_and_square(x: np.ndarray) -> Tuple[float, float]:
+        xs = _times_tridiagonal(s.T, x.T).T  # X S = (S^T X^T)^T, on views
+        return float(np.vdot(s, xs).real), float(np.vdot(xs, xs).real)
+
+    q1, q2 = mean_and_square(state.q_mat)
+    p1, p2 = mean_and_square(state.p_mat)
     return PacketMoments(
         q1, p1, math.sqrt(q2 - q1 * q1), math.sqrt(p2 - p1 * p1), hbar=state.hbar
     )
 
 
 def state_entropy(state: FockState) -> float:
-    """-Tr(rho ln rho) over the retained block; a diagonal rho's
-    eigenvalues are its diagonal."""
-    import numpy as np
-
-    eigenvalues = _diagonal_weights(state.rho)
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(state.rho)
+    """-Tr(rho ln rho) over the retained block, from rho's eigenvalues: the
+    weights, which evolution keeps."""
     ent = 0.0
-    for lam in eigenvalues:
+    for lam in state.weights:
         if lam > 1e-300:
             ent -= float(lam) * math.log(float(lam))
     return ent

@@ -118,13 +118,15 @@ class PacketMoments:
         return out
 
     def require_quantum(self, strict: bool = False):
-        """Enforce nu >= 1 (or > 1) for numeric packets; symbolic ones pass."""
+        """Enforce nu >= 1 (or > 1) for numeric packets on the exact `nu`;
+        symbolic ones pass."""
         if self.is_symbolic:
             return
-        nu = self.nu_value()
+        nu = self.nu
         if nu < 1:
+            shown = float(nu) if float(nu) < 1 else f"1 - {float(1 - nu):.3g}"
             raise DomainError(
-                f"uncertainty ratio nu = {nu} violates the bound 2*dQ*dP >= hbar"
+                f"uncertainty ratio nu = {shown} violates the bound 2*dQ*dP >= hbar"
             )
         if strict and nu == 1:
             raise PureStateLimitError(

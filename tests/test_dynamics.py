@@ -537,6 +537,12 @@ def test_flow_rejects_cubic():
         quadratic_flow(PolynomialPotential(1.0, (0.0, 0.0, 0.0, 1.0)), 0.1)
 
 
+def test_flow_past_float_range_is_a_horizon_error():
+    # cosh(omega t) leaves float range from about omega t = 710
+    with pytest.raises(HorizonError, match="flow leaves float range at t = 800.0$"):
+        quadratic_flow(PolynomialPotential(1, (0, 0, -1)), 800)
+
+
 def test_evolve_free_particle_spreading():
     pk = PacketMoments(0.0, 0.0, 1.0, 1.0, hbar=1.0)
     pot = PolynomialPotential(1.0, (0.0,))

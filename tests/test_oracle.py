@@ -273,11 +273,34 @@ def test_expectation_trace_on_an_evolved_state(packet):
         assert abs(fock_expectation(evolved, [(1, word)]) - dense) <= 1e-12 * abs(dense)
 
 
-def test_diagonal_weights_only_of_a_diagonal_rho(state):
-    assert np.array_equal(oracle._diagonal_weights(state.rho), np.diagonal(state.rho).real)
-    rho = state.rho.copy()
-    rho[3, 1] = 1e-30
-    assert oracle._diagonal_weights(rho) is None
+def test_fresh_state_is_its_weights_on_the_number_basis(packet, state):
+    assert state.vectors is None
+    assert np.array_equal(state.rho, np.diag(state.weights))
+    assert state.rho.dtype == complex
+    moments = state_moments(state)
+    for name in ("Q", "P", "dQ", "dP"):
+        assert float(getattr(moments, name)) == pytest.approx(
+            float(getattr(packet, name)), rel=1e-12
+        )
+    # the deficit read off the weights is the dense trace's, bit for bit
+    rng = random.Random(9)
+    for _ in range(20):
+        st = fock_state(_random_packet(rng), degree=rng.randint(0, 300))
+        assert st.trace_deficit == 1.0 - float(st.rho.trace().real)
+
+
+def test_evolved_state_is_a_unitary_rotation_of_its_weights(packet):
+    st = fock_state(packet, cutoff=80)
+    first = fock_evolve(st, QUARTIC, 0.3)
+    later = fock_evolve(first, QUARTIC, 0.2)
+    for evolved in (first, later):
+        v, w = evolved.vectors, evolved.weights
+        assert np.max(np.abs(v.conj().T @ v - np.eye(80))) < 1e-12
+        assert w is st.weights
+        assert np.array_equal(evolved.rho, (v * w) @ v.conj().T)
+        leak = np.diagonal(evolved.rho).real[-oracle.LEAK_BAND:].sum()
+        assert evolved.leakage == pytest.approx(leak, rel=1e-9, abs=1e-25)
+        assert state_entropy(evolved) == state_entropy(st)
 
 
 def test_diagonal_evolution_matches_the_dense_product(packet):
@@ -292,7 +315,7 @@ def test_diagonal_evolution_matches_the_dense_product(packet):
 
 def test_evolving_an_evolved_state_adds_the_times(packet):
     first = fock_evolve(fock_state(packet, cutoff=80), QUARTIC, 0.15)
-    assert oracle._diagonal_weights(first.rho) is None  # the general path
+    assert first.vectors is not None  # the U @ vectors path
     later = fock_evolve(first, QUARTIC, 0.25)
     once = fock_evolve(fock_state(packet, cutoff=80), QUARTIC, 0.4)
     assert np.max(np.abs(later.rho - once.rho)) < 1e-12

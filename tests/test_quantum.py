@@ -434,6 +434,23 @@ def test_float_packet_nu_is_the_exact_rational():
         assert packet.nu == exact and packet.nu_value() == float(exact)
 
 
+def test_uncertainty_check_reads_the_exact_nu():
+    # exact nu = 1 - 5.5e-17 rounds to the float 1.0, yet the packet lies
+    # below the bound; fock_state and the multipliers refuse it as well
+    packet = PacketMoments(0.8, -0.1, 1.3, 1 / (2 * 1.3), hbar=1.0)
+    assert packet.nu < 1 and packet.nu_value() == 1.0
+    for call in (packet.require_quantum, lambda: fock_state(packet, cutoff=64),
+                 lambda: solve_multipliers_quantum(packet)):
+        with pytest.raises(DomainError, match="nu = 1 - 5.47e-17 violates"):
+            call()
+    # the exact bound itself passes, and only the strict check refuses it
+    minimal = PacketMoments(0.8, -0.1, 1.25, 0.5, hbar=1.25)
+    assert minimal.nu == 1
+    minimal.require_quantum()
+    with pytest.raises(PureStateLimitError):
+        minimal.require_quantum(strict=True)
+
+
 def test_commutator_moments_of_float_packets_are_exactly_half_hbar():
     # <q p> = i hbar/2 holds exactly when nu enters as the exact rational;
     # a rounded float nu missed it on about one packet in five
@@ -557,11 +574,11 @@ def test_ground_wavefunction_variance(numeric_packet):
 
 def test_ground_wavefunction_minimal_packet_matches_fock():
     # at nu = 1 the packet is |0><0|; <q^2> from the Fock oracle equals Q^2 + dQ^2
-    pk = PacketMoments(0.8, -0.1, 1.3, 1.0 / (2 * 1.3), hbar=1.0)
-    assert pk.nu_value() == pytest.approx(1.0)
+    pk = PacketMoments(0.8, -0.1, 1.25, 0.5, hbar=1.25)
+    assert pk.nu == 1
     state = fock_state(pk, degree=2, cutoff=64)
     got = fock_expectation(state, parse_weyl("q^2"))
-    assert got.real == pytest.approx(0.8 ** 2 + 1.3 ** 2, rel=1e-12)
+    assert got.real == pytest.approx(0.8 ** 2 + 1.25 ** 2, rel=1e-12)
     # the wavefunction's |psi|^2 variance at nu = 1 is dQ^2 itself
     b = pk.bindings()
     from numpy.polynomial.legendre import leggauss
