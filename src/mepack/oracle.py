@@ -160,7 +160,8 @@ def fock_expectation(state: FockState, x) -> complex:
 
     X may be a WeylPolynomial (its canonical words are literal products) or
     an iterable of (coefficient, word) pairs for arbitrary orderings.  The
-    cutoff is checked against X's degree before any product is built.
+    cutoff is checked against X's degree before any product is built.  An
+    evolved state's dense rho is rebuilt for each call, one more product.
     """
     terms = _operator_terms(x)
     degree = max((len(word) for _, word in terms), default=0)
@@ -175,8 +176,6 @@ def fock_expectation(state: FockState, x) -> complex:
     for coeff, word in terms:
         value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
         matrix += value * _word_matrix(state, word)
-    if state.vectors is None:  # sum_i w_i M_ii, as trace(rho @ M) adds it
-        return complex((state.weights * matrix.diagonal()).sum())
     # Tr(rho M): row i of rho * M^T sums to (rho M)[i, i]
     return complex((state.rho * matrix.T).sum(axis=1).sum())
 

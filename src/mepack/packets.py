@@ -128,9 +128,12 @@ class PacketMoments:
             raise DomainError(
                 f"uncertainty ratio nu = {shown} violates the bound 2*dQ*dP >= hbar"
             )
-        if strict and nu == 1:
+        # the multipliers are evaluated on the float nu of bindings(), which
+        # can round an exact nu just above 1 down to 1.0, where Lnu is inf
+        if strict and (nu == 1 or self.bindings()["nu"] <= 1):
             raise PureStateLimitError(
-                "nu = 1 packet is the pure Gaussian state; multipliers diverge there"
+                "nu = 1 packet (exactly, or as the float nu) is the pure Gaussian "
+                "state; multipliers diverge there"
             )
 
     def with_moments(self, Q=None, P=None, dQ=None, dP=None) -> "PacketMoments":

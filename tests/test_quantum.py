@@ -449,6 +449,15 @@ def test_uncertainty_check_reads_the_exact_nu():
     minimal.require_quantum()
     with pytest.raises(PureStateLimitError):
         minimal.require_quantum(strict=True)
+    # exact nu = 1 + 9e-17 lies above the bound, but its float nu is 1.0, so
+    # the multipliers would read Lnu = inf: the strict check refuses it too
+    above = PacketMoments(0, 0, 1.3, 0.38461538461538464, hbar=1.0)
+    assert above.nu > 1 and above.bindings()["nu"] == 1.0
+    above.require_quantum()
+    for call in (lambda: above.require_quantum(strict=True),
+                 lambda: solve_multipliers_quantum(above)):
+        with pytest.raises(PureStateLimitError):
+            call()
 
 
 def test_commutator_moments_of_float_packets_are_exactly_half_hbar():
