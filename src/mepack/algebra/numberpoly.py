@@ -2,7 +2,8 @@
 
 The basis element of order m is k_(m) = k(k-1)...(k-m+1), the diagonal
 matrix element of Ad^m A^m.  Conversions to and from the monomial basis
-use Stirling numbers and are exact.
+use Stirling numbers and are exact.  Coefficients are kept as given: `Expr`
+on the symbolic ladder path, `int` on the moment engine's centred words.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Mapping
 
-from .expression import Expr, _accumulate
+from .expression import Expr, _accumulate, sum_of_products
 
 
 @lru_cache(maxsize=None)
@@ -39,8 +40,7 @@ class NumberPolynomial:
     def __init__(self, falling: Mapping[int, Expr] = ()):
         cleaned = {}
         for order, coeff in dict(falling).items():
-            coeff = Expr.coerce(coeff)
-            if not coeff.is_zero():
+            if coeff:
                 cleaned[int(order)] = coeff
         object.__setattr__(self, "_falling", cleaned)
 
@@ -51,7 +51,6 @@ class NumberPolynomial:
     def from_monomial(cls, coeffs: Mapping[int, Expr]) -> "NumberPolynomial":
         falling: Dict[int, Expr] = {}
         for n, c in coeffs.items():
-            c = Expr.coerce(c)
             for m in range(n + 1):
                 s = stirling_second(n, m)
                 if s:
@@ -82,15 +81,15 @@ class NumberPolynomial:
             ff = 1
             for j in range(m):
                 ff *= k - j
-            total += c.evaluate(dict(bindings)) * ff
+            total += Expr.coerce(c).evaluate(dict(bindings)) * ff
         return total
 
     def as_expression(self) -> Expr:
         """Expression in the symbol k (monomial basis)."""
-        out = Expr()
-        for n, c in self.monomial_coefficients().items():
-            out = out + (c * Expr.symbol("k", n) if n else c)
-        return out
+        return sum_of_products(
+            (Expr.coerce(c), Expr.symbol("k", n))
+            for n, c in self.monomial_coefficients().items()
+        )
 
     def __eq__(self, other):
         if isinstance(other, NumberPolynomial):

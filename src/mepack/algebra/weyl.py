@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .expression import Expr
 from .phase import PhasePolynomial
-from .words import OrderedPolynomial, swap_counts
+from .words import OrderedPolynomial, contract
 
 _MINUS_HALF_I_HBAR = Expr.number(Fraction(-1, 2)) * Expr.i() * Expr.symbol("hbar")
 
@@ -39,24 +39,15 @@ class WeylPolynomial(OrderedPolynomial):
         """The operator whose Weyl symbol is `symbol`, in q-left order:
         exp(-i hbar/2 d_q d_p) maps the symbol q^a p^b to
         sum_j j! C(a,j) C(b,j) (-i hbar/2)^j q^(a-j) p^(b-j)."""
-        powers = [Expr.number(1)]  # (-i hbar/2) ** j, grown on demand
-        terms = {}
-        for (a, b), coeff in symbol.terms():
-            for j, count in swap_counts(a, b).items():
-                if j == len(powers):
-                    powers.append(powers[-1] * _MINUS_HALF_I_HBAR)
-                key = (a - j, b - j)
-                terms[key] = terms.get(key, Expr()) + (coeff * (powers[j] * count) if j else coeff)
-        return cls(terms)
+        return cls(contract(dict(symbol.terms()), _MINUS_HALF_I_HBAR))
 
     # -- involution and images ----------------------------------------------------------
 
     def adjoint(self) -> "WeylPolynomial":
-        """Hermitian adjoint: reverse each word, conjugate coefficients."""
-        out = WeylPolynomial()
-        for (a, b), c in self._terms.items():
-            out = out + WeylPolynomial({(0, b): c.conjugate()}) * WeylPolynomial.q(a)
-        return out
+        """Hermitian adjoint: reverse each word, conjugate coefficients;
+        the reversed word p^b q^a is normal-ordered by `contract`."""
+        conjugated = {key: c.conjugate() for key, c in self._terms.items()}
+        return WeylPolynomial(contract(conjugated, self.CONTRACTION))
 
     def classical(self) -> PhasePolynomial:
         """Commutative image (exponents kept, coefficients untouched)."""

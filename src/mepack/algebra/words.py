@@ -18,6 +18,11 @@ so the product of two ordered monomials is
     X^a1 Y^b1 . X^a2 Y^b2
         = sum_j swap_counts(b1, a2)[j] c^j X^(a1+a2-j) Y^(b1+b2-j).
 
+Read on one monomial, the same sum is `contract(terms, c)`, the map
+X^a Y^b -> sum_j swap_counts(a, b)[j] c^j X^(a-j) Y^(b-j), i.e. exp(c d_X d_Y)
+on commuting letters, which -c undoes.  It normal-orders Y^b X^a (the Weyl
+adjoint), and maps Weyl symbols to q-left operators (c = -i*hbar/2) and back.
+
 `OrderedPolynomial` implements that ring once; a subclass sets the
 contraction c as `CONTRACTION` (None for the commutative case, which keeps
 only j = 0), its two letters as `LETTERS`, and the coercion into its
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from .expression import Expr, _accumulate
 
@@ -47,6 +52,19 @@ def swap_counts(nl: int, nr: int) -> Dict[int, int]:
 
 
 _NO_SWAPS = {0: 1}
+
+
+def contract(terms: Mapping[Key, Any], c) -> Dict[Key, Any]:
+    """X^a Y^b -> sum_j swap_counts(a, b)[j] c^j X^(a-j) Y^(b-j) for each
+    monomial of `terms`, summed into one dict of their coefficient type."""
+    powers = [1]  # c ** j, grown on demand
+    out: Dict[Key, Any] = {}
+    for (a, b), coeff in terms.items():
+        for j, count in swap_counts(a, b).items():
+            if j == len(powers):
+                powers.append(powers[-1] * c)
+            _accumulate(out, (a - j, b - j), coeff * (powers[j] * count) if j else coeff)
+    return out
 
 
 class OrderedPolynomial:

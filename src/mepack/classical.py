@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .algebra.expression import Expr
+from .algebra.expression import Expr, sum_of_products
 from .algebra.phase import PhasePolynomial
 from .errors import DomainError, routes_agree
 from .packets import PacketMoments
@@ -119,24 +119,12 @@ def central_moment(exponent: int, spread: str) -> Expr:
 def moment_gaussian_route(a: int, b: int) -> Expr:
     """< q^a p^b > from the binomial expansion about (Q, P) and the
     central Gaussian moments."""
-    Q, P = Expr.symbol("Q"), Expr.symbol("P")
-    total = Expr()
-    for j in range(a + 1):
-        cq = central_moment(j, "dQ")
-        if cq.is_zero():
-            continue
-        for k in range(b + 1):
-            cp = central_moment(k, "dP")
-            if cp.is_zero():
-                continue
-            total = total + (
-                Expr.number(math.comb(a, j) * math.comb(b, k))
-                * Q ** (a - j)
-                * P ** (b - k)
-                * cq
-                * cp
-            )
-    return total
+    products = []
+    for j in range(0, a + 1, 2):  # odd central moments vanish
+        for k in range(0, b + 1, 2):
+            prefix = Expr.monomial(math.comb(a, j) * math.comb(b, k), Q=a - j, P=b - k)
+            products.append((prefix * central_moment(j, "dQ"), central_moment(k, "dP")))
+    return sum_of_products(products)
 
 
 @lru_cache(maxsize=None)
@@ -178,11 +166,10 @@ def moment_monomial_classical(a: int, b: int) -> Expr:
 
 def moment_classical(packet: PacketMoments, monomial) -> Expr:
     """Average of a phase-space polynomial over the packet Gaussian."""
-    poly = monomial if isinstance(monomial, PhasePolynomial) else PhasePolynomial.coerce(monomial)
-    total = Expr()
-    for (a, b), coeff in poly.terms():
-        total = total + coeff * moment_monomial_classical(a, b)
-    return packet.specialize(total)
+    return packet.specialize(sum_of_products(
+        (coeff, moment_monomial_classical(a, b))
+        for (a, b), coeff in PhasePolynomial.coerce(monomial).terms()
+    ))
 
 
 def entropy_classical(packet: PacketMoments, v: Optional[float] = None) -> float:

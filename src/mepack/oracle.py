@@ -107,7 +107,8 @@ def fock_state(
 ) -> FockState:
     b = packet.bindings()
     packet.require_quantum()
-    nu = b["nu"]
+    # the exact nu is at least 1 here; its float can round below 1
+    nu = max(b["nu"], 1.0)
     n = cutoff if cutoff is not None else choose_cutoff(nu, degree)
     dropped = tail_weight(nu, n - 1)
     if dropped > DEFAULT_TAIL_TOL:

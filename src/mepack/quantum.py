@@ -7,8 +7,8 @@ Wigner function is the classical packet Gaussian with the same dQ, dP.
 
 Moments of operator polynomials are computed by the Wigner route: the
 Weyl symbol of q^a p^b is sum_j j! C(a,j) C(b,j) (i hbar/2)^j q^(a-j) p^(b-j)
-(Wilcox 1967), averaged with the classical Gaussian moments, and
-hbar/2 = dQ dP / nu.
+(Wilcox 1967; `words.contract` with c = i hbar/2), averaged with the
+classical Gaussian moments, and hbar/2 = dQ dP / nu.
 
 Every moment is checked against the diagonal representation in a centred
 form: q = Q + dQ s X and p = P + dP s Y with X = A + Ad, Y = -i (A - Ad)
@@ -20,9 +20,10 @@ weights by two independent routes that must agree:
   (b) the closed falling-factorial sums  <Ad^m A^m> = m! ((nu-1)/2)^m.
 
 The words are built as X^j (A - Ad)^k with int coefficients, by the same
-closed-form ladder product, since X^j Y^k = (-i)^k X^j (A - Ad)^k; the
-phase (-i)^k is applied once to each summed moment, and the binomial
-terms of <q^a p^b> are added into one term dict.
+closed-form ladder product, since X^j Y^k = (-i)^k X^j (A - Ad)^k, and stay
+in int until summed against the weights; the phase (-i)^k is applied once
+to each summed moment, and the binomial terms of <q^a p^b> are added into
+one term dict.
 
 `ladder_monomial_expectation` keeps the same diagonal route on the full
 symbolic ladder image of q^a p^b, as an uncached reference for tests.
@@ -41,7 +42,7 @@ from .algebra.expression import Expr, sum_of_products
 from .algebra.ladder import HBAR_AS_NU, LadderPolynomial, diagonal_part, to_ladder
 from .algebra.numberpoly import NumberPolynomial
 from .algebra.weyl import WeylPolynomial
-from .algebra.words import swap_counts
+from .algebra.words import contract
 from .classical import moment_gaussian_route, multiplier_expressions
 from .errors import DomainError, routes_agree
 from .packets import PacketMoments
@@ -49,6 +50,7 @@ from .partition import QuantumPartition, check_positive
 
 _NU = Expr.symbol("nu")
 _HALF = Expr.number(Fraction(1, 2))
+_HALF_I_HBAR = _HALF * Expr.i() * HBAR_AS_NU
 
 ENTROPY_TAIL_TOL = 1e-16
 
@@ -146,21 +148,20 @@ def _falling_weight_sum(m: int) -> Expr:
 def _monomial_weight_sum(n: int) -> Expr:
     """<k^n> via the derivative operator D = ((nu^2-1)/2) d/dnu: as
     <k^n> = (2/(nu+1)) D^n (nu+1)/2, <k^(m+1)> = (nu-1) d/dnu ((nu+1)/2 <k^m>)."""
-    moment = Expr.number(1)
-    for _ in range(n):
-        moment = (_NU - 1) * (_HALF * (_NU + 1) * moment).diff("nu")
-    return moment
+    if not n:
+        return Expr.number(1)
+    return (_NU - 1) * (_HALF * (_NU + 1) * _monomial_weight_sum(n - 1)).diff("nu")
 
 
 def _diagonal_average(number_poly: NumberPolynomial, label: str) -> Expr:
-    """Sum a number polynomial against the weights by both routes, which
-    must agree."""
+    """Sum a number polynomial (int or Expr coefficients) against the
+    weights by both routes, which must agree."""
     route_b = sum_of_products(
-        (coeff, _falling_weight_sum(m))
+        (Expr.coerce(coeff), _falling_weight_sum(m))
         for m, coeff in number_poly.falling_coefficients().items()
     )
     route_a = sum_of_products(
-        (coeff, _monomial_weight_sum(n))
+        (Expr.coerce(coeff), _monomial_weight_sum(n))
         for n, coeff in number_poly.monomial_coefficients().items()
     )
     return routes_agree(f"summation routes disagree for {label}", route_b, route_a)
@@ -233,13 +234,10 @@ def _centred_route(a: int, b: int) -> Expr:
 def _wigner_route(a: int, b: int) -> Expr:
     """Gaussian average of the Weyl symbol of q^a p^b,
     sum_j j! C(a,j) C(b,j) (i hbar/2)^j q^(a-j) p^(b-j), with hbar/2 = dQ dP/nu."""
-    half_i_hbar = Expr.i() * Expr.symbol("dQ") * Expr.symbol("dP") / _NU
-    total = Expr()
-    for j, weight in swap_counts(a, b).items():
-        total = total + (
-            Expr.number(weight) * half_i_hbar ** j * moment_gaussian_route(a - j, b - j)
-        )
-    return total
+    symbol = contract({(a, b): Expr.number(1)}, _HALF_I_HBAR)
+    return sum_of_products(
+        (coeff, moment_gaussian_route(*key)) for key, coeff in symbol.items()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -259,10 +257,10 @@ def expectation_quantum(packet: PacketMoments, x: WeylPolynomial) -> Expr:
     """Tr(rho X) in packet symbols: Q, P, dQ, dP and nu (s^2 -> 1/nu applied);
     a constant for a numeric packet."""
     packet.require_quantum()
-    total = Expr()
-    for (a, b), coeff in x.terms():
-        total = total + coeff.substitute({"hbar": HBAR_AS_NU}) * weyl_monomial_expectation(a, b)
-    return packet.specialize(total)
+    return packet.specialize(sum_of_products(
+        (coeff.substitute({"hbar": HBAR_AS_NU}), weyl_monomial_expectation(a, b))
+        for (a, b), coeff in x.terms()
+    ))
 
 
 def expectation_value(packet: PacketMoments, x: WeylPolynomial) -> complex:

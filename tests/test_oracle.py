@@ -125,6 +125,22 @@ def test_cutoff_check_counts_the_dropped_level():
     assert state.trace_deficit <= DEFAULT_TAIL_TOL
 
 
+def test_exact_minimal_packet_with_float_nu_below_one():
+    # exact nu = 1, but the float product in bindings() rounds to 1 - 2^-52
+    from mepack.cli import ORACLE_CHECK_BOUND
+    from mepack.quantum import expectation_value
+
+    pk = PacketMoments(0, 0, Fraction(137, 341), Fraction(53537, 70418), hbar=Fraction(157, 257))
+    assert pk.nu == 1 and pk.bindings()["nu"] < 1
+    state = fock_state(pk, degree=2)
+    assert state.weights[0] == 1 and not state.weights[1:].any()
+    for text in ("q^2", "p^2", "q*p"):
+        op = parse_weyl(text)
+        oracle = fock_expectation(state, op)
+        delta = abs(expectation_value(pk, op) - oracle) / max(abs(oracle), 1.0)
+        assert delta <= ORACLE_CHECK_BOUND, text
+
+
 def test_oversized_cutoff_fails_before_allocating():
     # nu = 1000 needs 13,823 levels, about 3 GB per dense complex matrix
     pk = PacketMoments(0.0, 0.0, 10.0, 50.0, hbar=1.0)

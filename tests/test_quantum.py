@@ -375,6 +375,22 @@ def test_integer_centred_words_match_the_expr_reference():
         y_word = y_word * y
 
 
+def test_centred_check_route_stays_in_int():
+    # the diagonal part of an integer word and both Stirling conversions
+    # keep int coefficients; Expr first appears in _diagonal_average
+    import mepack.quantum as quantum
+    from mepack.algebra.ladder import diagonal_part
+
+    for j in range(11):
+        for k in range(11 - j):
+            number_poly = diagonal_part(quantum._centred_word(j, k))
+            coeffs = [
+                *number_poly.falling_coefficients().values(),
+                *number_poly.monomial_coefficients().values(),
+            ]
+            assert all(type(c) is int for c in coeffs), (j, k)
+
+
 def test_cold_moment_makes_few_expr_products(monkeypatch):
     # perf guard: with every moment cache cleared, <q^7 p^7> took 5214
     # Expr products when the centred words carried Expr coefficients and

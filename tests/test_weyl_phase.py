@@ -1,5 +1,7 @@
 """Commutative Poisson layer and the noncommutative Weyl algebra."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +20,7 @@ from mepack.algebra import (
     parse_weyl,
     poisson_bracket,
 )
-from mepack.algebra.words import swap_counts
+from mepack.algebra.words import contract, swap_counts
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,34 @@ def test_products_match_word_enumeration():
                 product = cls({(0, b): 1}) * cls({(a, 0): 1})
                 expected = cls({(a - j, b - j): c ** j * n for j, n in counts.items()})
                 assert product == expected, (cls.__name__, a, b)
+
+
+def test_weyl_symbol_is_the_symmetric_ordering():
+    # McCoy: the operator with symbol q^a p^b is the mean of the C(a+b, a)
+    # distinct words with a q's and b p's, which fixes the sign of -i hbar/2
+    for n in range(7):
+        for a in range(n + 1):
+            total = WeylPolynomial()
+            for places in itertools.combinations(range(n), a):
+                word = ("q" if i in places else "p" for i in range(n))
+                total = total + WeylPolynomial.from_word(word)
+            symmetric = total.map_coefficients(lambda c: c / math.comb(n, a))
+            operator = WeylPolynomial.from_symbol(PhasePolynomial({(a, n - a): 1}))
+            assert operator == symmetric, (a, n - a)
+
+
+_monomial_terms = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.fractions(max_denominator=6).filter(bool).map(Expr.number),
+    max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_monomial_terms, st.fractions(max_denominator=6).filter(bool))
+def test_contracting_with_minus_c_undoes_c(terms, x):
+    c = Expr.number(x) * Expr.i() * Expr.symbol("hbar")
+    assert contract(contract(terms, c), -c) == terms
 
 
 def test_normal_ordering_idempotent():
