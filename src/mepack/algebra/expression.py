@@ -13,6 +13,9 @@ formulas in this package ever need.
 The auxiliary symbol `s` stands for 1/sqrt(nu) and carries the enforced
 rewrite s^2 -> 1/nu, applied during monomial normalization, so canonical
 monomials have s-exponent 0 or 1.
+
+`-`, `/`, `**` and immutability come from `ring.ExactRing`; only a monomial
+has an inverse, and a one-term power scales its exponents directly.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
+from .ring import ExactRing
 from .scalar import Scalar, ZERO, ONE
 
 # fixed symbol universe; V<k> coefficients are matched by pattern
@@ -94,7 +98,7 @@ def _mono_sort_key(mono: Mono):
     return (-_mono_degree(mono), tuple((_symbol_rank(s), -e) for s, e in mono))
 
 
-class Expr:
+class Expr(ExactRing):
     """Immutable exact expression; arithmetic returns canonical forms."""
 
     __slots__ = ("_terms",)
@@ -102,9 +106,6 @@ class Expr:
     def __init__(self, terms: Mapping[Mono, Scalar] = ()):
         cleaned = {m: c for m, c in dict(terms).items() if not c.is_zero()}
         object.__setattr__(self, "_terms", cleaned)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Expr is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -143,9 +144,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __bool__(self):
-        return bool(self._terms)
-
     def is_constant(self) -> bool:
         return all(m == () for m in self._terms)
 
@@ -180,14 +178,6 @@ class Expr:
     def __neg__(self):
         return Expr({m: -c for m, c in self._terms.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, (Expr,) + Expr._COERCIBLE):
-            return NotImplemented
-        return self + (-Expr.coerce(other))
-
-    def __rsub__(self, other):
-        return Expr.coerce(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, (Expr,) + Expr._COERCIBLE):
             return NotImplemented
@@ -203,33 +193,14 @@ class Expr:
         inv = _normalize_powers({sym: -exp for sym, exp in mono})
         return Expr({inv: coeff.inverse()})
 
-    def __truediv__(self, other):
-        if not isinstance(other, (Expr,) + Expr._COERCIBLE):
-            return NotImplemented
-        return self * Expr.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return Expr.coerce(other) * self.inverse()
-
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            raise TypeError("Expr exponent must be an int")
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        if len(self._terms) == 1:
+        if len(self._terms) == 1 and isinstance(exponent, int):
             # one term: scale the exponents (s^2 -> 1/nu applies) and
             # raise the coefficient
             (mono, coeff), = self._terms.items()
             powers = {sym: exp * exponent for sym, exp in mono}
             return Expr({_normalize_powers(powers): coeff ** exponent})
-        out, square = Expr.number(1), self
-        while exponent:
-            if exponent & 1:
-                out = out * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return out
+        return super().__pow__(exponent)
 
     # -- calculus / rewriting ---------------------------------------------------
 

@@ -43,11 +43,6 @@ class LadderPolynomial(OrderedPolynomial):
     def raise_(cls, exponent: int = 1) -> "LadderPolynomial":
         return cls({(exponent, 0): Expr.number(1)})
 
-    def adjoint(self) -> "LadderPolynomial":
-        return LadderPolynomial(
-            {(n, m): c.conjugate() for (m, n), c in self._terms.items()}
-        )
-
 
 def ladder_q() -> LadderPolynomial:
     """Position operator image: Q + dQ*s*(A + Ad)."""
@@ -65,15 +60,9 @@ def ladder_p() -> LadderPolynomial:
     )
 
 
-def to_ladder(x: WeylPolynomial, packet=None) -> LadderPolynomial:
-    """Rewrite a Weyl polynomial on the packet-adapted ladder operators.
-
-    `packet` is only consulted for its validity (numeric packets must have
-    nu > 1); the substitution itself is purely symbolic, as are the
-    returned coefficients.
-    """
-    if packet is not None:
-        packet.require_quantum(strict=True)
+def to_ladder(x: WeylPolynomial) -> LadderPolynomial:
+    """Rewrite a Weyl polynomial on the packet-adapted ladder operators;
+    the substitution is purely symbolic, as are the returned coefficients."""
     lq, lp = ladder_q(), ladder_p()
     out = LadderPolynomial()
     # cache powers; typical inputs reuse many exponents

@@ -72,9 +72,6 @@ class NumberPolynomial:
     def is_zero(self) -> bool:
         return not self._falling
 
-    def degree(self) -> int:
-        return max(self._falling, default=0)
-
     def evaluate_at(self, k: int, bindings: Mapping[str, complex] = ()) -> complex:
         total = 0j
         for m, c in self._falling.items():

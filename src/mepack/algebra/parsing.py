@@ -12,9 +12,11 @@ keep their written order.  Example: `(3/2)*V3*q^2*p + i*hbar*q`.
 
 The parser evaluates as it reads, in the target algebra: a scalar
 sub-expression is an `Expr`, an operator letter is the degree-1 monomial of
-the target `OrderedPolynomial` class, and `+ - * ^` are that ring's own
-operations, so `(q+p)^n` costs n ring products.  Divisors and bases of
-negative powers must be nonzero scalar monomials.
+the target `OrderedPolynomial` class, and `+ - * / ^` are that ring's own
+operations, so `(q+p)^n` costs O(log n) ring products.  Divisors and bases
+of negative powers must be nonzero scalar monomials (`q*p - p*q` counts);
+the ring's `inverse()` decides, and a ZeroDivisionError becomes a
+ParseError.
 """
 
 from __future__ import annotations
@@ -139,16 +141,12 @@ def _tokenize(text: str) -> List[str]:
     return tokens
 
 
-def _inverse(value, message: str) -> Expr:
-    """Inverse of a value equal to a nonzero scalar monomial (`q^0` and
-    `q*p - p*q` count); anything else is a ParseError."""
-    if not isinstance(value, Expr):
-        if any(key != (0, 0) for key, _ in value.terms()):
-            raise ParseError(message)
-        value = value.coefficient(0, 0)
-    if not value.is_monomial():
-        raise ParseError(message)
-    return value.inverse()
+def _inverse(value, message: str):
+    """The ring's inverse of `value`; a value with none is a ParseError."""
+    try:
+        return value.inverse()
+    except ZeroDivisionError:
+        raise ParseError(message) from None
 
 
 class _Parser:

@@ -3,7 +3,8 @@
 Coefficient field for the whole symbolic layer: a + b*i with a, b
 arbitrary-precision rationals.  No floating point arithmetic happens here;
 floats entering from user input are converted exactly (every float is a
-dyadic rational).
+dyadic rational).  `-`, `/`, `**` and immutability come from
+`ring.ExactRing`; a real power raises the `Fraction` directly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import numbers
 import sys
 from fractions import Fraction
+
+from .ring import ExactRing
 
 
 def _to_fraction(x) -> Fraction:
@@ -23,7 +26,7 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-class Scalar:
+class Scalar(ExactRing):
     """Immutable exact complex number with rational parts."""
 
     __slots__ = ("re", "im")
@@ -31,9 +34,6 @@ class Scalar:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _to_fraction(re))
         object.__setattr__(self, "im", _to_fraction(im))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Scalar is immutable")
 
     @classmethod
     def coerce(cls, value) -> "Scalar":
@@ -56,12 +56,6 @@ class Scalar:
     def __neg__(self):
         return Scalar(-self.re, -self.im)
 
-    def __sub__(self, other):
-        return self + (-Scalar.coerce(other))
-
-    def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
-
     def __mul__(self, other):
         other = Scalar.coerce(other)
         if not (self.im or other.im):  # real: one product, not four
@@ -79,22 +73,10 @@ class Scalar:
             raise ZeroDivisionError("inverse of zero Scalar")
         return Scalar(self.re / n, -self.im / n)
 
-    def __truediv__(self, other):
-        return self * Scalar.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return Scalar.coerce(other) * self.inverse()
-
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            raise TypeError("Scalar exponent must be an int")
-        if self.im == 0:
+        if self.im == 0 and isinstance(exponent, int):  # real: raise the Fraction
             return Scalar(self.re ** exponent)
-        base = self if exponent >= 0 else self.inverse()
-        out = Scalar(1)
-        for _ in range(abs(exponent)):
-            out = out * base
-        return out
+        return super().__pow__(exponent)
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
@@ -103,9 +85,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def is_real(self) -> bool:
         return self.im == 0

@@ -27,7 +27,10 @@ adjoint), and maps Weyl symbols to q-left operators (c = -i*hbar/2) and back.
 contraction c as `CONTRACTION` (None for the commutative case, which keeps
 only j = 0), its two letters as `LETTERS`, and the coercion into its
 coefficient ring as `COEFFICIENT` (`Expr` by default; the moment engine's
-centred ladder words use plain `int`).
+centred ladder words use plain `int`).  `-`, `**` and immutability come
+from `ring.ExactRing`; the only invertible polynomials are the nonzero
+scalars c X^0 Y^0 with an invertible coefficient, so `/` divides by those
+and a negative power of anything else raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from functools import lru_cache
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from .expression import Expr, _accumulate
+from .ring import ExactRing
 
 Key = Tuple[int, int]  # exponents of X^a Y^b
 
@@ -67,7 +71,7 @@ def contract(terms: Mapping[Key, Any], c) -> Dict[Key, Any]:
     return out
 
 
-class OrderedPolynomial:
+class OrderedPolynomial(ExactRing):
     """Immutable map (a, b) -> coefficient for the monomials X^a Y^b."""
 
     __slots__ = ("_terms",)
@@ -83,9 +87,6 @@ class OrderedPolynomial:
             if coeff:
                 cleaned[key] = coeff
         object.__setattr__(self, "_terms", cleaned)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ----------------------------------------------------------
 
@@ -139,12 +140,6 @@ class OrderedPolynomial:
     def __neg__(self):
         return type(self)({k: -c for k, c in self._terms.items()})
 
-    def __sub__(self, other):
-        return self + (-self.coerce(other))
-
-    def __rsub__(self, other):
-        return self.coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self.coerce(other)
         contraction = self.CONTRACTION
@@ -165,11 +160,12 @@ class OrderedPolynomial:
     def __rmul__(self, other):
         return self.coerce(other) * self
 
-    def __pow__(self, n: int):
-        out = self.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+    def inverse(self):
+        """Inverse of a nonzero scalar c X^0 Y^0 (`q^0` and `q*p - p*q`
+        count) whose coefficient has one; other polynomials have none."""
+        if any(key != (0, 0) for key in self._terms):
+            raise ZeroDivisionError(f"not an invertible scalar: {self}")
+        return self.constant(self.coefficient(0, 0).inverse())
 
     def map_coefficients(self, fn):
         return type(self)({k: fn(c) for k, c in self._terms.items()})

@@ -335,26 +335,24 @@ class OutputBundle:
 # ---------------------------------------------------------------------------
 
 
-def _parse_operator(text: str, bindings: Optional[dict] = None):
-    """Parse one expression; with `bindings`, every coefficient symbol must
-    have a value there."""
+def _parse_operator(text: str, bindings: dict):
+    """Parse one expression; every coefficient symbol must have a value in
+    `bindings`."""
     try:
         op = parse_weyl(text)
     except ParseError as exc:
         raise ValidationError(str(exc), f"expression {text!r}")
-    if bindings is not None:
-        unbound = set().union(*(c.symbols() for _, c in op.terms())) - bindings.keys()
-        if unbound:
-            raise ValidationError(
-                f"symbol {min(unbound)!r} has no value for a numeric packet",
-                f"expression {text!r}",
-            )
+    unbound = set().union(*(c.symbols() for _, c in op.terms())) - bindings.keys()
+    if unbound:
+        raise ValidationError(
+            f"symbol {min(unbound)!r} has no value for a numeric packet",
+            f"expression {text!r}",
+        )
     return op
 
 
 def run_moments(scenario: Scenario, out: OutputBundle):
-    numeric = not scenario.packet.is_symbolic
-    bindings = scenario.packet.bindings() if numeric else None
+    bindings = scenario.packet.bindings()
     sym = PacketMoments.symbolic()
     rows, csv_rows = [], []
     out.say("expectation values of operator polynomials")
@@ -369,24 +367,16 @@ def run_moments(scenario: Scenario, out: OutputBundle):
         out.say(f"  <{text}>")
         out.say(f"    classical: {classical_str}")
         out.say(f"    quantum:   {quantum_str}")
-        row = {"expr": text, "classical": classical_str, "quantum": quantum_str}
-        csv_row = [text, classical_str, quantum_str]
-        if numeric:  # exact at the packet's values, then rounded once
-            qv = scenario.packet.specialize(quantum).evaluate(bindings)
-            cv = scenario.packet.specialize(classical).evaluate(bindings)
-            row.update(
-                classical_value=cv.real,
-                quantum_value_re=qv.real,
-                quantum_value_im=qv.imag,
-            )
-            csv_row += [cv.real, qv.real, qv.imag]
-            out.say(f"    numeric:   classical {_fmt(cv.real)}, quantum "
-                    f"{_fmt(qv.real)} + {_fmt(qv.imag)}*i")
-        rows.append(row)
-        csv_rows.append(csv_row)
-    header = "expr,classical,quantum" + (
-        ",classical_value,quantum_value_re,quantum_value_im" if numeric else ""
-    )
+        # exact at the packet's values, then rounded once
+        qv = scenario.packet.specialize(quantum).evaluate(bindings)
+        cv = scenario.packet.specialize(classical).evaluate(bindings)
+        out.say(f"    numeric:   classical {_fmt(cv.real)}, quantum "
+                f"{_fmt(qv.real)} + {_fmt(qv.imag)}*i")
+        rows.append({"expr": text, "classical": classical_str, "quantum": quantum_str,
+                     "classical_value": cv.real, "quantum_value_re": qv.real,
+                     "quantum_value_im": qv.imag})
+        csv_rows.append([text, classical_str, quantum_str, cv.real, qv.real, qv.imag])
+    header = "expr,classical,quantum,classical_value,quantum_value_re,quantum_value_im"
     out.add_csv("moments.csv", header, csv_rows)
     out.json_payload = {"mode": "moments", "rows": rows}
     out.footer["provenance"] = "symbolic-exact"
@@ -516,8 +506,6 @@ ORACLE_CHECK_BOUND = 1e-8
 
 def run_oracle_check(scenario: Scenario, out: OutputBundle):
     packet = scenario.packet
-    if packet.is_symbolic:
-        raise ValidationError("oracle-check needs a numeric packet", "packet")
     bindings = packet.bindings()
     operators = [(text, _parse_operator(text, bindings)) for text in scenario.expressions]
     degree = max(op.degree() for _, op in operators)

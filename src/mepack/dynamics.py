@@ -84,6 +84,8 @@ class PolynomialPotential:
         return max((k for k, c in enumerate(self.coefficients) if c), default=0)
 
     def coefficient(self, k: int) -> float:
+        if k < 0:
+            raise DomainError(f"potential coefficient index must be >= 0, got {k}")
         if k >= len(self.coefficients):
             return 0.0
         return _number(self.coefficients[k], "coefficient")
@@ -124,10 +126,6 @@ class DerivativeTable:
     potential: PolynomialPotential
     q: Tuple
     p: Tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.p)
 
 
 def _classical_step(h):

@@ -219,8 +219,11 @@ def fock_evolve(
     eigendecomposition is kept on the state, so later times under the same
     potential reuse it.  The weight that reaches the top `LEAK_BAND` levels,
     sum_k w_k |V_ik|^2, estimates truncation leakage; exceeding `leak_tol`
-    raises HorizonError.
+    (or a NaN leakage) raises HorizonError.  A non-finite `t` raises
+    DomainError before any numeric work.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"evolution time must be finite, got t = {t}")
     import numpy as np
 
     key = (potential.mass_value(),
@@ -232,7 +235,7 @@ def fock_evolve(
     u = (e * np.exp(-1j * h * float(t) / state.hbar)) @ e.conj().T
     vectors = u if state.vectors is None else u @ state.vectors
     leakage = float(np.sum(np.abs(vectors[-LEAK_BAND:]) ** 2 @ state.weights))
-    if leakage > leak_tol:
+    if not leakage <= leak_tol:  # NaN counts as over
         raise HorizonError(
             f"truncation leakage {leakage:.3e} > {leak_tol:.1e} at t = {t}; "
             "raise the cutoff or shorten the horizon"

@@ -9,11 +9,13 @@ The uncertainty ratio nu = 2*dQ*dP/hbar measures the phase-space area of
 the packet in units of hbar/2; nu = 1 is the quantum minimum.  An unset
 hbar is `DEFAULT_HBAR`.
 
-The engine computes every average in packet symbols.  A numeric packet's
-values enter an exact result in one place, `PacketMoments.specialize`,
-which substitutes Q, P, dQ, dP and the exact `nu` (floats as the dyadic
-rationals they are); symbolic packets leave the expression as it is.  The
-float route is `bindings()`, the values that `Expr.evaluate` reads.
+The engine computes every average in packet symbols.  A packet's values
+enter an exact result in one place, `PacketMoments.specialize`, which
+substitutes every field that is not its own bare symbol (floats as the
+dyadic rationals they are), and the exact `nu` once dQ and dP are numbers;
+so a mixed packet keeps its numbers, and `PacketMoments.symbolic()` leaves
+the expression as it is.  The float route is `bindings()`, the values that
+`Expr.evaluate` reads.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ FieldValue = Union[Number, Expr]
 
 DEFAULT_HBAR = 1
 
+_FIELDS = ("Q", "P", "dQ", "dP")
+_BARE = {name: Expr.symbol(name) for name in _FIELDS}
+
 
 def _numeric(value: FieldValue) -> Optional[float]:
+    """The float of a number field (`__post_init__` refuses non-real
+    constants); None for a symbolic one."""
     if isinstance(value, Expr):
-        if value.is_constant():
-            c = value.constant_value()
-            return float(c.re) if c.is_real() else None
-        return None
+        return float(value.constant_value().re) if value.is_constant() else None
     return float(value)
 
 
@@ -54,6 +58,9 @@ class PacketMoments:
             value = getattr(self, name)  # exact values are always finite
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
+            if isinstance(value, complex) or (isinstance(value, Expr) and value.is_constant()
+                                              and not value.constant_value().is_real()):
+                raise DomainError(f"{name} must be real, got {value}")
         for name in ("dQ", "dP"):
             value = _numeric(getattr(self, name))
             if value is not None and value <= 0:
@@ -63,66 +70,65 @@ class PacketMoments:
 
     @classmethod
     def symbolic(cls) -> "PacketMoments":
-        return cls(
-            Expr.symbol("Q"), Expr.symbol("P"), Expr.symbol("dQ"), Expr.symbol("dP")
-        )
+        return cls(*_BARE.values())
 
     @property
     def is_symbolic(self) -> bool:
-        return any(
-            _numeric(getattr(self, name)) is None for name in ("Q", "P", "dQ", "dP")
-        )
+        return any(_numeric(getattr(self, name)) is None for name in _FIELDS)
 
     # -- derived quantities ---------------------------------------------------
 
     @property
     def nu(self) -> FieldValue:
-        """Uncertainty ratio 2*dQ*dP/hbar; an exact rational for a numeric packet."""
-        if self.is_symbolic:
+        """Uncertainty ratio 2*dQ*dP/hbar: an exact rational once dQ and dP
+        are numbers, else the symbol nu."""
+        if _numeric(self.dQ) is None or _numeric(self.dP) is None:
             return Expr.symbol("nu")
         hbar = self.hbar if self.hbar is not None else DEFAULT_HBAR
         dQ, dP = (Expr.coerce(v).constant_value().re for v in (self.dQ, self.dP))
         return 2 * dQ * dP / Fraction(hbar)
 
     def nu_value(self) -> float:
-        if self.is_symbolic:
-            raise DomainError("symbolic packet has no numeric uncertainty ratio")
-        return float(self.nu)
+        nu = self.nu
+        if isinstance(nu, Expr):
+            raise DomainError("symbolic dQ or dP gives no numeric uncertainty ratio")
+        return float(nu)
+
+    def _float_nu(self) -> float:
+        """nu from the float fields, as `bindings()` gives it."""
+        hbar = float(self.hbar if self.hbar is not None else DEFAULT_HBAR)
+        return 2.0 * _numeric(self.dQ) * _numeric(self.dP) / hbar
 
     def specialize(self, expr: Expr) -> Expr:
-        """Substitute a numeric packet's Q, P, dQ, dP and nu exactly;
-        symbolic packets leave the expression as it is."""
-        if self.is_symbolic:
-            return expr
-        values = {name: getattr(self, name) for name in ("Q", "P", "dQ", "dP")}
-        values["nu"] = self.nu
-        return expr.substitute(values)
+        """Substitute every field that is not its own bare symbol, and the
+        exact nu once dQ and dP are numbers; `symbolic()` leaves the
+        expression as it is."""
+        values = {name: getattr(self, name) for name in _FIELDS
+                  if _BARE[name] != getattr(self, name)}
+        nu = self.nu
+        if not isinstance(nu, Expr):
+            values["nu"] = nu
+        return expr.substitute(values) if values else expr
 
     def bindings(self) -> dict:
         """Numeric bindings for Expr.evaluate; symbolic packets refuse."""
         if self.is_symbolic:
             raise DomainError("symbolic packet cannot be bound numerically")
-        hbar = float(self.hbar if self.hbar is not None else DEFAULT_HBAR)
-        out = {
-            "Q": _numeric(self.Q),
-            "P": _numeric(self.P),
-            "dQ": _numeric(self.dQ),
-            "dP": _numeric(self.dP),
-            "hbar": hbar,
-            "pi": math.pi,
-        }
-        out["nu"] = 2.0 * out["dQ"] * out["dP"] / hbar
+        out = {name: _numeric(getattr(self, name)) for name in _FIELDS}
+        out["hbar"] = float(self.hbar if self.hbar is not None else DEFAULT_HBAR)
+        out["pi"] = math.pi
+        out["nu"] = self._float_nu()
         out["Lnu"] = (
             math.log((out["nu"] + 1.0) / (out["nu"] - 1.0)) if out["nu"] > 1 else math.inf
         )
         return out
 
     def require_quantum(self, strict: bool = False):
-        """Enforce nu >= 1 (or > 1) for numeric packets on the exact `nu`;
-        symbolic ones pass."""
-        if self.is_symbolic:
-            return
+        """Enforce nu >= 1 (or > 1) on the exact `nu` once dQ and dP are
+        numbers; a symbolic nu passes."""
         nu = self.nu
+        if isinstance(nu, Expr):
+            return
         if nu < 1:
             shown = float(nu) if float(nu) < 1 else f"1 - {float(1 - nu):.3g}"
             raise DomainError(
@@ -130,7 +136,7 @@ class PacketMoments:
             )
         # the multipliers are evaluated on the float nu of bindings(), which
         # can round an exact nu just above 1 down to 1.0, where Lnu is inf
-        if strict and (nu == 1 or self.bindings()["nu"] <= 1):
+        if strict and (nu == 1 or self._float_nu() <= 1):
             raise PureStateLimitError(
                 "nu = 1 packet (exactly, or as the float nu) is the pure Gaussian "
                 "state; multipliers diverge there"

@@ -479,9 +479,27 @@ def test_output_formats_filter(tmp_path):
     assert (tmp_path / "out" / "trajectory.csv").exists()
     assert not (tmp_path / "out" / "results.json").exists()
     assert not (tmp_path / "out" / "report.txt").exists()
+    only_json = write_scenario(tmp_path, name="json.json",
+                               output={"dir": str(tmp_path / "out_json"), "formats": ["json"]})
+    assert main(["run", str(only_json)]) == 0
+    assert [p.name for p in (tmp_path / "out_json").iterdir()] == ["results.json"]
     bad = write_scenario(tmp_path, name="bad_fmt.json",
                          output={"dir": str(tmp_path / "out2"), "formats": ["xml"]})
     assert main(["run", str(bad)]) == 2
+
+
+def test_times_grid_matches_the_plain_list(tmp_path):
+    times = [0, 0.1, 0.35, 1]
+    payloads = []
+    for name, grid in (("list", times), ("times", {"times": times})):
+        out = tmp_path / name
+        path = write_scenario(tmp_path, name=f"{name}.json", output={"dir": str(out)},
+                              potential={"m": 1, "V": [0, 0, 1, 0.2]},
+                              run={"mode": "evolve", "grid": grid, "order": 3})
+        assert main(["run", str(path)]) == 0
+        payloads.append((out / "trajectory.csv").read_bytes())
+    assert payloads[0] == payloads[1]
+    assert len(payloads[0].splitlines()) == 1 + len(times)
 
 
 def test_moments_csv_emitted(tmp_path):

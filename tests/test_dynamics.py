@@ -618,6 +618,19 @@ def test_propagate_grid_validation(numeric_packet):
         propagate(numeric_packet, pot, [0.0, 0.1], order=4, mode="leapfrog")
 
 
+def test_taylor_moments_that_lose_positivity_are_refused():
+    packet = PacketMoments(0, 0, 1, 0.5, hbar=1)
+    with pytest.raises(DomainError, match="lost positivity"):
+        propagate(packet, PolynomialPotential(1, (0, 0, 1)), [0, 2], order=2, kind="quantum")
+
+
+def test_negative_potential_coefficient_index_is_refused():
+    pot = PolynomialPotential(1, (0, 0, 5))
+    assert pot.coefficient(2) == 5.0 and pot.coefficient(3) == 0.0
+    with pytest.raises(DomainError, match="index"):
+        pot.coefficient(-1)
+
+
 def test_taylor_matches_quadratic_closed_form():
     pk = PacketMoments(1.0, 0.0, 1.0, 0.5, hbar=1.0)
     pot = PolynomialPotential(1.0, (0.0, 0.3, 1.0))

@@ -18,8 +18,6 @@ from mepack.algebra import (
     to_ladder,
 )
 from mepack.algebra.numberpoly import stirling_first_signed, stirling_second
-from mepack.errors import DomainError, PureStateLimitError
-from mepack.packets import PacketMoments
 
 
 def test_defining_relation():
@@ -60,16 +58,6 @@ def test_to_ladder_is_homomorphism():
         x = WeylPolynomial({(a, b): Expr.number(1), (0, c): Expr.number(Fraction(1, 2))})
         y = WeylPolynomial({(b, a): Expr.number(-2)})
         assert to_ladder(x * y) == to_ladder(x) * to_ladder(y)
-
-
-def test_to_ladder_rejects_sub_minimal_packet():
-    with pytest.raises(DomainError):
-        to_ladder(WeylPolynomial.q(), PacketMoments(0, 0, 0.5, 0.5, hbar=1.0))
-    with pytest.raises(PureStateLimitError):
-        to_ladder(WeylPolynomial.q(), PacketMoments(0, 0, 1.0, 0.5, hbar=1.0))
-    # symbolic and genuinely mixed packets pass
-    to_ladder(WeylPolynomial.q(), PacketMoments.symbolic())
-    to_ladder(WeylPolynomial.q(), PacketMoments(0, 0, 1.0, 1.0, hbar=1.0))
 
 
 def test_diagonal_part_examples():

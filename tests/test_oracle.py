@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,19 @@ def test_horizon_error_on_leakage():
     pot = PolynomialPotential(1.0, (0.0,))  # free spreading fills the basis
     with pytest.raises(HorizonError):
         fock_evolve(st, pot, 40.0, leak_tol=1e-10)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_refused_before_evolving(state, t):
+    pot = PolynomialPotential(1.0, (0.0, 0.0, 1.0))
+    with pytest.raises(DomainError, match="must be finite"):
+        fock_evolve(state, pot, t)
+
+
+def test_nan_leakage_counts_as_over_tolerance(state):
+    poisoned = replace(state, weights=np.full_like(state.weights, np.nan))
+    with pytest.raises(HorizonError, match="leakage nan"):
+        fock_evolve(poisoned, PolynomialPotential(1.0, (0.0, 0.0, 1.0)), 0.5)
 
 
 QUARTIC = PolynomialPotential(1.0, (0.0, 0.3, 1.0, -0.4, 0.8))

@@ -431,6 +431,38 @@ def test_expectation_value_is_exact_far_from_the_origin(centre):
     assert expectation_value(packet, parse_weyl("(q-Q)^4")) == 3
 
 
+def test_mixed_packet_with_symbolic_spread_keeps_its_numbers():
+    packet = PacketMoments(1, 0, Expr.symbol("dQ"), 1)
+    assert expectation_quantum(packet, parse_weyl("q^2")) == 1 + Expr.symbol("dQ") ** 2
+    assert packet.nu == Expr.symbol("nu")
+
+
+def test_mixed_packet_with_numeric_spreads_substitutes_nu_and_checks_it():
+    packet = PacketMoments(Expr.symbol("Q") + 1, 0, 2, 1)
+    assert packet.nu == 4 and packet.nu_value() == 4.0
+    assert expectation_quantum(packet, parse_weyl("q")) == Expr.symbol("Q") + 1
+    assert expectation_quantum(packet, parse_weyl("q^2")) == (Expr.symbol("Q") + 1) ** 2 + 4
+    assert expectation_quantum(packet, parse_weyl("p*q")) == -Expr.i() / 2  # -i hbar/2
+    below = PacketMoments(Expr.symbol("Q"), 0, Fraction(1, 4), 1)
+    with pytest.raises(DomainError, match="violates the bound"):
+        expectation_quantum(below, parse_weyl("q"))
+    with pytest.raises(PureStateLimitError):
+        solve_multipliers_quantum(PacketMoments(Expr.symbol("Q"), 0, Fraction(1, 2), 1))
+
+
+@pytest.mark.parametrize("value", [Expr.number(1 + 2j), 1 + 2j])
+@pytest.mark.parametrize("field", ["Q", "P", "dQ", "dP"])
+def test_non_real_constant_packet_field_is_refused(field, value):
+    values = {"Q": 0, "P": 0, "dQ": 1, "dP": 1, field: value}
+    with pytest.raises(DomainError, match=f"{field} must be real"):
+        PacketMoments(**values)
+
+
+def test_symbolic_packet_specializes_to_the_same_object():
+    x = expectation_quantum(PacketMoments.symbolic(), parse_weyl("q^2*p"))
+    assert PacketMoments.symbolic().specialize(x) is x
+
+
 def _random_float_packets(count, seed=1):
     rng = random.Random(seed)
     while count:
