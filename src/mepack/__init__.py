@@ -73,7 +73,6 @@ from .oracle import (
     fock_evolve,
     fock_expectation,
     fock_state,
-    gaussian_moment_mc,
     gaussian_moment_numeric,
     state_entropy,
     state_moments,

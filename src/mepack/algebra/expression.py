@@ -281,8 +281,11 @@ class Expr(ExactRing):
     # -- comparisons ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, float, Fraction, complex, Scalar, Expr)):
-            return self._terms == Expr.coerce(other)._terms
+        if isinstance(other, Expr):
+            return self._terms == other._terms
+        if isinstance(other, (int, float, Fraction, complex, Scalar)):
+            # Scalar's equality is false for nan and infinities
+            return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):

@@ -35,14 +35,6 @@ class LadderPolynomial(OrderedPolynomial):
     __mul__ = OrderedPolynomial.__mul__
     __rmul__ = OrderedPolynomial.__rmul__
 
-    @classmethod
-    def lower(cls, exponent: int = 1) -> "LadderPolynomial":
-        return cls({(0, exponent): Expr.number(1)})
-
-    @classmethod
-    def raise_(cls, exponent: int = 1) -> "LadderPolynomial":
-        return cls({(exponent, 0): Expr.number(1)})
-
 
 def ladder_q() -> LadderPolynomial:
     """Position operator image: Q + dQ*s*(A + Ad)."""

@@ -9,6 +9,7 @@ dyadic rational).  `-`, `/`, `**` and immutability come from
 
 from __future__ import annotations
 
+import cmath
 import numbers
 import sys
 from fractions import Fraction
@@ -93,10 +94,14 @@ class Scalar(ExactRing):
         return complex(self.re) + 1j * complex(self.im)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float, complex, Scalar)):
+        if not isinstance(other, Scalar):
+            if isinstance(other, (float, complex)):
+                if not cmath.isfinite(other):
+                    return False  # an exact value is never nan or infinite
+            elif not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.coerce(other)
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         # CPython's complex hash, hash(re) + hash_info.imag * hash(im) as a

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .algebra.expression import Expr, sum_of_products
 from .algebra.phase import PhasePolynomial
@@ -67,35 +67,20 @@ def partition_classical(mult: ClassicalMultipliers) -> GaussianPartition:
     )
 
 
-def density_at(
-    packet: Union[PacketMoments, Sequence[PacketMoments]],
-    q: Union[float, Sequence[float]],
-    p: Union[float, Sequence[float]],
-    v: float,
-) -> float:
-    """Phase-space density of the packet; the several-degrees-of-freedom
-    version is the product over independent factors."""
+def density_at(packet: PacketMoments, q: float, p: float, v: float) -> float:
+    """Phase-space density of the packet at (q, p), for reference volume v."""
     if v <= 0:
         raise DomainError(f"reference volume must be positive, got {v}")
-    if isinstance(packet, PacketMoments):
-        packets, qs, ps = [packet], [float(q)], [float(p)]
-    else:
-        packets, qs, ps = list(packet), list(q), list(p)
-        if not (len(packets) == len(qs) == len(ps)):
-            raise DomainError("packet/coordinate lists must have matching lengths")
-    density = 1.0
-    for pk, qi, pi_ in zip(packets, qs, ps):
-        b = pk.bindings()
-        dq, dp = b["dQ"], b["dP"]
-        density *= (
-            v
-            / (2.0 * math.pi * dq * dp)
-            * math.exp(
-                -((qi - b["Q"]) ** 2) / (2.0 * dq * dq)
-                - ((pi_ - b["P"]) ** 2) / (2.0 * dp * dp)
-            )
+    b = packet.bindings()
+    dq, dp = b["dQ"], b["dP"]
+    return (
+        v
+        / (2.0 * math.pi * dq * dp)
+        * math.exp(
+            -((q - b["Q"]) ** 2) / (2.0 * dq * dq)
+            - ((p - b["P"]) ** 2) / (2.0 * dp * dp)
         )
-    return density
+    )
 
 
 def _double_factorial(n: int) -> int:

@@ -123,7 +123,6 @@ class DerivativeTable:
     """d^n q/dt^n and d^n p/dt^n at t = 0, n = 1..order."""
 
     kind: str  # "classical" | "quantum"
-    potential: PolynomialPotential
     q: Tuple
     p: Tuple
 
@@ -198,7 +197,7 @@ def _derivative_table(potential: PolynomialPotential, order: int, kind: str, con
     ps = _chain(_chains(potential, _moyal_step, _classical_step)[kind], "p", order)
     inv_m = potential.mass.inverse()
     qs = [x.map_coefficients(lambda c: c * inv_m) for x in ps[:-1]]
-    return DerivativeTable(kind, potential, tuple(map(convert, qs)), tuple(map(convert, ps[1:])))
+    return DerivativeTable(kind, tuple(map(convert, qs)), tuple(map(convert, ps[1:])))
 
 
 def derivatives_classical(potential: PolynomialPotential, order: int) -> DerivativeTable:
@@ -263,14 +262,11 @@ def averaged_p_derivatives(potential: PolynomialPotential, order: int) -> Tuple[
     return _average("quantum", sym, quantum), _average("classical", sym, classical)
 
 
-def quantum_correction(
-    potential: PolynomialPotential, order: int, packet: Optional[PacketMoments] = None
-) -> Expr:
+def quantum_correction(potential: PolynomialPotential, order: int) -> Expr:
     """Quantum minus classical averaged d^order P/dt^order, as a polynomial
-    in 1/nu."""
+    in 1/nu; `PacketMoments.specialize` puts in a numeric packet."""
     quantum, classical = averaged_p_derivatives(potential, order)
-    correction = quantum - classical
-    return correction if packet is None else packet.specialize(correction)
+    return quantum - classical
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +285,6 @@ class QuadraticFlow:
     g1: float
     g2: float
     branch: str  # "oscillatory" | "uniform" | "hyperbolic"
-
-    @property
-    def bounded(self) -> bool:
-        return self.branch == "oscillatory"
 
 
 def quadratic_flow(potential: PolynomialPotential, t: float) -> QuadraticFlow:

@@ -43,11 +43,6 @@ DEFAULT_TAIL_TOL = 1e-12
 # top levels whose weight fock_evolve reports as truncation leakage
 LEAK_BAND = 4
 
-# density_normalization: Gauss-Legendre nodes per axis, over this many
-# spreads either side of the centre
-QUADRATURE_NODES = 160
-QUADRATURE_HALF_WIDTH = 10.0
-
 # largest dense complex n x n matrix the oracle builds (n <= 2896); a state
 # holds q, p and, once evolved, its vectors, states from fock_evolve share
 # the eigenvectors of the last Hamiltonian, and fock_state or fock_evolve
@@ -245,21 +240,23 @@ def fock_evolve(
 
 def state_moments(state: FockState) -> PacketMoments:
     """Read (Q, P, dQ, dP) back off the factor in O(n^2): rho = S S^dagger
-    with S = V diag(sqrt(w)), so <X> = vdot(S, X S) and <X^2> = ||X S||^2."""
+    with S = V diag(sqrt(w)), so <X> = vdot(S, X S) and <X^2> = ||X S||^2.
+    X is first centred on its diagonal, exactly Q or P, so far from the
+    origin the spread is not lost to cancellation."""
     import numpy as np
 
     root = np.sqrt(state.weights)
     s = np.diag(root) if state.vectors is None else state.vectors * root
 
-    def mean_and_square(x: np.ndarray) -> Tuple[float, float]:
-        xs = _times_tridiagonal(s.T, x.T).T  # X S = (S^T X^T)^T, on views
-        return float(np.vdot(s, xs).real), float(np.vdot(xs, xs).real)
+    def mean_and_spread(x: np.ndarray, c: float) -> Tuple[float, float]:
+        xc = x - c * np.eye(state.cutoff)
+        xs = _times_tridiagonal(s.T, xc.T).T  # X S = (S^T X^T)^T, on views
+        shift, square = float(np.vdot(s, xs).real), float(np.vdot(xs, xs).real)
+        return c + shift, math.sqrt(square - shift * shift)
 
-    q1, q2 = mean_and_square(state.q_mat)
-    p1, p2 = mean_and_square(state.p_mat)
-    return PacketMoments(
-        q1, p1, math.sqrt(q2 - q1 * q1), math.sqrt(p2 - p1 * p1), hbar=state.hbar
-    )
+    q1, dq = mean_and_spread(state.q_mat, state.bindings["Q"])
+    p1, dp = mean_and_spread(state.p_mat, state.bindings["P"])
+    return PacketMoments(q1, p1, dq, dp, hbar=state.hbar)
 
 
 def state_entropy(state: FockState) -> float:
@@ -273,7 +270,7 @@ def state_entropy(state: FockState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# classical quadrature / Monte-Carlo oracle
+# classical quadrature oracle
 # ---------------------------------------------------------------------------
 
 
@@ -292,38 +289,3 @@ def gaussian_moment_numeric(packet: PacketMoments, a: int, b: int) -> float:
         return float(np.dot(w, values) / math.sqrt(math.pi))
 
     return axis_moment(bd["Q"], bd["dQ"], a) * axis_moment(bd["P"], bd["dP"], b)
-
-
-def gaussian_moment_mc(
-    packet: PacketMoments, a: int, b: int, samples: int = 200_000, seed: int = 0
-) -> Tuple[float, float]:
-    """Monte-Carlo fallback; returns (estimate, standard error)."""
-    import numpy as np
-
-    bd = packet.bindings()
-    rng = np.random.default_rng(seed)
-    qs = rng.normal(bd["Q"], bd["dQ"], samples)
-    ps = rng.normal(bd["P"], bd["dP"], samples)
-    values = qs ** a * ps ** b
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
-
-
-def density_normalization(packet: PacketMoments, v: float) -> float:
-    """int rho dq dp / v by tensor Gauss-Legendre quadrature."""
-    from numpy.polynomial.legendre import leggauss
-    from .classical import density_at
-
-    bd = packet.bindings()
-    xq, wq = leggauss(QUADRATURE_NODES)
-    half_width = QUADRATURE_HALF_WIDTH
-    q_lo, q_hi = bd["Q"] - half_width * bd["dQ"], bd["Q"] + half_width * bd["dQ"]
-    p_lo, p_hi = bd["P"] - half_width * bd["dP"], bd["P"] + half_width * bd["dP"]
-    qs = 0.5 * (q_hi - q_lo) * xq + 0.5 * (q_hi + q_lo)
-    ps = 0.5 * (p_hi - p_lo) * xq + 0.5 * (p_hi + p_lo)
-    total = 0.0
-    for qi, wi in zip(qs, wq):
-        row = sum(
-            wj * density_at(packet, qi, pj, v) for pj, wj in zip(ps, wq)
-        )
-        total += wi * row
-    return total * 0.25 * (q_hi - q_lo) * (p_hi - p_lo) / v

@@ -14,8 +14,9 @@ DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # the warning policy of pyproject.toml, which a subprocess does not inherit
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -21,7 +21,7 @@ from mepack.algebra.numberpoly import stirling_first_signed, stirling_second
 
 
 def test_defining_relation():
-    a, ad = LadderPolynomial.lower(), LadderPolynomial.raise_()
+    a, ad = parse_ladder("A"), parse_ladder("Ad")
     assert a * ad == ad * a + 1
     assert commutator_ladder(a, ad) == LadderPolynomial.constant(1)
 

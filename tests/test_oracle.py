@@ -21,7 +21,6 @@ from mepack.oracle import (
     fock_evolve,
     fock_expectation,
     fock_state,
-    gaussian_moment_mc,
     gaussian_moment_numeric,
     hamiltonian_matrix,
     state_entropy,
@@ -251,6 +250,17 @@ def test_state_moments_match_dense_traces(packet):
         assert float(getattr(got, name)) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("centre", [1e4, 1e6, 1e8])
+def test_state_moments_keep_the_spread_far_from_the_origin(centre):
+    def moments(q, p):
+        return state_moments(fock_state(PacketMoments(q, p, 1.0, 0.7, hbar=0.25)))
+
+    origin, far = moments(0.0, 0.0), moments(centre, -centre)
+    assert (far.Q, far.P) == (centre, -centre)
+    assert far.dQ == pytest.approx(origin.dQ, rel=1e-12)
+    assert far.dP == pytest.approx(origin.dP, rel=1e-12)
+
+
 def test_repeated_potential_reuses_the_eigendecomposition(packet):
     st = fock_state(packet, cutoff=80)
     assert st.eigh_cache == {}
@@ -400,10 +410,3 @@ def test_quadrature_simple_moments(packet):
 def test_quadrature_rejects_negative_exponent(packet):
     with pytest.raises(DomainError):
         gaussian_moment_numeric(packet, -1, 0)
-
-
-def test_monte_carlo_reports_error(packet):
-    est, err = gaussian_moment_mc(packet, 2, 0, samples=100_000, seed=11)
-    assert err > 0
-    exact = gaussian_moment_numeric(packet, 2, 0)
-    assert abs(est - exact) < 6 * err

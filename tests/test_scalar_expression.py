@@ -219,6 +219,15 @@ def test_numbers_and_their_scalars_hash_alike():
     assert Scalar(Fraction(1, 3), 1) in {Scalar(Fraction(1, 3), 1)}
 
 
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), complex(float("nan")), complex(0, float("inf")),
+])
+def test_exact_values_never_equal_a_non_finite_number(value):
+    for exact in (Scalar(1), Expr.number(1), Expr(), Expr.symbol("Q")):
+        assert not exact == value and exact != value
+        assert not value == exact and value != exact
+
+
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
