@@ -315,9 +315,9 @@ def sqrt_monomial(expr: Expr) -> Expr:
     if not expr.is_monomial():
         raise ValueError(f"square root needs a monomial, got {expr}")
     (mono, coeff), = expr._terms.items()
-    if not coeff.is_real() or coeff.re < 0:
+    num, im, den = coeff.abd
+    if im or num < 0:
         raise ValueError(f"square root of non-positive coefficient in {expr}")
-    num, den = coeff.re.numerator, coeff.re.denominator
     rn, rd = _isqrt_exact(num), _isqrt_exact(den)
     if rn is None or rd is None:
         raise ValueError(f"coefficient of {expr} is not a rational square")

@@ -1,10 +1,11 @@
 """Exact complex rational numbers.
 
-Coefficient field for the whole symbolic layer: a + b*i with a, b
-arbitrary-precision rationals.  No floating point arithmetic happens here;
-floats entering from user input are converted exactly (every float is a
-dyadic rational).  `-`, `/`, `**` and immutability come from
-`ring.ExactRing`; a real power raises the `Fraction` directly.
+Coefficient field for the whole symbolic layer: (a + b*i)/d held as the ints
+`abd = (a, b, d)` in lowest terms (d > 0, gcd(a, b, d) = 1), so equal values
+hold equal ints and arithmetic is int arithmetic plus one gcd.  No floating
+point arithmetic happens here; floats entering from user input are converted
+exactly (every float is a dyadic rational).  `re`/`im` read the parts as
+`Fraction`s.  `-`, `/`, `**` and immutability come from `ring.ExactRing`.
 """
 
 from __future__ import annotations
@@ -13,28 +14,36 @@ import cmath
 import numbers
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .ring import ExactRing
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (float, numbers.Rational)):  # numbers.Rational: numpy integers
-        return Fraction(x)
+def _ratio(x) -> tuple:
+    """(numerator, denominator > 0) of an exact rational or a float."""
+    if isinstance(x, float):
+        return x.as_integer_ratio()
+    if isinstance(x, numbers.Rational):  # int, Fraction and numpy integers
+        return int(x.numerator), int(x.denominator)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+
+
+def _scalar(a: int, b: int, d: int) -> "Scalar":
+    """The Scalar (a + b*i)/d for d > 0, reduced to lowest terms."""
+    g = gcd(a, b, d)
+    s = object.__new__(Scalar)
+    object.__setattr__(s, "abd", (a // g, b // g, d // g))
+    return s
 
 
 class Scalar(ExactRing):
     """Immutable exact complex number with rational parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_fraction(re))
-        object.__setattr__(self, "im", _to_fraction(im))
+        (a, d), (b, e) = _ratio(re), _ratio(im)
+        object.__setattr__(self, "abd", _scalar(a * e, b * d, d * e).abd)
 
     @classmethod
     def coerce(cls, value) -> "Scalar":
@@ -44,54 +53,54 @@ class Scalar(ExactRing):
             return cls(value.real, value.imag)
         return cls(value)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.abd[0], self.abd[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.abd[1], self.abd[2])
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        if not (self.im or other.im):  # real: skip the zero imaginary sum
-            return Scalar(self.re + other.re, self.im)
-        return Scalar(self.re + other.re, self.im + other.im)
+        (a, b, d), (c, e, f) = self.abd, Scalar.coerce(other).abd
+        return _scalar(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        a, b, d = self.abd
+        return _scalar(-a, -b, d)
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
-        if not (self.im or other.im):  # real: one product, not four
-            return Scalar(self.re * other.re, self.im)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        (a, b, d), (c, e, f) = self.abd, Scalar.coerce(other).abd
+        return _scalar(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.abd
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return Scalar(self.re / n, -self.im / n)
-
-    def __pow__(self, exponent: int):
-        if self.im == 0 and isinstance(exponent, int):  # real: raise the Fraction
-            return Scalar(self.re ** exponent)
-        return super().__pow__(exponent)
+        return _scalar(a * d, -b * d, n)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        a, b, d = self.abd
+        return _scalar(a, -b, d)
 
     # -- predicates / conversions ------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.abd == (0, 0, 1)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.abd[1] == 0
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        a, b, d = self.abd
+        return complex(a / d, b / d)  # int division rounds correctly
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -101,7 +110,7 @@ class Scalar(ExactRing):
             elif not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Scalar.coerce(other)
-        return self.re == other.re and self.im == other.im
+        return self.abd == other.abd
 
     def __hash__(self):
         # CPython's complex hash, hash(re) + hash_info.imag * hash(im) as a
@@ -112,7 +121,7 @@ class Scalar(ExactRing):
         return -2 if h == -1 else h
 
     def __repr__(self):
-        if self.im == 0:
+        if self.is_real():
             return f"Scalar({self.re})"
         return f"Scalar({self.re}, {self.im})"
 

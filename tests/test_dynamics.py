@@ -449,6 +449,23 @@ def test_order3_quintic_correction_is_zero_and_oracle_agrees():
     assert oracle.real == pytest.approx(classical_value, rel=1e-10)
 
 
+def test_order5_quartic_correction_matches_the_fock_trace_at_nu_10():
+    # away from nu ~ 3 the correction is small next to the average: the Fock
+    # trace of the exact order-5 operator minus the classical average must
+    # resolve it to 1e-5 of itself, a bound the classical average misses
+    pk = PacketMoments(0, 0, 1, 1, hbar=Fraction(1, 5))
+    assert pk.nu == 10
+    pot = PolynomialPotential(1, (0, 0, 1, Fraction(1, 2), 1))
+    operator = derivatives_quantum(pot, 5).p[-1]
+    oracle = fock_expectation(fock_state(pk, degree=operator.degree()), operator)
+    classical = averaged_derivatives(derivatives_classical(pot, 5), pk).p[-1].evaluate({}).real
+    correction = pk.specialize(quantum_correction(pot, 5)).evaluate({}).real
+    bound = 1e-5 * abs(correction)
+    assert oracle.imag == pytest.approx(0.0, abs=1e-10)
+    assert abs(oracle.real - classical - correction) < bound
+    assert abs(oracle.real - classical) > bound
+
+
 def test_quintic_corrections_through_fourth_order_vanish():
     quintic = PolynomialPotential.symbolic(5)
     for order in (1, 2, 4):

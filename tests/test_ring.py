@@ -26,6 +26,14 @@ def test_negative_power_of_an_operator_raises():
         parse_weyl("q^-1")
 
 
+@pytest.mark.parametrize("exponent", [-1, -3])
+def test_negative_power_of_zero_scalar_is_the_inverse_error(exponent):
+    with pytest.raises(ZeroDivisionError, match="inverse of zero Scalar"):
+        Scalar(0) ** exponent
+    with pytest.raises(ZeroDivisionError, match="inverse of zero Scalar"):
+        Scalar(0).inverse()
+
+
 def test_zero_polynomials_are_falsy():
     assert not WeylPolynomial()
     assert not LadderPolynomial.constant(0)
@@ -45,6 +53,32 @@ def test_complex_scalar_power_makes_logarithmically_many_products(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counting)
     assert Scalar(1, 1) ** 1000 == 2 ** 500  # (1 + i)^2 = 2i, and i^500 = 1
     assert products <= 20
+
+
+def test_cold_moment_constructs_no_fraction(monkeypatch):
+    # perf guard: Scalar arithmetic is int arithmetic; <q^7 p^7> made 3048
+    # Fractions when a Scalar held its parts as two of them
+    import fractions
+
+    import mepack.algebra.numberpoly as numberpoly
+    import mepack.algebra.words as words
+    import mepack.classical as classical
+    import mepack.quantum as quantum
+
+    for module in (quantum, classical, words, numberpoly):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    quantum.weyl_monomial_expectation(7, 7)
+    assert made == []
 
 
 def test_division_by_a_scalar_polynomial():

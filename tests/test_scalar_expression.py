@@ -244,16 +244,73 @@ def test_scalar_and_expr_hash_like_the_equal_number(value):
         assert hash(exact) == hash(value)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.builds(Scalar, st.fractions(max_denominator=9), st.sampled_from([0, 0, Fraction(2, 3)])),
-    st.builds(Scalar, st.fractions(max_denominator=9), st.sampled_from([0, 0, -1])),
+@pytest.mark.parametrize("value", [2.0 ** -1074, 1e300, 2 ** 64 + 1, -0.0])
+def test_scalar_equals_and_hashes_like_every_equal_number(value):
+    exact = Fraction(value)
+    # Fraction compares exactly with int, float and complex
+    for number in (exact, int(exact), float(exact), complex(float(exact))):
+        equal = number == exact
+        assert (Scalar(exact) == number) is equal and (number == Scalar(exact)) is equal
+        if equal:
+            assert hash(Scalar(exact)) == hash(number)
+    assert repr(Scalar(exact).to_complex()) == repr(complex(float(exact)))
+    imaginary = complex(0, float(exact))
+    equal = float(exact) == exact
+    assert (Scalar(0, exact) == imaginary) is equal and (imaginary == Scalar(0, exact)) is equal
+    if equal:
+        assert hash(Scalar(0, exact)) == hash(imaginary)
+
+
+def test_equal_values_hold_equal_ints():
+    assert Scalar(Fraction(2, 4), Fraction(3, 6)).abd == Scalar(0.5, 0.5).abd == (1, 1, 2)
+    cancelled = Scalar(Fraction(1, 3), Fraction(2, 5)) + Scalar(Fraction(2, 3), Fraction(-2, 5))
+    assert cancelled.abd == Scalar(1).abd == (1, 0, 1)
+    assert cancelled.is_real() and repr(cancelled) == "Scalar(1)"
+    assert Scalar(-0.0).abd == Scalar(0, Fraction(0, 7)).abd == (0, 0, 1)
+    assert type(cancelled.re) is Fraction and type(cancelled.im) is Fraction
+    assert Scalar(Fraction(-3, 4), 2).re == Fraction(-3, 4) and Scalar(0, -0.25).im == Fraction(-1, 4)
+
+
+def _pair(s: Scalar):
+    return s.re, s.im
+
+
+def _product(x, y):
+    """The two-Fraction reference: (re, im) pairs multiplied as complex numbers."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _reciprocal(x):
+    n = x[0] ** 2 + x[1] ** 2
+    return x[0] / n, -x[1] / n
+
+
+_fraction_pairs = st.tuples(
+    st.fractions(max_denominator=9),
+    st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=9)),  # real or complex
 )
-def test_scalar_sums_and_products_real_or_complex(a, b):
-    # real operands take a shorter path than complex ones; both are exact
-    assert (a + b).re == a.re + b.re and (a + b).im == a.im + b.im
-    assert (a * b).re == a.re * b.re - a.im * b.im
-    assert (a * b).im == a.re * b.im + a.im * b.re
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fraction_pairs, _fraction_pairs, st.integers(-5, 5))
+def test_scalar_arithmetic_matches_a_two_fraction_reference(x, y, n):
+    a, b = Scalar(*x), Scalar(*y)
+    assert _pair(a) == x
+    assert repr(a.to_complex()) == repr(complex(float(x[0]), float(x[1])))
+    assert _pair(a + b) == (x[0] + y[0], x[1] + y[1])
+    assert _pair(a - b) == (x[0] - y[0], x[1] - y[1])
+    assert _pair(a * b) == _product(x, y)
+    assert _pair(-a) == (-x[0], -x[1])
+    assert _pair(a.conjugate()) == (x[0], -x[1])
+    if b:
+        assert _pair(a / b) == _product(x, _reciprocal(y))
+    power = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        power = _product(power, x)
+    if n >= 0:
+        assert _pair(a ** n) == power
+    elif a:
+        assert _pair(a ** n) == _reciprocal(power)
 
 
 def test_monomial_constructor():
