@@ -10,9 +10,10 @@ Lagrange multipliers, pi, v, Lnu = ln((nu+1)/(nu-1)), and k for number
 polynomials).  Denominators are monomials, which is all the closed
 formulas in this package ever need.
 
-The auxiliary symbol `s` stands for 1/sqrt(nu) and carries the enforced
-rewrite s^2 -> 1/nu, applied during monomial normalization, so canonical
-monomials have s-exponent 0 or 1.
+A canonical monomial is a tuple of (symbol, nonzero exponent) pairs in the
+order of their ranks, with s^2 -> 1/nu applied (the auxiliary symbol `s` is
+1/sqrt(nu), so its exponent is 0 or 1).  A symbol's rank is computed once,
+the first time its name is read, and each product of two monomials once.
 
 `-`, `/`, `**` and immutability come from `ring.ExactRing`; only a monomial
 has an inverse, and a one-term power scales its exponents directly.
@@ -23,28 +24,31 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .ring import ExactRing
 from .scalar import Scalar, ZERO, ONE
 
-# fixed symbol universe; V<k> coefficients are matched by pattern
+# fixed symbol universe; the potential coefficients V0, V1, ... are named
+# canonically (ASCII digits, no leading zero), so one name is one symbol
 _BASE_SYMBOLS = (
     "hbar", "m", "Q", "P", "dQ", "dP", "nu", "s", "t",
     "v", "pi", "Lnu", "k",
     "lam1", "lam2", "lam3", "lam4",
 )
-_V_PATTERN = re.compile(r"^V(\d+)$")
+_V_NAME = re.compile(r"V(0|[1-9][0-9]*)")
 
 _RANK = {name: i for i, name in enumerate(_BASE_SYMBOLS)}
 
 
 def is_known_symbol(name: str) -> bool:
-    return name in _RANK or bool(_V_PATTERN.match(name))
+    return name in _RANK or bool(_V_NAME.fullmatch(name))
 
 
+@lru_cache(maxsize=None)
 def _symbol_rank(name: str):
-    m = _V_PATTERN.match(name)
+    m = _V_NAME.fullmatch(name)
     if m:
         # potential coefficients sort between m and Q
         return (1, 1, int(m.group(1)))
@@ -64,11 +68,10 @@ def _normalize_powers(powers: Dict[str, int]) -> Mono:
             powers["s"] = rem
         else:
             del powers["s"]
-    items = [(sym, exp) for sym, exp in powers.items() if exp != 0]
-    items.sort(key=lambda it: _symbol_rank(it[0]))
-    return tuple(items)
+    return tuple([(sym, powers[sym]) for sym in sorted(powers, key=_symbol_rank) if powers[sym]])
 
 
+@lru_cache(maxsize=None)
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a or not b:
         return a or b
@@ -89,13 +92,9 @@ def _accumulate(terms: dict, key, coeff) -> None:
         terms.pop(key, None)
 
 
-def _mono_degree(mono: Mono) -> int:
-    return sum(exp for _, exp in mono)
-
-
 def _mono_sort_key(mono: Mono):
     # graded ordering, then lexicographic on (rank, -exponent)
-    return (-_mono_degree(mono), tuple((_symbol_rank(s), -e) for s, e in mono))
+    return (-sum(e for _, e in mono), tuple((_symbol_rank(s), -e) for s, e in mono))
 
 
 class Expr(ExactRing):

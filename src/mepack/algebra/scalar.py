@@ -36,6 +36,15 @@ def _scalar(a: int, b: int, d: int) -> "Scalar":
     return s
 
 
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, from the ints as CPython computes it:
+    |n| / d modulo the prime P = hash_info.modulus, inf when P divides d."""
+    g, P = gcd(n, d), sys.hash_info.modulus
+    n, d = n // g, d // g
+    h = sys.hash_info.inf if d % P == 0 else abs(n) * pow(d, -1, P) % P
+    return h if n >= 0 else -2 if h == 1 else -h  # -1 is reserved, so -2
+
+
 class Scalar(ExactRing):
     """Immutable exact complex number with rational parts."""
 
@@ -115,8 +124,8 @@ class Scalar(ExactRing):
     def __hash__(self):
         # CPython's complex hash, hash(re) + hash_info.imag * hash(im) as a
         # machine word, so an equal int, Fraction, float or complex hashes alike
-        width = sys.hash_info.width
-        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << width)
+        (a, b, d), width = self.abd, sys.hash_info.width
+        h = (_rational_hash(a, d) + sys.hash_info.imag * _rational_hash(b, d)) % (1 << width)
         h -= (h >> (width - 1)) << width
         return -2 if h == -1 else h
 

@@ -1,11 +1,15 @@
+import fractions
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mepack.algebra import Expr, Scalar, parse_expression
-from mepack.algebra.expression import sqrt_monomial
+from mepack.algebra import Expr, ParseError, Scalar, parse_expression
+from mepack.algebra.expression import (
+    _mono_mul, _normalize_powers, _symbol_rank, is_known_symbol, sqrt_monomial, sum_of_products,
+)
 
 
 def test_scalar_arithmetic_is_exact():
@@ -86,6 +90,28 @@ def test_sqrt_monomial_exact_beyond_float_precision():
 def test_unknown_symbol_rejected():
     with pytest.raises(KeyError):
         Expr.symbol("bogus")
+
+
+@pytest.mark.parametrize("alias", ["V01", "V\u0661", "V1\n", "V", "V-1"])
+def test_only_the_canonical_name_of_a_potential_coefficient_is_a_symbol(alias):
+    # "V01", "V" + an Arabic-indic one and "V1\n" each took V1's rank, so the
+    # order of V01*V1 depended on insertion and V01*V1 - V1*V01 was not 0
+    assert not is_known_symbol(alias)
+    with pytest.raises(KeyError):
+        Expr.symbol(alias) * Expr.symbol("V1") - Expr.symbol("V1") * Expr.symbol(alias)
+    if alias.strip() == alias:  # the parser skips whitespace: "V1\n*V1" is V1*V1
+        with pytest.raises(ParseError):
+            parse_expression(f"{alias}*V1") == parse_expression(f"V1*{alias}")
+
+
+def test_unknown_names_raise_with_the_rank_table_warm():
+    assert str(parse_expression("Q*V10*m*V2*hbar*V0")) == "hbar*m*V0*V2*V10*Q"
+    for name in ("bogus", "V007", "v1", "V1 "):
+        with pytest.raises(KeyError):
+            Expr.symbol(name)
+        with pytest.raises(KeyError):
+            _symbol_rank(name)
+        assert not is_known_symbol(name)
 
 
 _scalars = st.fractions(max_denominator=7).map(Scalar)
@@ -207,6 +233,50 @@ def test_substitute_matches_term_by_term(data):
     assert expr.substitute(mapping) == _substitute_term_by_term(expr, mapping)
 
 
+# -- the product kernel against a term-by-term reference ---------------------
+
+_kernel_symbols = st.sampled_from(["s", "nu", "Q", "dP", "V0", "V1", "V2", "V3"])
+
+
+@st.composite
+def laurent_expressions(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        powers = draw(st.dictionaries(_kernel_symbols, st.integers(-3, 3), max_size=4))
+        terms[_normalize_powers(powers)] = draw(_complex_scalars)
+    return Expr(terms)
+
+
+def _products_term_by_term(pairs) -> dict:
+    terms = {}
+    for x, y in pairs:
+        for m1, c1 in x.terms():
+            for m2, c2 in y.terms():
+                powers = dict(m1)
+                for sym, exp in m2:
+                    powers[sym] = powers.get(sym, 0) + exp
+                mono = _normalize_powers(powers)
+                terms[mono] = terms.get(mono, Scalar(0)) + c1 * c2
+    return {mono: c for mono, c in terms.items() if not c.is_zero()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(laurent_expressions(), laurent_expressions()), max_size=4), st.data())
+def test_sum_of_products_matches_a_term_by_term_reference(pairs, data):
+    # negated copies of some pairs cancel their products, in whole or in part
+    pairs += [(-x, y) for x, y in pairs if data.draw(st.booleans())]
+    warm = sum_of_products(pairs)
+    _mono_mul.cache_clear()
+    cold = sum_of_products(pairs)
+    assert warm._terms == cold._terms == _products_term_by_term(pairs)
+    assert repr(warm) == repr(cold)
+    assert not any(c.is_zero() for c in warm._terms.values())
+    for x, y in pairs:
+        for m1 in x._terms:
+            for m2 in y._terms:
+                assert _mono_mul(m1, m2) == _mono_mul(m2, m1)
+
+
 # -- hashing agrees with equality -----------------------------------------------
 
 
@@ -244,7 +314,22 @@ def test_scalar_and_expr_hash_like_the_equal_number(value):
         assert hash(exact) == hash(value)
 
 
-@pytest.mark.parametrize("value", [2.0 ** -1074, 1e300, 2 ** 64 + 1, -0.0])
+_MODULUS = sys.hash_info.modulus
+
+
+def _complex_hash(re: Fraction, im: Fraction) -> int:
+    """CPython's complex hash formula on the two parts' Fraction hashes."""
+    width = sys.hash_info.width
+    h = (hash(re) + sys.hash_info.imag * hash(im)) % (1 << width)
+    h -= (h >> (width - 1)) << width
+    return -2 if h == -1 else h
+
+
+@pytest.mark.parametrize("value", [
+    2.0 ** -1074, 1e300, 2 ** 64 + 1, -0.0,
+    # denominators that the hash modulus divides hash as infinity
+    Fraction(1, _MODULUS), Fraction(-5, 3 * _MODULUS), Fraction(_MODULUS + 1, _MODULUS ** 2),
+])
 def test_scalar_equals_and_hashes_like_every_equal_number(value):
     exact = Fraction(value)
     # Fraction compares exactly with int, float and complex
@@ -259,6 +344,26 @@ def test_scalar_equals_and_hashes_like_every_equal_number(value):
     assert (Scalar(0, exact) == imaginary) is equal and (imaginary == Scalar(0, exact)) is equal
     if equal:
         assert hash(Scalar(0, exact)) == hash(imaginary)
+    # one part's denominator can hold the modulus that the other's lacks
+    for re, im in ((exact, Fraction(0)), (Fraction(0), exact), (exact, Fraction(1, 2)),
+                   (Fraction(-1, 3), exact), (exact, -exact)):
+        assert hash(Scalar(re, im)) == _complex_hash(re, im)
+
+
+def test_hashing_a_scalar_builds_no_fraction(monkeypatch):
+    values = [Scalar(Fraction(3, 7), -2), Scalar(Fraction(1, _MODULUS), Fraction(1, 2)), Scalar(-1)]
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    for value in values:
+        hash(value)
+        hash(Expr.number(value) * Expr.symbol("Q"))
+    assert made == []
 
 
 def test_equal_values_hold_equal_ints():
