@@ -92,6 +92,13 @@ def _accumulate(terms: dict, key, coeff) -> None:
         terms.pop(key, None)
 
 
+def _clean(terms: dict) -> "Expr":
+    """`Expr(terms)` without the copy and the zero scan, for a clean dict."""
+    e = object.__new__(Expr)
+    object.__setattr__(e, "_terms", terms)
+    return e
+
+
 def _mono_sort_key(mono: Mono):
     # graded ordering, then lexicographic on (rank, -exponent)
     return (-sum(e for _, e in mono), tuple((_symbol_rank(s), -e) for s, e in mono))
@@ -170,12 +177,12 @@ class Expr(ExactRing):
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
             _accumulate(terms, mono, coeff)
-        return Expr(terms)
+        return _clean(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr({m: -c for m, c in self._terms.items()})
+        return _clean({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, (Expr,) + Expr._COERCIBLE):
@@ -212,7 +219,7 @@ class Expr(ExactRing):
                 continue
             powers[name] = e - 1
             _accumulate(terms, _normalize_powers(powers), coeff * e)
-        return Expr(terms)
+        return _clean(terms)
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Replace symbols by expressions.
@@ -225,7 +232,7 @@ class Expr(ExactRing):
         powers: Dict[Tuple[str, int], Expr] = {}
         terms: Dict[Mono, Scalar] = {}
         for mono, coeff in self._terms.items():
-            factor = Expr({(): coeff})
+            factor = _clean({(): coeff})
             rest: Dict[str, int] = {}
             for sym, exp in mono:
                 if sym not in reps:
@@ -238,7 +245,7 @@ class Expr(ExactRing):
             rest_mono = _normalize_powers(rest)
             for m, c in factor._terms.items():
                 _accumulate(terms, _mono_mul(m, rest_mono), c)
-        return Expr(terms)
+        return _clean(terms)
 
     def evaluate(self, bindings: Mapping[str, complex]) -> complex:
         """Numeric value; raises KeyError naming any unbound symbol."""
@@ -254,7 +261,7 @@ class Expr(ExactRing):
 
     def conjugate(self) -> "Expr":
         # all symbols in the set denote real quantities
-        return Expr({m: c.conjugate() for m, c in self._terms.items()})
+        return _clean({m: c.conjugate() for m, c in self._terms.items()})
 
     def drop_symbol(self, name: str) -> "Expr":
         """Keep only the terms not containing `name`."""
@@ -306,7 +313,7 @@ def sum_of_products(pairs: Iterable[Tuple[Expr, Expr]]) -> Expr:
         for m1, c1 in x._terms.items():
             for m2, c2 in y._terms.items():
                 _accumulate(terms, _mono_mul(m1, m2), c1 * c2)
-    return Expr(terms)
+    return _clean(terms)
 
 
 def sqrt_monomial(expr: Expr) -> Expr:

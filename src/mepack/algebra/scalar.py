@@ -36,6 +36,13 @@ def _scalar(a: int, b: int, d: int) -> "Scalar":
     return s
 
 
+def _lowest(abd) -> "Scalar":
+    """`_scalar` without the gcd, for a triple already in lowest terms."""
+    s = object.__new__(Scalar)
+    object.__setattr__(s, "abd", abd)
+    return s
+
+
 def _rational_hash(n: int, d: int) -> int:
     """hash(Fraction(n, d)) for d > 0, from the ints as CPython computes it:
     |n| / d modulo the prime P = hash_info.modulus, inf when P divides d."""
@@ -80,7 +87,7 @@ class Scalar(ExactRing):
 
     def __neg__(self):
         a, b, d = self.abd
-        return _scalar(-a, -b, d)
+        return _lowest((-a, -b, d))
 
     def __mul__(self, other):
         (a, b, d), (c, e, f) = self.abd, Scalar.coerce(other).abd
@@ -97,7 +104,7 @@ class Scalar(ExactRing):
 
     def conjugate(self) -> "Scalar":
         a, b, d = self.abd
-        return _scalar(a, -b, d)
+        return _lowest((a, -b, d))
 
     # -- predicates / conversions ------------------------------------------
 

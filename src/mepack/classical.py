@@ -15,10 +15,9 @@ recurrence, memoised by order, and takes the multipliers' values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra.expression import Expr, sum_of_products
 from .algebra.phase import PhasePolynomial
@@ -29,8 +28,7 @@ from .partition import GaussianPartition
 _LAM = {name: Expr.symbol(name) for name in ("lam1", "lam2", "lam3", "lam4")}
 
 
-@dataclass(frozen=True)
-class ClassicalMultipliers:
+class ClassicalMultipliers(NamedTuple):
     lam1: Expr
     lam2: Expr
     lam3: Expr

@@ -27,10 +27,10 @@ quantum averaged equations coincide through fourth order;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra.expression import Expr
 from .algebra.ladder import HBAR_AS_NU
@@ -42,28 +42,25 @@ from .packets import FieldValue, PacketMoments
 from .quantum import entropy_quantum, expectation_quantum, restore_hbar
 
 
-@dataclass(frozen=True)
-class PolynomialPotential:
+class PolynomialPotential(namedtuple("PolynomialPotential", "mass coefficients")):
     """V(q) = sum_k V_k q^k / k! with mass m; coefficients[k] is V_k.  The
     mass and the coefficients are held as `Expr` (numbers exactly)."""
 
-    mass: FieldValue
-    coefficients: Tuple[FieldValue, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mass: FieldValue, coefficients: Sequence[FieldValue]):
         try:  # nan and inf have no exact value
-            mass, coefficients = Expr.coerce(self.mass), tuple(map(Expr.coerce, self.coefficients))
+            exact_mass, exact = Expr.coerce(mass), tuple(map(Expr.coerce, coefficients))
         except (ValueError, OverflowError):
             raise DomainError(
-                f"potential values must be finite, got m = {self.mass}, V = {self.coefficients}"
+                f"potential values must be finite, got m = {mass}, V = {coefficients}"
             ) from None
-        if mass.is_constant() and not (mass.constant_value().is_real()
-                                       and mass.constant_value().re > 0):
-            raise DomainError(f"mass must be positive, got {self.mass}")
-        if any(c.is_constant() and not c.constant_value().is_real() for c in coefficients):
-            raise DomainError(f"potential coefficients must be real, got V = {self.coefficients}")
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "coefficients", coefficients)
+        if exact_mass.is_constant() and not (exact_mass.constant_value().is_real()
+                                             and exact_mass.constant_value().re > 0):
+            raise DomainError(f"mass must be positive, got {mass}")
+        if any(c.is_constant() and not c.constant_value().is_real() for c in exact):
+            raise DomainError(f"potential coefficients must be real, got V = {coefficients}")
+        return super().__new__(cls, exact_mass, exact)
 
     @classmethod
     def symbolic(cls, degree: int) -> "PolynomialPotential":
@@ -118,8 +115,7 @@ _Q, _P = PhasePolynomial.q(), PhasePolynomial.p()
 _OBSERVABLES = {"q": _Q, "p": _P, "q2": _Q * _Q, "p2": _P * _P, "qp": _Q * _P}
 
 
-@dataclass(frozen=True)
-class DerivativeTable:
+class DerivativeTable(NamedTuple):
     """d^n q/dt^n and d^n p/dt^n at t = 0, n = 1..order."""
 
     kind: str  # "classical" | "quantum"
@@ -214,8 +210,7 @@ def derivatives_quantum(potential: PolynomialPotential, order: int) -> Derivativ
     )
 
 
-@dataclass(frozen=True)
-class AveragedDerivatives:
+class AveragedDerivatives(NamedTuple):
     """d^n Q/dt^n and d^n P/dt^n as expressions in the packet data."""
 
     kind: str
@@ -274,8 +269,7 @@ def quantum_correction(potential: PolynomialPotential, order: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticFlow:
+class QuadraticFlow(NamedTuple):
     """q(t) = f0 + q f1 + p f2, p(t) = g0 + q g1 + p g2."""
 
     f0: float
@@ -351,8 +345,7 @@ def evolve_quadratic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     times: Tuple[float, ...]
     packets: Tuple[PacketMoments, ...]
     nus: Tuple[float, ...]

@@ -26,8 +26,7 @@ exceed `MAX_MATRIX_BYTES` raises CutoffError before anything is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra.weyl import WeylPolynomial
 from .dynamics import PolynomialPotential
@@ -59,8 +58,7 @@ def choose_cutoff(nu: float, degree: int = 0) -> int:
     return tail_levels(nu, DEFAULT_TAIL_TOL) - 1 + margin
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(NamedTuple):
     """q, p as dense matrices on the packet-adapted number basis and
     rho = V diag(weights) V^dagger; `vectors` V is None for a fresh state,
     whose V is the number basis itself."""
@@ -72,11 +70,12 @@ class FockState:
     q_mat: np.ndarray
     p_mat: np.ndarray
     weights: np.ndarray
+    # eigendecomposition of H for the last potential fock_evolve saw, keyed by
+    # its numbers: a new dict per fock_state, which `_replace` shares (valid,
+    # as q_mat, p_mat and hbar stay)
+    eigh_cache: dict
     vectors: Optional[np.ndarray] = None
     leakage: float = 0.0  # top-band weight after the last evolution step
-    # eigendecomposition of H for the last potential fock_evolve saw, keyed by
-    # its numbers; `replace` shares it, valid since q_mat, p_mat and hbar stay
-    eigh_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def rho(self) -> np.ndarray:
@@ -128,7 +127,7 @@ def fock_state(
     p_mat = b["P"] * np.eye(n) - 1j * scale_p * (lower - raise_)
     x = (nu - 1.0) / (nu + 1.0)
     weights = 2.0 / (nu + 1.0) * x ** np.arange(n)
-    return FockState(n, nu, b["hbar"], b, q_mat, p_mat, weights)
+    return FockState(n, nu, b["hbar"], b, q_mat, p_mat, weights, {})
 
 
 def _word_matrix(state: FockState, word: Word) -> np.ndarray:
@@ -235,7 +234,7 @@ def fock_evolve(
             f"truncation leakage {leakage:.3e} > {leak_tol:.1e} at t = {t}; "
             "raise the cutoff or shorten the horizon"
         )
-    return replace(state, vectors=vectors, leakage=leakage)
+    return state._replace(vectors=vectors, leakage=leakage)
 
 
 def state_moments(state: FockState) -> PacketMoments:

@@ -21,7 +21,7 @@ the expression as it is.  The float route is `bindings()`, the values that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -38,22 +38,20 @@ _BARE = {name: Expr.symbol(name) for name in _FIELDS}
 
 
 def _numeric(value: FieldValue) -> Optional[float]:
-    """The float of a number field (`__post_init__` refuses non-real
+    """The float of a number field (`PacketMoments` refuses non-real
     constants); None for a symbolic one."""
     if isinstance(value, Expr):
         return float(value.constant_value().re) if value.is_constant() else None
     return float(value)
 
 
-@dataclass(frozen=True)
-class PacketMoments:
-    Q: FieldValue
-    P: FieldValue
-    dQ: FieldValue
-    dP: FieldValue
-    hbar: Optional[Number] = None
+class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
+    """Q, P, dQ, dP: a `FieldValue` each; hbar: a number, None for `DEFAULT_HBAR`."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, Q, P, dQ, dP, hbar=None):
+        self = super().__new__(cls, Q, P, dQ, dP, hbar)
         for name in ("Q", "P", "dQ", "dP", "hbar"):
             value = getattr(self, name)  # exact values are always finite
             if isinstance(value, float) and not math.isfinite(value):
@@ -67,6 +65,7 @@ class PacketMoments:
                 raise DomainError(f"{name} must be positive, got {value}")
         if self.hbar is not None and float(self.hbar) <= 0:
             raise DomainError(f"hbar must be positive, got {self.hbar}")
+        return self
 
     @classmethod
     def symbolic(cls) -> "PacketMoments":
@@ -143,10 +142,11 @@ class PacketMoments:
             )
 
     def with_moments(self, Q=None, P=None, dQ=None, dP=None) -> "PacketMoments":
-        return replace(
-            self,
-            Q=self.Q if Q is None else Q,
-            P=self.P if P is None else P,
-            dQ=self.dQ if dQ is None else dQ,
-            dP=self.dP if dP is None else dP,
+        # the constructor, not `_replace`, so that the new values are checked
+        return type(self)(
+            self.Q if Q is None else Q,
+            self.P if P is None else P,
+            self.dQ if dQ is None else dQ,
+            self.dP if dP is None else dP,
+            self.hbar,
         )

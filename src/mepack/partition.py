@@ -14,9 +14,8 @@ ever evaluated, compared, or expanded to leading order in hbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra.expression import Expr, sqrt_monomial
 from .errors import DomainError
@@ -36,8 +35,7 @@ def check_positive(expr: Expr, name: str):
             raise DomainError(f"{name} must be positive, got {value.to_complex()}")
 
 
-@dataclass(frozen=True)
-class GaussianPartition:
+class GaussianPartition(NamedTuple):
     """C * lam3^e3 * lam4^e4 * exp(E)."""
 
     coeff: Expr
@@ -75,8 +73,7 @@ class GaussianPartition:
         return value
 
 
-@dataclass(frozen=True)
-class QuantumPartition:
+class QuantumPartition(NamedTuple):
     """exp(E) / (2 sinh(hbar sqrt(lam3 lam4))), kept in multiplier form."""
 
     lam1: Expr

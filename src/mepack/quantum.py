@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .algebra.expression import Expr, sum_of_products
 from .algebra.ladder import HBAR_AS_NU, LadderPolynomial, diagonal_part, to_ladder
@@ -55,8 +54,7 @@ _HALF_I_HBAR = _HALF * Expr.i() * HBAR_AS_NU
 ENTROPY_TAIL_TOL = 1e-16
 
 
-@dataclass(frozen=True)
-class QuantumMultipliers:
+class QuantumMultipliers(NamedTuple):
     """Classical multipliers times the common factor (nu/2) ln((nu+1)/(nu-1))."""
 
     lam1: Expr

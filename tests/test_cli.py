@@ -462,15 +462,16 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_import_leaves_numpy_to_the_oracle():
+    # dataclasses would pull in inspect, ast, dis and tokenize at start-up
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, mepack, mepack.cli; "
             "[getattr(mepack, name) for name in mepack.__all__]; "
-            "print('numpy' in sys.modules)")
+            "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_output_formats_filter(tmp_path):

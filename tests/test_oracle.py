@@ -3,7 +3,6 @@
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -207,7 +206,7 @@ def test_non_finite_time_is_refused_before_evolving(state, t):
 
 
 def test_nan_leakage_counts_as_over_tolerance(state):
-    poisoned = replace(state, weights=np.full_like(state.weights, np.nan))
+    poisoned = state._replace(weights=np.full_like(state.weights, np.nan))
     with pytest.raises(HorizonError, match="leakage nan"):
         fock_evolve(poisoned, PolynomialPotential(1.0, (0.0, 0.0, 1.0)), 0.5)
 
