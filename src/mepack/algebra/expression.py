@@ -15,7 +15,9 @@ order of their ranks, with s^2 -> 1/nu applied (the auxiliary symbol `s` is
 1/sqrt(nu), so its exponent is 0 or 1).  A symbol's rank is computed once,
 the first time its name is read, and each product of two monomials once.
 
-`-`, `/`, `**` and immutability come from `ring.ExactRing`; only a monomial
+`TermMap` is the storage under `Expr`, the ordered polynomials and
+`NumberPolynomial`; `term_sum` and `term_negation` are the `+` and unary `-`
+of both rings.  `-`, `/` and `**` come from `ring.ExactRing`; only a monomial
 has an inverse, and a one-term power scales its exponents directly.
 """
 
@@ -92,11 +94,60 @@ def _accumulate(terms: dict, key, coeff) -> None:
         terms.pop(key, None)
 
 
-def _clean(terms: dict) -> "Expr":
-    """`Expr(terms)` without the copy and the zero scan, for a clean dict."""
-    e = object.__new__(Expr)
-    object.__setattr__(e, "_terms", terms)
-    return e
+class TermMap:
+    """Immutable map from keys to nonzero coefficients; the constructor
+    coerces each coefficient with the class's `COEFFICIENT` and drops zeros."""
+
+    __slots__ = ("_terms",)
+
+    COEFFICIENT = staticmethod(lambda value: value)
+
+    def __init__(self, terms=()):
+        coerce = self.COEFFICIENT
+        cleaned = {key: c for key, coeff in dict(terms).items() if (c := coerce(coeff))}
+        object.__setattr__(self, "_terms", cleaned)
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """`cls(terms)` without the copy and the coercion, for a dict of
+        coerced nonzero coefficients (as `_accumulate` leaves it)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
+    __setattr__ = ExactRing.__setattr__
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def map_coefficients(self, fn):
+        return type(self)({k: fn(c) for k, c in self._terms.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+
+def term_sum(x, y):
+    """x + y in x's ring, or NotImplemented when its `coerce` refuses y."""
+    y = x._coerced(y)
+    if y is NotImplemented:
+        return y
+    terms = dict(x._terms)
+    for key, coeff in y._terms.items():
+        _accumulate(terms, key, coeff)
+    return x._wrap(terms)
+
+
+def term_negation(x):
+    return x._wrap({key: -coeff for key, coeff in x._terms.items()})
 
 
 def _mono_sort_key(mono: Mono):
@@ -104,21 +155,18 @@ def _mono_sort_key(mono: Mono):
     return (-sum(e for _, e in mono), tuple((_symbol_rank(s), -e) for s, e in mono))
 
 
-class Expr(ExactRing):
+class Expr(TermMap, ExactRing):
     """Immutable exact expression; arithmetic returns canonical forms."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Mono, Scalar] = ()):
-        cleaned = {m: c for m, c in dict(terms).items() if not c.is_zero()}
-        object.__setattr__(self, "_terms", cleaned)
+    COEFFICIENT = staticmethod(Scalar.coerce)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def number(cls, value) -> "Expr":
-        c = Scalar.coerce(value)
-        return cls({(): c}) if not c.is_zero() else cls()
+        return cls({(): value})
 
     @classmethod
     def symbol(cls, name: str, exponent: int = 1) -> "Expr":
@@ -130,7 +178,7 @@ class Expr(ExactRing):
         for name in powers:
             if not is_known_symbol(name):
                 raise KeyError(f"unknown symbol {name!r}")
-        return cls({_normalize_powers(powers): Scalar.coerce(coeff)})
+        return cls({_normalize_powers(powers): coeff})
 
     @classmethod
     def i(cls) -> "Expr":
@@ -138,17 +186,12 @@ class Expr(ExactRing):
 
     @classmethod
     def coerce(cls, value) -> "Expr":
-        if isinstance(value, Expr):
-            return value
-        return cls.number(value)
+        return value if isinstance(value, Expr) else cls({(): value})
 
     # -- basic queries --------------------------------------------------------
 
     def terms(self) -> Iterable[Tuple[Mono, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_constant(self) -> bool:
         return all(m == () for m in self._terms)
@@ -168,26 +211,12 @@ class Expr(ExactRing):
 
     # -- arithmetic -----------------------------------------------------------
 
-    _COERCIBLE = (int, float, complex, Fraction, Scalar)
-
-    def __add__(self, other):
-        if not isinstance(other, (Expr,) + Expr._COERCIBLE):
-            return NotImplemented
-        other = Expr.coerce(other)
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            _accumulate(terms, mono, coeff)
-        return _clean(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _clean({m: -c for m, c in self._terms.items()})
+    __add__ = __radd__ = term_sum
+    __neg__ = term_negation
 
     def __mul__(self, other):
-        if not isinstance(other, (Expr,) + Expr._COERCIBLE):
-            return NotImplemented
-        return sum_of_products([(self, Expr.coerce(other))])
+        other = self._coerced(other)
+        return other if other is NotImplemented else sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -219,7 +248,7 @@ class Expr(ExactRing):
                 continue
             powers[name] = e - 1
             _accumulate(terms, _normalize_powers(powers), coeff * e)
-        return _clean(terms)
+        return Expr._wrap(terms)
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Replace symbols by expressions.
@@ -232,7 +261,7 @@ class Expr(ExactRing):
         powers: Dict[Tuple[str, int], Expr] = {}
         terms: Dict[Mono, Scalar] = {}
         for mono, coeff in self._terms.items():
-            factor = _clean({(): coeff})
+            factor = Expr._wrap({(): coeff})
             rest: Dict[str, int] = {}
             for sym, exp in mono:
                 if sym not in reps:
@@ -245,7 +274,7 @@ class Expr(ExactRing):
             rest_mono = _normalize_powers(rest)
             for m, c in factor._terms.items():
                 _accumulate(terms, _mono_mul(m, rest_mono), c)
-        return _clean(terms)
+        return Expr._wrap(terms)
 
     def evaluate(self, bindings: Mapping[str, complex]) -> complex:
         """Numeric value; raises KeyError naming any unbound symbol."""
@@ -261,28 +290,25 @@ class Expr(ExactRing):
 
     def conjugate(self) -> "Expr":
         # all symbols in the set denote real quantities
-        return _clean({m: c.conjugate() for m, c in self._terms.items()})
+        return Expr._wrap({m: c.conjugate() for m, c in self._terms.items()})
 
     def drop_symbol(self, name: str) -> "Expr":
         """Keep only the terms not containing `name`."""
-        return Expr({m: c for m, c in self._terms.items() if all(s != name for s, _ in m)})
+        return self.coefficient_of(name, 0)
 
     def coefficient_of(self, name: str, power: int) -> "Expr":
         """Coefficient of name**power (an Expr free of `name`)."""
-        terms: Dict[Mono, Scalar] = {}
-        for mono, coeff in self._terms.items():
-            powers = dict(mono)
-            if powers.pop(name, 0) == power:
-                terms[_normalize_powers(powers)] = coeff
-        return Expr(terms)
+        return self.as_poly_in(name).get(power, Expr())
 
     def as_poly_in(self, name: str) -> Dict[int, "Expr"]:
+        """{power: coefficient} in `name`: a canonical monomial stays canonical
+        without its `name` factor."""
         out: Dict[int, Dict[Mono, Scalar]] = {}
         for mono, coeff in self._terms.items():
             powers = dict(mono)
             e = powers.pop(name, 0)
-            out.setdefault(e, {})[_normalize_powers(powers)] = coeff
-        return {e: Expr(t) for e, t in out.items()}
+            out.setdefault(e, {})[tuple(powers.items())] = coeff
+        return {e: Expr._wrap(t) for e, t in out.items()}
 
     # -- comparisons ------------------------------------------------------------
 
@@ -313,7 +339,7 @@ def sum_of_products(pairs: Iterable[Tuple[Expr, Expr]]) -> Expr:
         for m1, c1 in x._terms.items():
             for m2, c2 in y._terms.items():
                 _accumulate(terms, _mono_mul(m1, m2), c1 * c2)
-    return _clean(terms)
+    return Expr._wrap(terms)
 
 
 def sqrt_monomial(expr: Expr) -> Expr:

@@ -73,6 +73,4 @@ def to_ladder(x: WeylPolynomial) -> LadderPolynomial:
 def diagonal_part(x: LadderPolynomial) -> NumberPolynomial:
     """Keep the balanced words Ad^m A^m; in the number basis these act as
     falling factorials k(k-1)...(k-m+1)."""
-    return NumberPolynomial(
-        {m: c for (m, n), c in x._terms.items() if m == n}
-    )
+    return NumberPolynomial._wrap({m: c for (m, n), c in x._terms.items() if m == n})

@@ -2,8 +2,9 @@
 
 The basis element of order m is k_(m) = k(k-1)...(k-m+1), the diagonal
 matrix element of Ad^m A^m.  Conversions to and from the monomial basis
-use Stirling numbers and are exact.  Coefficients are kept as given: `Expr`
-on the symbolic ladder path, `int` on the moment engine's centred words.
+use Stirling numbers and are exact.  It is a `TermMap` keyed by m, with no
+arithmetic; coefficients are kept as given: `Expr` on the symbolic ladder
+path, `int` on the moment engine's centred words.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Mapping
 
-from .expression import Expr, _accumulate, sum_of_products
+from .expression import Expr, TermMap, _accumulate, sum_of_products
 
 
 @lru_cache(maxsize=None)
@@ -34,18 +35,8 @@ def stirling_second(n: int, m: int) -> int:
     return m * stirling_second(n - 1, m) + stirling_second(n - 1, m - 1)
 
 
-class NumberPolynomial:
-    __slots__ = ("_falling",)
-
-    def __init__(self, falling: Mapping[int, Expr] = ()):
-        cleaned = {}
-        for order, coeff in dict(falling).items():
-            if coeff:
-                cleaned[int(order)] = coeff
-        object.__setattr__(self, "_falling", cleaned)
-
-    def __setattr__(self, *_):
-        raise AttributeError("NumberPolynomial is immutable")
+class NumberPolynomial(TermMap):
+    __slots__ = ()
 
     @classmethod
     def from_monomial(cls, coeffs: Mapping[int, Expr]) -> "NumberPolynomial":
@@ -55,26 +46,23 @@ class NumberPolynomial:
                 s = stirling_second(n, m)
                 if s:
                     _accumulate(falling, m, c * s)
-        return cls(falling)
+        return cls._wrap(falling)
 
     def falling_coefficients(self) -> Dict[int, Expr]:
-        return dict(self._falling)
+        return dict(self._terms)
 
     def monomial_coefficients(self) -> Dict[int, Expr]:
         out: Dict[int, Expr] = {}
-        for m, c in self._falling.items():
+        for m, c in self._terms.items():
             for n in range(m + 1):
                 s = stirling_first_signed(m, n)
                 if s:
                     _accumulate(out, n, c * s)
         return out
 
-    def is_zero(self) -> bool:
-        return not self._falling
-
     def evaluate_at(self, k: int, bindings: Mapping[str, complex] = ()) -> complex:
         total = 0j
-        for m, c in self._falling.items():
+        for m, c in self._terms.items():
             ff = 1
             for j in range(m):
                 ff *= k - j
@@ -87,14 +75,6 @@ class NumberPolynomial:
             (Expr.coerce(c), Expr.symbol("k", n))
             for n, c in self.monomial_coefficients().items()
         )
-
-    def __eq__(self, other):
-        if isinstance(other, NumberPolynomial):
-            return self._falling == other._falling
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._falling.items()))
 
     def __repr__(self):
         from .parsing import format_expression

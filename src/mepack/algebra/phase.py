@@ -32,14 +32,14 @@ class PhasePolynomial(OrderedPolynomial):
         for (a, b), c in self._terms.items():
             if a:
                 terms[(a - 1, b)] = c * a
-        return PhasePolynomial(terms)
+        return PhasePolynomial._wrap(terms)
 
     def diff_p(self) -> "PhasePolynomial":
         terms = {}
         for (a, b), c in self._terms.items():
             if b:
                 terms[(a, b - 1)] = c * b
-        return PhasePolynomial(terms)
+        return PhasePolynomial._wrap(terms)
 
 
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:

@@ -1,12 +1,14 @@
 """The arithmetic that the exact types share, written once.
 
-`Scalar`, `Expr` and the `OrderedPolynomial` rings each define `coerce`,
-`+`, unary `-`, `*`, `inverse` and `is_zero`.  `ExactRing` builds the rest
-from those: immutability, truth as "nonzero", `-` and `/`, and `**` by
-square-and-multiply, where a negative exponent raises `inverse()` (which
-raises ZeroDivisionError for a value with no inverse in its ring).  An
-operand that `coerce` refuses gives `NotImplemented`, so Python tries the
-other operand's reflected method (`Expr - WeylPolynomial` is a polynomial).
+`Scalar`, `Expr` and the `OrderedPolynomial` rings each have `coerce`, `+`,
+unary `-`, `*`, `inverse`, `is_zero` and a truth value ("nonzero"); `Expr`
+and the ordered polynomials take their `+`, unary `-`, `is_zero` and truth
+from the term map they share (`expression.TermMap`).  `ExactRing` builds
+the rest: immutability, `-` and `/`, and `**` by square-and-multiply, where
+a negative exponent raises `inverse()` (which raises ZeroDivisionError for
+a value with no inverse in its ring).  An operand that `coerce` refuses
+gives `NotImplemented`, so Python tries the other operand's reflected
+method (`Expr - WeylPolynomial` is a polynomial).
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ class ExactRing:
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def _coerced(self, other):
         try:

@@ -59,7 +59,9 @@ class Scalar(ExactRing):
 
     def __init__(self, re=0, im=0):
         (a, d), (b, e) = _ratio(re), _ratio(im)
-        object.__setattr__(self, "abd", _scalar(a * e, b * d, d * e).abd)
+        a, b, d = a * e, b * d, d * e
+        g = gcd(a, b, d)
+        object.__setattr__(self, "abd", (a // g, b // g, d // g))
 
     @classmethod
     def coerce(cls, value) -> "Scalar":
@@ -110,6 +112,9 @@ class Scalar(ExactRing):
 
     def is_zero(self) -> bool:
         return self.abd == (0, 0, 1)
+
+    def __bool__(self):
+        return self.abd != (0, 0, 1)
 
     def is_real(self) -> bool:
         return self.abd[1] == 0

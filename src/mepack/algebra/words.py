@@ -23,14 +23,15 @@ X^a Y^b -> sum_j swap_counts(a, b)[j] c^j X^(a-j) Y^(b-j), i.e. exp(c d_X d_Y)
 on commuting letters, which -c undoes.  It normal-orders Y^b X^a (the Weyl
 adjoint), and maps Weyl symbols to q-left operators (c = -i*hbar/2) and back.
 
-`OrderedPolynomial` implements that ring once; a subclass sets the
+`OrderedPolynomial` implements that ring once on the shared term map
+(`expression.TermMap`, with its `+` and unary `-`); a subclass sets the
 contraction c as `CONTRACTION` (None for the commutative case, which keeps
 only j = 0), its two letters as `LETTERS`, and the coercion into its
 coefficient ring as `COEFFICIENT` (`Expr` by default; the moment engine's
-centred ladder words use plain `int`).  `-`, `**` and immutability come
-from `ring.ExactRing`; the only invertible polynomials are the nonzero
-scalars c X^0 Y^0 with an invertible coefficient, so `/` divides by those
-and a negative power of anything else raises ZeroDivisionError.
+centred ladder words use plain `int`).  `-` and `**` come from
+`ring.ExactRing`; the only invertible polynomials are the nonzero scalars
+c X^0 Y^0 with an invertible coefficient, so `/` divides by those and a
+negative power of anything else raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from functools import lru_cache
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from .expression import Expr, _accumulate
+from .expression import Expr, TermMap, _accumulate, term_negation, term_sum
 from .ring import ExactRing
 
 Key = Tuple[int, int]  # exponents of X^a Y^b
@@ -71,22 +72,14 @@ def contract(terms: Mapping[Key, Any], c) -> Dict[Key, Any]:
     return out
 
 
-class OrderedPolynomial(ExactRing):
+class OrderedPolynomial(TermMap, ExactRing):
     """Immutable map (a, b) -> coefficient for the monomials X^a Y^b."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     CONTRACTION: Optional[Expr]  # None when the letters commute
     LETTERS: Tuple[str, str]  # (X, Y)
     COEFFICIENT = staticmethod(Expr.coerce)
-
-    def __init__(self, terms: Mapping[Key, Expr] = ()):
-        cleaned = {}
-        for key, coeff in dict(terms).items():
-            coeff = self.COEFFICIENT(coeff)
-            if coeff:
-                cleaned[key] = coeff
-        object.__setattr__(self, "_terms", cleaned)
 
     # -- constructors ----------------------------------------------------------
 
@@ -96,9 +89,7 @@ class OrderedPolynomial(ExactRing):
 
     @classmethod
     def coerce(cls, value):
-        if isinstance(value, cls):
-            return value
-        return cls.constant(value)
+        return value if isinstance(value, cls) else cls({(0, 0): value})
 
     @classmethod
     def from_word(cls, word: Iterable[str], coeff=1):
@@ -120,25 +111,13 @@ class OrderedPolynomial(ExactRing):
     def coefficient(self, a: int, b: int) -> Expr:
         return self._terms.get((a, b), self.COEFFICIENT(0))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree(self) -> int:
         return max((a + b for a, b in self._terms), default=0)
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other):
-        other = self.coerce(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _accumulate(terms, key, coeff)
-        return type(self)(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self._terms.items()})
+    __add__ = __radd__ = term_sum
+    __neg__ = term_negation
 
     def __mul__(self, other):
         other = self.coerce(other)
@@ -155,7 +134,7 @@ class OrderedPolynomial(ExactRing):
                         powers.append(powers[-1] * contraction)
                     key = (a1 + a2 - j, b1 + b2 - j)
                     _accumulate(terms, key, coeff * (powers[j] * count) if j else coeff)
-        return type(self)(terms)
+        return self._wrap(terms)
 
     def __rmul__(self, other):
         return self.coerce(other) * self
@@ -166,17 +145,6 @@ class OrderedPolynomial(ExactRing):
         if any(key != (0, 0) for key in self._terms):
             raise ZeroDivisionError(f"not an invertible scalar: {self}")
         return self.constant(self.coefficient(0, 0).inverse())
-
-    def map_coefficients(self, fn):
-        return type(self)({k: fn(c) for k, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         from .parsing import format_ordered

@@ -79,18 +79,28 @@ def _fmt(x: float) -> str:
 
 
 def _number(value, field: str):
+    """An int, float or rational literal whose float is finite, and nonzero
+    when the value is: every scenario number is read here."""
     if isinstance(value, bool):
         raise ValidationError("expected a number", field)
-    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
-        raise ValidationError(f"expected a finite number, got {value}", field)
-    if isinstance(value, (int, float)):
-        return value
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {value!r}: {exc}", field)
-    raise ValidationError(f"expected a number, got {type(value).__name__}", field)
+    elif isinstance(value, (int, float)):
+        number = value
+    else:
+        raise ValidationError(f"expected a number, got {type(value).__name__}", field)
+    try:
+        approx = float(number)
+    except OverflowError:
+        raise ValidationError(f"{value} is beyond float range", field) from None
+    if not math.isfinite(approx):  # JSON NaN, Infinity
+        raise ValidationError(f"expected a finite number, got {value}", field)
+    if not approx and number:
+        raise ValidationError(f"{value} is below float range (its float is 0)", field)
+    return number
 
 
 def _integer(value, field: str) -> int:

@@ -281,6 +281,13 @@ class QuadraticFlow(NamedTuple):
     branch: str  # "oscillatory" | "uniform" | "hyperbolic"
 
 
+def _finite_time(t) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"evolution time must be finite, got t = {t}")
+    return t
+
+
 def quadratic_flow(potential: PolynomialPotential, t: float) -> QuadraticFlow:
     if potential.effective_degree() > 2:
         raise DomainError(
@@ -289,7 +296,7 @@ def quadratic_flow(potential: PolynomialPotential, t: float) -> QuadraticFlow:
         )
     m = potential.mass_value()
     v1, v2 = potential.coefficient(1), potential.coefficient(2)
-    t = float(t)
+    t = _finite_time(t)
     if v2 > 0:
         xi, omega = math.sqrt(m * v2), math.sqrt(v2 / m)
         c, s = math.cos(omega * t), math.sin(omega * t)
@@ -380,7 +387,7 @@ def _taylor_series(potential: PolynomialPotential, order: int, kind: str) -> dic
 
 
 def _grid_checked(grid: Sequence[float]) -> List[float]:
-    times = [float(t) for t in grid]
+    times = [_finite_time(t) for t in grid]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise DomainError("time grid must be strictly increasing")
     if times and times[0] < 0:
@@ -448,7 +455,11 @@ def propagate(
         }
 
     def eval_series(c: List[float], dt: float) -> float:
-        return sum(cn * dt ** n for n, cn in enumerate(c))
+        # left to right: sum() compensates float sums from Python 3.12 on
+        total = 0
+        for n, cn in enumerate(c):
+            total += cn * dt ** n
+        return total
 
     def moments_at(coeffs: dict, dt: float) -> Tuple[PacketMoments, float]:
         qm = eval_series(coeffs["q"], dt)

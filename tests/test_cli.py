@@ -313,6 +313,39 @@ def test_malformed_scenario_is_a_validation_error(tmp_path, capsys, overrides, f
     assert "Traceback" not in err
 
 
+_QUARTIC = {"m": 1, "V": [0, 0, 0, 0, 1]}
+_HUGE_QUARTIC = {"m": 1, "V": [0, 0, 0, 0, "1e400"]}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"run": {"grid": ["0", "1e400"]}}, "run.grid[1]: 1e400 is beyond float range"),
+        ({"run": {"mode": "limit-sweep", "nu_sweep": ["1e400"], "grid": None}},
+         "run.nu_sweep[0]: 1e400 is beyond float range"),
+        ({"packet": {"Q": "1e400"}, "potential": _QUARTIC,
+          "run": {"kind": "quantum", "grid": [0, 0.1]}},
+         "packet.Q: 1e400 is beyond float range"),
+        ({"packet": {"Q": 10 ** 400}}, "packet.Q: 1000"),
+        ({"potential": _HUGE_QUARTIC,
+          "run": {"mode": "limit-sweep", "nu_sweep": [10, 20], "grid": None}},
+         "potential.V[4]: 1e400 is beyond float range"),
+        ({"potential": _HUGE_QUARTIC,
+          "run": {"kind": "quantum", "propagation": "taylor-origin", "grid": [0, 0.1]}},
+         "potential.V[4]: 1e400 is beyond float range"),
+        ({"packet": {"hbar": "1e-400"}}, "packet.hbar: 1e-400 is below float range"),
+    ],
+    ids=["grid", "nu_sweep", "packet-Q-evolve", "packet-Q-int", "V-limit-sweep",
+         "V-taylor-origin", "hbar-underflow"],
+)
+def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, overrides, message):
+    path = write_scenario(tmp_path, **overrides)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_absent_lists_mean_the_defaults(tmp_path):
     path = write_scenario(tmp_path, run={"mode": "moments", "grid": None})
     assert main(["run", str(path)]) == 0

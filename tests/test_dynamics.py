@@ -560,6 +560,29 @@ def test_flow_past_float_range_is_a_horizon_error():
         quadratic_flow(PolynomialPotential(1, (0, 0, -1)), 800)
 
 
+_FINITE_TIME = "evolution time must be finite, got t = "
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_closed_form_evolution_refuses_a_non_finite_time(t):
+    pk = PacketMoments(0.0, 0.0, 1.0, 1.0, hbar=1.0)
+    pot = PolynomialPotential(1, (0, 0, 1))
+    for call in (lambda: quadratic_flow(pot, t), lambda: evolve_quadratic(pk, pot, t)):
+        with pytest.raises(DomainError, match=f"{_FINITE_TIME}{t}$"):
+            call()
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_a_grid_with_a_non_finite_time_is_refused(numeric_packet, t):
+    pot = PolynomialPotential(1, (0, 0, 1))
+    for call in (
+        lambda: trajectory_quadratic(numeric_packet, pot, [0, t]),
+        lambda: propagate(numeric_packet, pot, [0, t], order=4),
+    ):
+        with pytest.raises(DomainError, match=f"{_FINITE_TIME}{t}$"):
+            call()
+
+
 def test_evolve_free_particle_spreading():
     pk = PacketMoments(0.0, 0.0, 1.0, 1.0, hbar=1.0)
     pot = PolynomialPotential(1.0, (0.0,))
