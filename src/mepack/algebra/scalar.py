@@ -82,7 +82,11 @@ class Scalar(ExactRing):
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        (a, b, d), (c, e, f) = self.abd, Scalar.coerce(other).abd
+        if not isinstance(other, Scalar):
+            other = self._coerced(other)
+            if other is NotImplemented:
+                return other
+        (a, b, d), (c, e, f) = self.abd, other.abd
         return _scalar(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
@@ -92,7 +96,11 @@ class Scalar(ExactRing):
         return _lowest((-a, -b, d))
 
     def __mul__(self, other):
-        (a, b, d), (c, e, f) = self.abd, Scalar.coerce(other).abd
+        if not isinstance(other, Scalar):
+            other = self._coerced(other)
+            if other is NotImplemented:
+                return other
+        (a, b, d), (c, e, f) = self.abd, other.abd
         return _scalar(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__

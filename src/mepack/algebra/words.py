@@ -120,7 +120,10 @@ class OrderedPolynomial(TermMap, ExactRing):
     __neg__ = term_negation
 
     def __mul__(self, other):
-        other = self.coerce(other)
+        if not isinstance(other, type(self)):
+            other = self._coerced(other)
+            if other is NotImplemented:
+                return other
         contraction = self.CONTRACTION
         powers = [1]  # contraction ** j, grown on demand
         terms: Dict[Key, Expr] = {}
@@ -137,7 +140,8 @@ class OrderedPolynomial(TermMap, ExactRing):
         return self._wrap(terms)
 
     def __rmul__(self, other):
-        return self.coerce(other) * self
+        other = self._coerced(other)
+        return other if other is NotImplemented else other * self
 
     def inverse(self):
         """Inverse of a nonzero scalar c X^0 Y^0 (`q^0` and `q*p - p*q`

@@ -9,12 +9,12 @@ and output; exact rationals are accepted as strings ("3/2").  Each flag
 replaces its run or output value before `Scenario` reads the object, so
 flags and file pass the same checks in one pass: an unknown key, a value
 of the wrong type, an empty `expressions` or `orders` list, an order below
-1 (below 2 for Taylor propagation) or a grid without points is a
-validation failure.
+1 (below 2 for Taylor propagation) or a grid without points or with more
+than `MAX_GRID_POINTS` is a validation failure.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
-failure (also an oracle-check delta above `ORACLE_CHECK_BOUND`, after the
-outputs are written), 4 I/O failure.
+failure or a float that leaves range (also an oracle-check delta above
+`ORACLE_CHECK_BOUND`, after the outputs are written), 4 I/O failure.
 
 Data files are deterministic: identical configs give byte identical
 CSV/JSON, and run metadata lives in the report footer.
@@ -28,7 +28,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .algebra import (
     ParseError,
@@ -57,13 +57,14 @@ from .packets import PacketMoments
 from .quantum import expectation_quantum, restore_hbar
 from .version import __version__
 
-MODES = ("moments", "evolve", "derivatives", "corrections", "limit-sweep", "oracle-check")
 PROPAGATIONS = (None, "quadratic", "taylor-origin", "repacketized-stepping")
 FORMATS = ("csv", "json", "txt")
 RUN_KEYS = ("mode", "kind", "grid", "order", "orders", "propagation", "nu_sweep", "cutoff",
             "expressions", "v")
 
-TRAJECTORY_HEADER = "t,Q,P,dQ,dP,nu,S"
+TRAJECTORY_COLUMNS = ("t", "Q", "P", "dQ", "dP", "nu", "S")
+# the most times one grid may hold; the bundled scenarios use at most 21
+MAX_GRID_POINTS = 100_000
 
 _DEFAULT_EXPRESSIONS = ("q", "p", "q^2", "p^2", "q*p", "p*q^2*p")
 
@@ -186,6 +187,8 @@ def _parse_grid(raw, field: str) -> List[float]:
     if raw is None:
         return []
     if isinstance(raw, list):
+        if len(raw) > MAX_GRID_POINTS:
+            raise ValidationError(f"grid has more than {MAX_GRID_POINTS} points", field)
         times = _list(raw, field, lambda t, f: float(_number(t, f)))
     elif isinstance(raw, dict):
         _object(raw, field, ("start", "stop", "step", "times"))
@@ -201,7 +204,10 @@ def _parse_grid(raw, field: str) -> List[float]:
             raise ValidationError(f"grid needs {exc.args[0]}", field)
         if step <= 0:
             raise ValidationError("grid step must be positive", field)
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if span >= MAX_GRID_POINTS:
+            raise ValidationError(f"grid has more than {MAX_GRID_POINTS} points", field)
+        n = int(math.floor(span)) + 1
         if n < 1:
             raise ValidationError(f"grid from {start} to {stop} has no points", field)
         times = [start + i * step for i in range(n)]
@@ -300,7 +306,6 @@ class OutputBundle:
         self.formats = formats
         self.lines: List[str] = []
         self.files: Dict[str, str] = {}
-        self.json_payload: Dict = {}
         self.footer: Dict[str, str] = {}
         # raised by `main` once the outputs are written
         self.failure: Optional[MepackError] = None
@@ -308,14 +313,14 @@ class OutputBundle:
     def say(self, text: str = ""):
         self.lines.append(text)
 
-    def add_csv(self, name: str, header: str, rows: List[List]):
+    def add_csv(self, name: str, columns: Sequence[str], rows: List[List]):
         body = "\n".join(
-            [header]
+            [",".join(columns)]
             + [",".join(x if isinstance(x, str) else _fmt(x) for x in row) for row in rows]
         )
         self.files[name] = body + "\n"
 
-    def write(self) -> List[Path]:
+    def write(self, payload: Dict) -> List[Path]:
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             written = []
@@ -325,9 +330,9 @@ class OutputBundle:
                 path = self.out_dir / name
                 path.write_text(content)
                 written.append(path)
-            if self.json_payload and "json" in self.formats:
+            if "json" in self.formats:
                 path = self.out_dir / "results.json"
-                path.write_text(json.dumps(self.json_payload, indent=2, sort_keys=True) + "\n")
+                path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
                 written.append(path)
             if "txt" in self.formats:
                 report = "\n".join(self.lines + ["", "---"] +
@@ -364,7 +369,9 @@ def _parse_operator(text: str, bindings: dict):
 def run_moments(scenario: Scenario, out: OutputBundle):
     bindings = scenario.packet.bindings()
     sym = PacketMoments.symbolic()
-    rows, csv_rows = [], []
+    columns = ("expr", "classical", "quantum", "classical_value", "quantum_value_re",
+               "quantum_value_im")
+    rows = []
     out.say("expectation values of operator polynomials")
     out.say("")
     for text in scenario.expressions:
@@ -382,14 +389,10 @@ def run_moments(scenario: Scenario, out: OutputBundle):
         cv = scenario.packet.specialize(classical).evaluate(bindings)
         out.say(f"    numeric:   classical {_fmt(cv.real)}, quantum "
                 f"{_fmt(qv.real)} + {_fmt(qv.imag)}*i")
-        rows.append({"expr": text, "classical": classical_str, "quantum": quantum_str,
-                     "classical_value": cv.real, "quantum_value_re": qv.real,
-                     "quantum_value_im": qv.imag})
-        csv_rows.append([text, classical_str, quantum_str, cv.real, qv.real, qv.imag])
-    header = "expr,classical,quantum,classical_value,quantum_value_re,quantum_value_im"
-    out.add_csv("moments.csv", header, csv_rows)
-    out.json_payload = {"mode": "moments", "rows": rows}
+        rows.append([text, classical_str, quantum_str, cv.real, qv.real, qv.imag])
+    out.add_csv("moments.csv", columns, rows)
     out.footer["provenance"] = "symbolic-exact"
+    return {"rows": [dict(zip(columns, row)) for row in rows]}
 
 
 def _trajectory(scenario: Scenario) -> Trajectory:
@@ -407,17 +410,13 @@ def _trajectory(scenario: Scenario) -> Trajectory:
 
 def run_evolve(scenario: Scenario, out: OutputBundle):
     traj = _trajectory(scenario)
-    rows = [list(row) for row in traj.rows()]
-    out.add_csv("trajectory.csv", TRAJECTORY_HEADER, rows)
-    out.json_payload = {
-        "mode": "evolve",
-        "columns": TRAJECTORY_HEADER.split(","),
-        "rows": rows,
-    }
+    rows = list(traj.rows())
+    out.add_csv("trajectory.csv", TRAJECTORY_COLUMNS, rows)
     out.say(f"evolved {len(rows)} grid points ({traj.provenance}, {traj.kind} packet)")
     if traj.remainder_estimate:
         out.say(f"last Taylor term magnitude (remainder proxy): {_fmt(traj.remainder_estimate)}")
     out.footer["provenance"] = traj.provenance
+    return {"columns": TRAJECTORY_COLUMNS, "rows": rows}
 
 
 def run_derivatives(scenario: Scenario, out: OutputBundle):
@@ -426,23 +425,21 @@ def run_derivatives(scenario: Scenario, out: OutputBundle):
     label = "numeric" if potential.is_numeric else "symbolic"
     ct = derivatives_classical(potential, order)
     qt = derivatives_quantum(potential, order)
-    averages = [averaged_p_derivatives(potential, n) for n in range(1, order + 1)]
+    columns = ("classical_p", "quantum_p", "classical_averaged_p", "quantum_averaged_p")
+    rows = []
     out.say(f"time derivatives at t = 0 ({label} potential, degree {potential.degree})")
-    for n, (quantum, classical) in enumerate(averages):
+    for n, (cp, qp) in enumerate(zip(ct.p, qt.p), 1):
+        quantum, classical = averaged_p_derivatives(potential, n)
+        row = (format_phase(cp), format_weyl(qp), format_expression(classical),
+               format_expression(quantum))
+        rows.append(row)
         out.say("")
-        out.say(f"  d^{n+1}p/dt^{n+1} classical: {format_phase(ct.p[n])}")
-        out.say(f"  d^{n+1}p/dt^{n+1} quantum:   {format_weyl(qt.p[n])}")
-        out.say(f"  d^{n+1}P/dt^{n+1} classical average: {format_expression(classical)}")
-        out.say(f"  d^{n+1}P/dt^{n+1} quantum average:   {format_nu_polynomial(quantum)}")
+        out.say(f"  d^{n}p/dt^{n} classical: {row[0]}")
+        out.say(f"  d^{n}p/dt^{n} quantum:   {row[1]}")
+        out.say(f"  d^{n}P/dt^{n} classical average: {row[2]}")
+        out.say(f"  d^{n}P/dt^{n} quantum average:   {format_nu_polynomial(quantum)}")
     out.footer["provenance"] = "symbolic-exact"
-    out.json_payload = {
-        "mode": "derivatives",
-        "order": order,
-        "classical_p": [format_phase(e) for e in ct.p],
-        "quantum_p": [format_weyl(e) for e in qt.p],
-        "classical_averaged_p": [format_expression(c) for _, c in averages],
-        "quantum_averaged_p": [format_expression(q) for q, _ in averages],
-    }
+    return {"order": order, **dict(zip(columns, zip(*rows)))}
 
 
 def run_corrections(scenario: Scenario, out: OutputBundle):
@@ -461,11 +458,10 @@ def run_corrections(scenario: Scenario, out: OutputBundle):
             for name, power in (("V3", 1), ("V4", 1), ("dQ", 2), ("dP", 2), ("Q", 0), ("P", 0)):
                 group = group.coefficient_of(name, power)
             factor = format_nu_polynomial(group * Expr.number(2) * Expr.symbol("m") ** 3)
-            line = f"  pq2p-descended factor at order 5: dQ^2*dP^2*({factor})"
-            out.say(line)
+            out.say(f"  pq2p-descended factor at order 5: dQ^2*dP^2*({factor})")
             rows[-1]["pq2p_factor"] = factor
-    out.json_payload = {"mode": "corrections", "rows": rows}
     out.footer["provenance"] = "symbolic-exact"
+    return {"rows": rows}
 
 
 def run_limit_sweep(scenario: Scenario, out: OutputBundle):
@@ -475,17 +471,12 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
     base["m"] = scenario.potential.mass_value()
     for k in range(degree + 1):
         base[f"V{k}"] = scenario.potential.coefficient(k)
-
-    def job(nu: float):
-        b = dict(base)
-        b["nu"] = nu
-        b["hbar"] = 2.0 * b["dQ"] * b["dP"] / nu
-        correction = abs(corr.evaluate(b))
-        moment_dev = 2.0 * b["dQ"] ** 2 * b["dP"] ** 2 / nu ** 2
-        return [nu, correction, moment_dev]
-
-    rows = [job(nu) for nu in scenario.nu_sweep]
-    out.add_csv("sweep.csv", "nu,correction,moment_dev", rows)
+    columns = ("nu", "correction", "moment_dev")
+    rows = []
+    for nu in scenario.nu_sweep:
+        b = dict(base, nu=nu, hbar=2.0 * base["dQ"] * base["dP"] / nu)
+        rows.append([nu, abs(corr.evaluate(b)), 2.0 * base["dQ"] ** 2 * base["dP"] ** 2 / nu ** 2])
+    out.add_csv("sweep.csv", columns, rows)
 
     def slope(idx: int) -> Optional[float]:
         pts = [(math.log(r[0]), math.log(r[idx])) for r in rows if r[idx] > 0]
@@ -500,14 +491,8 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
     out.say(f"swept nu over {scenario.nu_sweep} at derivative order {scenario.order}")
     out.say(f"fitted log-log slope of |correction|: {s_corr if s_corr is not None else 'n/a'}")
     out.say(f"fitted log-log slope of moment deviation: {s_mom if s_mom is not None else 'n/a'}")
-    out.json_payload = {
-        "mode": "limit-sweep",
-        "columns": ["nu", "correction", "moment_dev"],
-        "rows": rows,
-        "correction_slope": s_corr,
-        "moment_slope": s_mom,
-    }
     out.footer["provenance"] = "symbolic-evaluated"
+    return {"columns": columns, "rows": rows, "correction_slope": s_corr, "moment_slope": s_mom}
 
 
 # the largest |engine - oracle| / max(|oracle|, 1) that oracle-check accepts
@@ -521,31 +506,22 @@ def run_oracle_check(scenario: Scenario, out: OutputBundle):
     degree = max(op.degree() for _, op in operators)
     state = fock_state(packet, degree=degree, cutoff=scenario.cutoff)
     sym = PacketMoments.symbolic()
-
-    def job(text, op):
+    out.say(f"fock oracle comparison at cutoff {state.cutoff} "
+            f"(trace deficit {_fmt(state.trace_deficit)})")
+    rows, scaled_deltas, worst = [], [], 0.0
+    for text, op in operators:
         engine = expectation_quantum(sym, op).evaluate(bindings)
         oracle = fock_expectation(state, op)
         delta = abs(engine - oracle)
         rel = delta / max(abs(oracle), 1e-300)
-        return [text, engine, oracle, delta, rel]
-
-    results = [job(text, op) for text, op in operators]
-    rows = [
-        [r[0], r[1].real, r[1].imag, r[2].real, r[2].imag, r[3], r[4]] for r in results
-    ]
-    out.add_csv(
-        "oracle.csv",
-        "expr,engine_re,engine_im,oracle_re,oracle_im,abs_delta,rel_delta",
-        rows,
-    )
-    out.say(f"fock oracle comparison at cutoff {state.cutoff} "
-            f"(trace deficit {_fmt(state.trace_deficit)})")
-    worst = 0.0
-    for r in results:
-        out.say(f"  <{r[0]}>: engine {r[1]:.12g}, oracle {r[2]:.12g}, rel delta {r[4]:.3e}")
-        worst = max(worst, r[4])
+        out.say(f"  <{text}>: engine {engine:.12g}, oracle {oracle:.12g}, rel delta {rel:.3e}")
+        worst = max(worst, rel)
+        scaled_deltas.append(delta / max(abs(oracle), 1.0))
+        rows.append([text, engine.real, engine.imag, oracle.real, oracle.imag, delta, rel])
+    out.add_csv("oracle.csv", ("expr", "engine_re", "engine_im", "oracle_re", "oracle_im",
+                               "abs_delta", "rel_delta"), rows)
     out.say(f"worst relative delta: {worst:.3e}")
-    scaled = max(r[3] / max(abs(r[2]), 1.0) for r in results)
+    scaled = max(scaled_deltas)
     out.footer["oracle_delta"] = f"{scaled:.3e} (bound {ORACLE_CHECK_BOUND:g})"
     if scaled > ORACLE_CHECK_BOUND:
         out.failure = CutoffError(
@@ -554,19 +530,15 @@ def run_oracle_check(scenario: Scenario, out: OutputBundle):
         )
     classical_rows = []
     for a, b in ((1, 0), (0, 1), (2, 0), (0, 2), (2, 2), (4, 2)):
-        sym = moment_classical(packet, PhasePolynomial({(a, b): Expr.number(1)}))
-        engine = sym.evaluate(bindings).real
+        monomial = PhasePolynomial({(a, b): Expr.number(1)})
+        engine = moment_classical(packet, monomial).evaluate(bindings).real
         quad = gaussian_moment_numeric(packet, a, b)
         classical_rows.append([a, b, engine, quad, abs(engine - quad)])
-    out.add_csv("classical_moments.csv", "a,b,engine,quadrature,abs_delta", classical_rows)
-    out.json_payload = {
-        "mode": "oracle-check",
-        "cutoff": state.cutoff,
-        "worst_rel_delta": worst,
-        "rows": rows,
-    }
+    out.add_csv("classical_moments.csv", ("a", "b", "engine", "quadrature", "abs_delta"),
+                classical_rows)
     out.footer["provenance"] = "fock-oracle"
     out.footer["cutoff"] = str(state.cutoff)
+    return {"cutoff": state.cutoff, "worst_rel_delta": worst, "rows": rows}
 
 
 _RUNNERS = {
@@ -577,6 +549,7 @@ _RUNNERS = {
     "limit-sweep": run_limit_sweep,
     "oracle-check": run_oracle_check,
 }
+MODES = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -628,23 +601,20 @@ def main(argv=None) -> int:
             scenario=str(args.scenario),
             package=f"mepack {__version__}",
         )
-        _RUNNERS[scenario.mode](scenario, out)
+        payload = {"mode": scenario.mode, **_RUNNERS[scenario.mode](scenario, out)}
         out.footer.setdefault("cutoff", "n/a")
-        written = out.write()
+        written = out.write(payload)
         if out.failure is not None:
             raise out.failure
     except (ValidationError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (CutoffError, HorizonError) as exc:
+    except (CutoffError, HorizonError, OverflowError) as exc:
         print(f"numeric range error: {exc}", file=sys.stderr)
         return 3
     except (IOError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except MepackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     for path in written:
         print(path)
     return 0

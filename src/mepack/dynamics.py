@@ -386,7 +386,10 @@ def _taylor_series(potential: PolynomialPotential, order: int, kind: str) -> dic
     return {"q": q, **series}
 
 
-def _grid_checked(grid: Sequence[float]) -> List[float]:
+def _grid_checked(grid: Sequence[float], kind: str) -> List[float]:
+    """The grid's times, checked before any evolution, as is the packet kind."""
+    if kind not in ("classical", "quantum"):
+        raise DomainError(f"unknown packet kind {kind!r}")
     times = [_finite_time(t) for t in grid]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise DomainError("time grid must be strictly increasing")
@@ -440,9 +443,7 @@ def propagate(
         raise DomainError(f"Taylor order must be >= 2, got {order}")
     if mode not in ("taylor-origin", "repacketized-stepping"):
         raise DomainError(f"unknown propagation mode {mode!r}")
-    if kind not in ("classical", "quantum"):
-        raise DomainError(f"unknown packet kind {kind!r}")
-    times = _grid_checked(grid)
+    times = _grid_checked(grid, kind)
     if times and times[0] != 0.0:
         raise DomainError("time grid must start at 0")
     series = _taylor_series(potential, order, kind)
@@ -508,6 +509,6 @@ def trajectory_quadratic(
     v: Optional[float] = None,
 ) -> Trajectory:
     """Exact trajectory on a grid for degree <= 2 potentials."""
-    times = _grid_checked(grid)
+    times = _grid_checked(grid, kind)
     packets = [evolve_quadratic(packet, potential, t) for t in times]
     return _trajectory(times, packets, kind, v, "quadratic-exact")

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from mepack.algebra import format_expression, parse_expression
-from mepack.cli import format_nu_polynomial, main
+from mepack.cli import MAX_GRID_POINTS, format_nu_polynomial, main
+
+# an override value that removes its key from the base scenario
+DROP = object()
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -24,6 +27,10 @@ def write_scenario(tmp_path, name="scenario.json", **overrides):
             base[key].update(value)
         else:
             base[key] = value
+    for section in base.values():
+        if isinstance(section, dict):
+            for key in [k for k, v in section.items() if v is DROP]:
+                del section[key]
     path = tmp_path / name
     path.write_text(json.dumps(base))
     return path
@@ -294,6 +301,18 @@ def test_integer_run_fields_accept_integral_values(tmp_path):
          "potential.V[1]: expected a finite number, got inf"),
         ({"packet": {"Q": 0, "P": float("nan"), "dQ": 1, "dP": 1}}, [],
          "packet.P: expected a finite number, got nan"),
+        ({"packet": {"Q": True}}, [], "packet.Q: expected a number"),
+        ({"run": []}, [], "run: must be an object"),
+        ({"packet": {"P": DROP, "dQ": DROP, "dP": DROP}}, [],
+         "packet: missing fields ['P', 'dQ', 'dP']"),
+        ({"potential": {"V": DROP}}, [], "potential: needs fields m and V"),
+        ({"potential": {"m": -1}}, [], "potential: mass must be positive, got -1"),
+        ({"run": {"grid": {"start": 0, "step": 0.25}}}, [], "run.grid: grid needs stop"),
+        ({"run": {"grid": {"start": 0, "stop": 1, "step": 0}}}, [],
+         "run.grid: grid step must be positive"),
+        ({"run": {"grid": 5}}, [], "run.grid: grid must be a list or {start, stop, step}"),
+        ({"run": {"grid": [0, 1, 1]}}, [], "run.grid: grid times must be strictly increasing"),
+        ({"run": {"mode": "limit-sweep"}}, [], "run.nu_sweep: limit-sweep needs run.nu_sweep"),
     ],
     ids=[
         "expressions-int", "expressions-int-entry", "expressions-string", "nu_sweep-int",
@@ -302,7 +321,9 @@ def test_integer_run_fields_accept_integral_values(tmp_path):
         "limit-sweep-order-0", "orders-entry-0", "order-flag-0", "expressions-empty",
         "orders-empty", "taylor-origin-order-1", "repacketized-order-1",
         "default-taylor-order-1", "taylor-order-flag-1", "potential-inf",
-        "packet-nan",
+        "packet-nan", "packet-bool", "run-list", "packet-missing-fields",
+        "potential-missing-V", "mass-negative", "grid-without-stop", "grid-step-0",
+        "grid-number", "grid-repeated-time", "limit-sweep-without-nu_sweep",
     ],
 )
 def test_malformed_scenario_is_a_validation_error(tmp_path, capsys, overrides, flags, message):
@@ -343,6 +364,34 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, code, message",
+    [
+        ({"run": {"mode": "limit-sweep", "nu_sweep": ["1e300", "1e301"], "grid": None}}, 3,
+         "numeric range error: "),
+        ({"potential": _QUARTIC, "run": {"propagation": "taylor-origin", "grid": [0, "1e300"]}},
+         3, "numeric range error: "),
+        ({"potential": {"m": 1, "V": [0, 0, 0, 0, "1e300"]},
+          "run": {"kind": "quantum", "grid": [0, 0.1]}}, 3, "numeric range error: "),
+        ({"packet": {"Q": 0.5}, "run": {"mode": "moments", "expressions": ["(10^400)*q"],
+                                        "grid": None}}, 3, "numeric range error: "),
+        ({"run": {"grid": {"start": 0, "stop": 1, "step": "1e-300"}}}, 2,
+         f"validation error: run.grid: grid has more than {MAX_GRID_POINTS} points"),
+        ({"run": {"grid": list(range(MAX_GRID_POINTS + 1))}}, 2,
+         f"validation error: run.grid: grid has more than {MAX_GRID_POINTS} points"),
+    ],
+    ids=["nu_sweep-1e300", "taylor-grid-1e300", "quantum-V4-1e300", "moments-10^400",
+         "grid-step-1e-300", "grid-list-too-long"],
+)
+def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overrides, code,
+                                                         message):
+    path = write_scenario(tmp_path, **overrides)
+    assert main(["run", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
     assert "Traceback" not in err
 
 
@@ -467,20 +516,43 @@ def test_sweep_rows_follow_nu_sweep_order(tmp_path):
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cli"
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
-def test_bundled_scenario_outputs_match_golden(tmp_path, scenario):
+def assert_matches_golden(out: Path, name: str):
     """Every data file, and report.txt up to its run-metadata footer, is
     byte-identical to the reference outputs the benchmark checks."""
-    out = tmp_path / "out"
-    assert main(["run", str(scenario), "--out", str(out)]) == 0
-    golden = GOLDEN / scenario.stem
+    golden = GOLDEN / name
     expected = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in out.iterdir()) == expected
-    for name in expected:
-        got, ref = (out / name).read_bytes(), (golden / name).read_bytes()
-        if name == "report.txt":
+    for fname in expected:
+        got, ref = (out / fname).read_bytes(), (golden / fname).read_bytes()
+        if fname == "report.txt":
             got, ref = got.rpartition(b"\n---\n")[:2], ref.rpartition(b"\n---\n")[:2]
-        assert got == ref, name
+        assert got == ref, fname
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_scenario_outputs_match_golden(tmp_path, scenario):
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    assert_matches_golden(out, scenario.stem)
+
+
+# the bundled scenarios that the exact engine runs alone
+NUMPY_FREE = ("corrections", "derivatives", "free_particle", "harmonic_oscillator", "moments",
+              "quartic_taylor")
+
+
+def test_numpy_free_scenarios_match_golden_with_numpy_blocked(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; sys.modules['numpy'] = None; from mepack.cli import main; "
+            "scenarios, out = sys.argv[1:3]; "
+            "sys.exit(max(main(['run', f'{scenarios}/{name}.json', '--out', f'{out}/{name}']) "
+            "for name in sys.argv[3:]))")
+    argv = [sys.executable, "-c", code, str(SCENARIOS), str(tmp_path), *NUMPY_FREE]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in NUMPY_FREE:
+        assert_matches_golden(tmp_path / name, name)
 
 
 def test_cli_import_does_not_load_scipy():

@@ -583,6 +583,16 @@ def test_a_grid_with_a_non_finite_time_is_refused(numeric_packet, t):
             call()
 
 
+@pytest.mark.parametrize("build", [
+    trajectory_quadratic,
+    lambda pk, pot, grid, kind: propagate(pk, pot, grid, order=4, kind=kind),
+], ids=["trajectory_quadratic", "propagate"])
+def test_an_unknown_packet_kind_is_refused(numeric_packet, build):
+    pot = PolynomialPotential(1, (0, 0, 1))
+    with pytest.raises(DomainError, match="unknown packet kind 'Quantum'"):
+        build(numeric_packet, pot, [0, 0.5], kind="Quantum")
+
+
 def test_evolve_free_particle_spreading():
     pk = PacketMoments(0.0, 0.0, 1.0, 1.0, hbar=1.0)
     pot = PolynomialPotential(1.0, (0.0,))

@@ -109,6 +109,39 @@ def test_mixed_operands_reach_the_reflected_method():
         q - "q"
 
 
+@pytest.mark.parametrize("scalar_first, reflected", [
+    (lambda: Scalar(1) + Expr.symbol("Q"), lambda: Expr.symbol("Q") + 1),
+    (lambda: Scalar(2) * Expr.symbol("Q"), lambda: Expr.symbol("Q") * 2),
+    (lambda: Scalar(2) * WeylPolynomial.q(), lambda: WeylPolynomial.q() * 2),
+], ids=["scalar+expr", "scalar*expr", "scalar*weyl"])
+def test_scalar_leaves_other_exact_types_to_their_reflected_method(scalar_first, reflected):
+    assert scalar_first() == reflected()
+
+
+class _Reflected:
+    """An operand that only its own reflected methods can combine."""
+
+    def __radd__(self, other):
+        return "radd"
+
+    def __rmul__(self, other):
+        return "rmul"
+
+
+@pytest.mark.parametrize("value", [Scalar(2), Expr.symbol("Q"), WeylPolynomial.q(),
+                                   LadderPolynomial.from_word(["A"]), PhasePolynomial.q()],
+                         ids=lambda value: type(value).__name__)
+def test_an_operand_the_ring_refuses_reaches_its_reflected_method(value):
+    assert value + _Reflected() == "radd"
+    assert value * _Reflected() == "rmul"
+    with pytest.raises(TypeError):
+        value + object()
+    with pytest.raises(TypeError):
+        value * object()
+    with pytest.raises(TypeError):
+        object() * value
+
+
 @pytest.mark.parametrize("cls", [WeylPolynomial, LadderPolynomial, PhasePolynomial])
 def test_polynomial_power_matches_repeated_products(cls):
     x = cls({(1, 0): Expr.symbol("V1"), (0, 1): 1, (0, 0): Expr.i()})
