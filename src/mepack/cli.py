@@ -13,8 +13,8 @@ of the wrong type, an empty `expressions` or `orders` list, an order below
 than `MAX_GRID_POINTS` is a validation failure.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
-failure or a float that leaves range (also an oracle-check delta above
-`ORACLE_CHECK_BOUND`, after the outputs are written), 4 I/O failure.
+failure or a float that leaves range (also an oracle-check delta over
+`ORACLE_CHECK_BOUND` or nan, after the outputs are written), 4 I/O failure.
 
 Data files are deterministic: identical configs give byte identical
 CSV/JSON, and run metadata lives in the report footer.
@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -77,6 +78,15 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # scenario loading / validation
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _in_float_range(field: str, what: str):
+    """Name the field and value in an OverflowError, which main exits 3 on."""
+    try:
+        yield
+    except OverflowError:
+        raise OverflowError(f"{field}: {what} is beyond float range") from None
 
 
 def _number(value, field: str):
@@ -374,7 +384,7 @@ def run_moments(scenario: Scenario, out: OutputBundle):
     rows = []
     out.say("expectation values of operator polynomials")
     out.say("")
-    for text in scenario.expressions:
+    for i, text in enumerate(scenario.expressions):
         op = _parse_operator(text, bindings)
         quantum = expectation_quantum(sym, op)
         classical = moment_classical(sym, op.classical().map_coefficients(
@@ -385,8 +395,9 @@ def run_moments(scenario: Scenario, out: OutputBundle):
         out.say(f"    classical: {classical_str}")
         out.say(f"    quantum:   {quantum_str}")
         # exact at the packet's values, then rounded once
-        qv = scenario.packet.specialize(quantum).evaluate(bindings)
-        cv = scenario.packet.specialize(classical).evaluate(bindings)
+        with _in_float_range(f"run.expressions[{i}]", f"the value of {text!r}"):
+            qv = scenario.packet.specialize(quantum).evaluate(bindings)
+            cv = scenario.packet.specialize(classical).evaluate(bindings)
         out.say(f"    numeric:   classical {_fmt(cv.real)}, quantum "
                 f"{_fmt(qv.real)} + {_fmt(qv.imag)}*i")
         rows.append([text, classical_str, quantum_str, cv.real, qv.real, qv.imag])
@@ -473,9 +484,11 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
         base[f"V{k}"] = scenario.potential.coefficient(k)
     columns = ("nu", "correction", "moment_dev")
     rows = []
-    for nu in scenario.nu_sweep:
+    for i, nu in enumerate(scenario.nu_sweep):
         b = dict(base, nu=nu, hbar=2.0 * base["dQ"] * base["dP"] / nu)
-        rows.append([nu, abs(corr.evaluate(b)), 2.0 * base["dQ"] ** 2 * base["dP"] ** 2 / nu ** 2])
+        with _in_float_range(f"run.nu_sweep[{i}]", f"a value at nu = {float(nu):g}"):
+            rows.append([nu, abs(corr.evaluate(b)),
+                         2.0 * base["dQ"] ** 2 * base["dP"] ** 2 / nu ** 2])
     out.add_csv("sweep.csv", columns, rows)
 
     def slope(idx: int) -> Optional[float]:
@@ -508,22 +521,24 @@ def run_oracle_check(scenario: Scenario, out: OutputBundle):
     sym = PacketMoments.symbolic()
     out.say(f"fock oracle comparison at cutoff {state.cutoff} "
             f"(trace deficit {_fmt(state.trace_deficit)})")
-    rows, scaled_deltas, worst = [], [], 0.0
-    for text, op in operators:
-        engine = expectation_quantum(sym, op).evaluate(bindings)
-        oracle = fock_expectation(state, op)
+    rows, scaled_deltas = [], []
+    for i, (text, op) in enumerate(operators):
+        with _in_float_range(f"run.expressions[{i}]", f"the value of {text!r}"):
+            engine = expectation_quantum(sym, op).evaluate(bindings)
+            oracle = fock_expectation(state, op)
         delta = abs(engine - oracle)
         rel = delta / max(abs(oracle), 1e-300)
         out.say(f"  <{text}>: engine {engine:.12g}, oracle {oracle:.12g}, rel delta {rel:.3e}")
-        worst = max(worst, rel)
         scaled_deltas.append(delta / max(abs(oracle), 1.0))
         rows.append([text, engine.real, engine.imag, oracle.real, oracle.imag, delta, rel])
     out.add_csv("oracle.csv", ("expr", "engine_re", "engine_im", "oracle_re", "oracle_im",
                                "abs_delta", "rel_delta"), rows)
+    # a nan is the worst: max() alone keeps one only when it comes first
+    worst = max((row[-1] for row in rows), key=lambda d: (math.isnan(d), d))
     out.say(f"worst relative delta: {worst:.3e}")
-    scaled = max(scaled_deltas)
+    scaled = max(scaled_deltas, key=lambda d: (math.isnan(d), d))
     out.footer["oracle_delta"] = f"{scaled:.3e} (bound {ORACLE_CHECK_BOUND:g})"
-    if scaled > ORACLE_CHECK_BOUND:
+    if not scaled <= ORACLE_CHECK_BOUND:  # a nan delta fails too
         out.failure = CutoffError(
             f"engine and Fock oracle differ by {scaled:.3e} (|delta| / max(|oracle|, 1)), "
             f"above the bound {ORACLE_CHECK_BOUND:g}"

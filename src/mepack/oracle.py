@@ -8,11 +8,11 @@ eigendecomposition, keeping w and turning V.  Its only shared dependencies
 with the algebra layer are expression evaluation for numeric coefficients
 and the geometric-tail formula of `quantum`.
 
-q and p are tridiagonal on this basis, so the Hamiltonian's p^2 and q^k
-and the moments read by `state_moments` are built by O(n^2) band products
-(`_times_tridiagonal`).  The only O(n^3) work left is an operator word's
-products in `fock_expectation`, one eigendecomposition per potential (kept
-on the state for later times) and one product per evolution time, U itself.
+q and p are tridiagonal on this basis, so the Hamiltonian, the moments read
+by `state_moments` and a fresh state's Tr(rho X) are formed from diagonals
+(`_band_product`).  The only O(n^3) work left is an operator word's literal
+products, one eigendecomposition per potential (kept on the state for later
+times) and one product per evolution time, U itself.
 
 numpy is imported inside the functions that use it, so it loads on the
 first oracle call, not with `mepack`: the exact engine never needs it.
@@ -155,8 +155,9 @@ def fock_expectation(state: FockState, x) -> complex:
 
     X may be a WeylPolynomial (its canonical words are literal products) or
     an iterable of (coefficient, word) pairs for arbitrary orderings.  The
-    cutoff is checked against X's degree before any product is built.  An
-    evolved state's dense rho is rebuilt for each call, one more product.
+    cutoff is checked against X's degree before any product is built.  A
+    fresh state's rho is diagonal, so only the words' diagonals are summed;
+    an evolved state's dense rho is rebuilt for each call, one more product.
     """
     terms = _operator_terms(x)
     degree = max((len(word) for _, word in terms), default=0)
@@ -167,35 +168,54 @@ def fock_expectation(state: FockState, x) -> complex:
         )
     import numpy as np
 
-    matrix = np.zeros((state.cutoff, state.cutoff), dtype=complex)
+    fresh = state.vectors is None
+    total = np.zeros(state.cutoff if fresh else state.q_mat.shape, dtype=complex)
     for coeff, word in terms:
         value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
-        matrix += value * _word_matrix(state, word)
+        product = _word_matrix(state, word)
+        total += value * (product.diagonal() if fresh else product)
+    if fresh:  # the terms and pairwise order of the dense sum below, less its zeros
+        return complex((state.weights * total).sum())
     # Tr(rho M): row i of rho * M^T sums to (rho M)[i, i]
-    return complex((state.rho * matrix.T).sum(axis=1).sum())
+    return complex((state.rho * total.T).sum(axis=1).sum())
 
 
-def _times_tridiagonal(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """a @ t for a tridiagonal t in O(n^2): column j of the product is
-    t[j-1, j] a[:, j-1] + t[j, j] a[:, j] + t[j+1, j] a[:, j+1]."""
-    out = a * t.diagonal()
-    out[:, 1:] += a[:, :-1] * t.diagonal(1)
-    out[:, :-1] += a[:, 1:] * t.diagonal(-1)
+def _band_product(a: dict, b: dict, n: int) -> dict:
+    """The diagonals of A @ B from those of the n x n A and B, each a dict
+    k -> M.diagonal(k), whose entry i + min(0, k) is M[i, i+k]: (AB)[i, i+r+s]
+    gains A[i, i+r] B[i+r, i+r+s] over the rows i that keep all in range, in
+    O(n) per pair of diagonals.  Offsets at or beyond n are dropped."""
+    import numpy as np
+
+    out = {}
+    for r, x in a.items():
+        for s, y in b.items():
+            k = r + s
+            lo, hi = max(0, -r, -k), min(n, n - r, n - k)
+            if lo < hi:
+                band = out.setdefault(k, np.zeros(n - abs(k), dtype=complex))
+                band[lo + min(0, k):hi + min(0, k)] += (
+                    x[lo + min(0, r):hi + min(0, r)] * y[lo + r + min(0, s):hi + r + min(0, s)])
     return out
 
 
 def hamiltonian_matrix(state: FockState, potential: PolynomialPotential) -> np.ndarray:
+    """H = p^2 / 2m + V(q), its diagonals formed from those of p and q."""
     import numpy as np
 
-    m = potential.mass_value()
-    h = _times_tridiagonal(state.p_mat, state.p_mat) / (2.0 * m)
-    qk = np.eye(state.cutoff, dtype=complex)
-    for k in range(potential.degree + 1):
-        if k:
-            qk = _times_tridiagonal(qk, state.q_mat)
-        coeff = potential.coefficient(k) / math.factorial(k)
-        if coeff:
-            h += coeff * qk
+    n = state.cutoff
+    q, p = ({k: x.diagonal(k) for k in (-1, 0, 1)} for x in (state.q_mat, state.p_mat))
+    coeffs = [potential.coefficient(k) / math.factorial(k) for k in range(potential.degree + 1)]
+    bands = {0: np.full(n, coeffs.pop(), dtype=complex)}
+    for coeff in reversed(coeffs):  # Horner's rule
+        bands = _band_product(bands, q, n)
+        bands[0] += coeff
+    for d, band in _band_product(p, p, n).items():
+        bands[d] = bands.get(d, 0) + band / (2.0 * potential.mass_value())
+    h = np.zeros((n, n), dtype=complex)
+    for d, band in bands.items():
+        rows = np.arange(len(band)) - min(0, d)
+        h[rows, rows + d] = band
     return h
 
 
@@ -238,19 +258,24 @@ def fock_evolve(
 
 
 def state_moments(state: FockState) -> PacketMoments:
-    """Read (Q, P, dQ, dP) back off the factor in O(n^2): rho = S S^dagger
-    with S = V diag(sqrt(w)), so <X> = vdot(S, X S) and <X^2> = ||X S||^2.
-    X is first centred on its diagonal, exactly Q or P, so far from the
-    origin the spread is not lost to cancellation."""
+    """Read (Q, P, dQ, dP) back off the factor: rho = S S^dagger with
+    S = V diag(sqrt(w)), so rho's diagonal and first two off-diagonals are
+    dot products of S's rows (a fresh state's are w and zeros).  X - c,
+    centred on X's diagonal, exactly Q or P, and (X - c)^2 are banded, so both
+    means are O(n) sums, and far from the origin the spread is not lost."""
     import numpy as np
 
-    root = np.sqrt(state.weights)
-    s = np.diag(root) if state.vectors is None else state.vectors * root
+    n, rho = state.cutoff, {0: state.weights}
+    if state.vectors is not None:
+        s = state.vectors * np.sqrt(state.weights)
+        rho = {k: (s[:n - k] * s[k:].conj()).sum(axis=1) for k in (0, 1, 2)}  # rho[i, i+k]
+        rho.update({-k: rho[k].conj() for k in (1, 2)})
 
     def mean_and_spread(x: np.ndarray, c: float) -> Tuple[float, float]:
-        xc = x - c * np.eye(state.cutoff)
-        xs = _times_tridiagonal(s.T, xc.T).T  # X S = (S^T X^T)^T, on views
-        shift, square = float(np.vdot(s, xs).real), float(np.vdot(xs, xs).real)
+        y = {k: x.diagonal(k) - (c if k == 0 else 0) for k in (-1, 0, 1)}
+        # Tr(rho M) = sum_k sum_i rho[i, i+k] M[i+k, i], both at entry i + min(0, k)
+        shift, square = (float(sum((rho[k] * m[-k]).sum() for k in rho if -k in m).real)
+                         for m in (y, _band_product(y, y, n)))
         return c + shift, math.sqrt(square - shift * shift)
 
     q1, dq = mean_and_spread(state.q_mat, state.bindings["Q"])

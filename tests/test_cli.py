@@ -371,13 +371,15 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
     "overrides, code, message",
     [
         ({"run": {"mode": "limit-sweep", "nu_sweep": ["1e300", "1e301"], "grid": None}}, 3,
-         "numeric range error: "),
+         "numeric range error: run.nu_sweep[0]: a value at nu = 1e+300 is beyond float range"),
         ({"potential": _QUARTIC, "run": {"propagation": "taylor-origin", "grid": [0, "1e300"]}},
          3, "numeric range error: "),
         ({"potential": {"m": 1, "V": [0, 0, 0, 0, "1e300"]},
           "run": {"kind": "quantum", "grid": [0, 0.1]}}, 3, "numeric range error: "),
         ({"packet": {"Q": 0.5}, "run": {"mode": "moments", "expressions": ["(10^400)*q"],
-                                        "grid": None}}, 3, "numeric range error: "),
+                                        "grid": None}}, 3,
+         "numeric range error: run.expressions[0]: the value of '(10^400)*q' is beyond float "
+         "range"),
         ({"run": {"grid": {"start": 0, "stop": 1, "step": "1e-300"}}}, 2,
          f"validation error: run.grid: grid has more than {MAX_GRID_POINTS} points"),
         ({"run": {"grid": list(range(MAX_GRID_POINTS + 1))}}, 2,
@@ -393,6 +395,26 @@ def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overri
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expressions", [["(10^306)*q^4"], ["(10^307)*q^4"],
+                                         ["q", "(10^306)*q^4"]])
+def test_oracle_check_fails_on_a_non_finite_delta(tmp_path, expressions):
+    # a subprocess, so that numpy's overflow warnings stay warnings
+    path = write_scenario(tmp_path, packet={"dQ": 2, "dP": 2}, potential={"m": 1, "V": [0]},
+                          run={"mode": "oracle-check", "expressions": expressions,
+                               "grid": None})
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "mepack.cli", "run", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "numeric range error: engine and Fock oracle differ by nan" in proc.stderr
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "worst relative delta: nan" in report
+    assert "oracle_delta: nan (bound 1e-08)" in report
+    assert json.loads((tmp_path / "out" / "results.json").read_text())["worst_rel_delta"] != 0
 
 
 def test_absent_lists_mean_the_defaults(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -22,5 +22,5 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_all_five_demos_found():
-    assert len(DEMOS) == 5
+def test_all_six_demos_found():
+    assert len(DEMOS) == 6

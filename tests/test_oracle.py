@@ -14,7 +14,7 @@ from mepack import oracle
 from mepack.errors import CutoffError, DomainError, HorizonError
 from mepack.oracle import (
     DEFAULT_TAIL_TOL,
-    _times_tridiagonal,
+    _band_product,
     _word_matrix,
     choose_cutoff,
     fock_evolve,
@@ -218,23 +218,47 @@ def _rel(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
-def test_times_tridiagonal_matches_dense_product():
-    rng = np.random.default_rng(7)
-    n = 60
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
-    t = np.where(band, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0)
-    assert _rel(_times_tridiagonal(a, t), a @ t) < 1e-13
+def _diagonals(matrix):
+    n = len(matrix)
+    return {k: matrix.diagonal(k) for k in range(1 - n, n) if matrix.diagonal(k).any()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 60])
+def test_band_product_matches_dense_product(n):
+    rng = np.random.default_rng(n)
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    for lower_a, upper_a, lower_b, upper_b in ((1, 1, 1, 1), (0, 3, 2, 0), (4, 2, 1, 5)):
+        a = np.where((-offsets <= upper_a) & (offsets <= lower_a),
+                     rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0)
+        b = np.where((-offsets <= upper_b) & (offsets <= lower_b),
+                     rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0)
+        got, dense = _band_product(_diagonals(a), _diagonals(b), n), a @ b
+        assert set(got) <= set(range(1 - n, n))  # no offset at or beyond n
+        for k in range(1 - n, n):
+            ref = dense.diagonal(k)
+            assert np.max(np.abs(got.get(k, 0) - ref), initial=0) <= 1e-13 * np.max(np.abs(dense))
+
+
+def _dense_hamiltonian(st, potential):
+    dense = st.p_mat @ st.p_mat / (2.0 * potential.mass_value())
+    for k in range(potential.degree + 1):
+        qk = np.linalg.matrix_power(st.q_mat, k)
+        dense = dense + potential.coefficient(k) / math.factorial(k) * qk
+    return dense
 
 
 def test_hamiltonian_matrix_matches_dense_reference(packet):
     st = fock_state(packet, cutoff=80)
-    m = QUARTIC.mass_value()
-    dense = st.p_mat @ st.p_mat / (2.0 * m)
-    for k in range(QUARTIC.degree + 1):
-        qk = np.linalg.matrix_power(st.q_mat, k)
-        dense = dense + QUARTIC.coefficient(k) / math.factorial(k) * qk
-    assert _rel(hamiltonian_matrix(st, QUARTIC), dense) < 1e-12
+    assert _rel(hamiltonian_matrix(st, QUARTIC), _dense_hamiltonian(st, QUARTIC)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_hamiltonian_matrix_drops_bands_beyond_a_small_cutoff(cutoff):
+    # nu = 1 needs a single level, so the quartic's 9 bands overrun the basis
+    st = fock_state(PacketMoments(0.4, -0.3, 1.0, 0.5, hbar=1.0), cutoff=cutoff)
+    h = hamiltonian_matrix(st, QUARTIC)
+    assert h.shape == (cutoff, cutoff)
+    assert _rel(h, _dense_hamiltonian(st, QUARTIC)) < 1e-13
 
 
 def test_state_moments_match_dense_traces(packet):
@@ -303,6 +327,24 @@ def test_expectation_trace_matches_the_dense_product_exactly():
             word = "".join(rng.choice("qp") for _ in range(rng.randint(1, 8)))
             dense = complex(np.trace(st.rho @ _word_matrix(st, word)))
             assert repr(fock_expectation(st, [(1, word)])) == repr(dense)
+
+
+def test_fresh_expectation_of_several_terms_is_the_dense_rho_sum_exactly():
+    rng = random.Random(27)
+    operators = [parse_weyl("p*q^2*p"), parse_weyl("q^3*p + 2*q*p - p^2"),
+                 [(1 + 2j, "qp"), (-0.5j, "pq"), (3, "")],
+                 [(0.25 - 1j, "pqqp"), (1j, "qqpp"), (-2, "q")]]
+    for _ in range(10):
+        st = fock_state(_random_packet(rng), degree=6)
+        for op in operators:
+            # the dense reference: rho as a matrix against the summed words
+            total = np.zeros((st.cutoff, st.cutoff), dtype=complex)
+            for coeff, word in oracle._operator_terms(op):
+                value = coeff.evaluate(st.bindings) if hasattr(coeff, "evaluate") else coeff
+                total += complex(value) * _word_matrix(st, word)
+            dense = np.diag(st.weights).astype(complex)
+            assert repr(fock_expectation(st, op)) == repr(
+                complex((dense * total.T).sum(axis=1).sum()))
 
 
 def test_expectation_trace_on_an_evolved_state(packet):
