@@ -21,8 +21,8 @@ from typing import NamedTuple, Optional
 
 from .algebra.expression import Expr, sum_of_products
 from .algebra.phase import PhasePolynomial
-from .errors import DomainError, routes_agree
-from .packets import PacketMoments
+from .errors import routes_agree
+from .packets import PacketMoments, exact_value
 from .partition import GaussianPartition
 
 _LAM = {name: Expr.symbol(name) for name in ("lam1", "lam2", "lam3", "lam4")}
@@ -37,8 +37,15 @@ class ClassicalMultipliers(NamedTuple):
 
     @classmethod
     def symbols(cls, volume=None) -> "ClassicalMultipliers":
-        v = Expr.symbol("v") if volume is None else Expr.coerce(volume)
-        return cls(_LAM["lam1"], _LAM["lam2"], _LAM["lam3"], _LAM["lam4"], v)
+        return cls(*_LAM.values(), _volume(volume))
+
+
+def _volume(volume) -> Expr:
+    """The reference volume as an `Expr`, the symbol v when unset."""
+    if volume is None:
+        return Expr.symbol("v")
+    exact_value(volume, "reference volume", positive=True)
+    return Expr.coerce(volume)
 
 
 def multiplier_expressions() -> dict:
@@ -54,8 +61,7 @@ def multiplier_expressions() -> dict:
 def solve_multipliers_classical(packet: PacketMoments, volume=None) -> ClassicalMultipliers:
     """lam1 = -Q/dQ^2, lam3 = 1/(2 dQ^2) and the momentum companions."""
     exprs = {k: packet.specialize(e) for k, e in multiplier_expressions().items()}
-    v = Expr.symbol("v") if volume is None else Expr.coerce(volume)
-    return ClassicalMultipliers(exprs["lam1"], exprs["lam2"], exprs["lam3"], exprs["lam4"], v)
+    return ClassicalMultipliers(**exprs, volume=_volume(volume))
 
 
 def partition_classical(mult: ClassicalMultipliers) -> GaussianPartition:
@@ -67,8 +73,7 @@ def partition_classical(mult: ClassicalMultipliers) -> GaussianPartition:
 
 def density_at(packet: PacketMoments, q: float, p: float, v: float) -> float:
     """Phase-space density of the packet at (q, p), for reference volume v."""
-    if v <= 0:
-        raise DomainError(f"reference volume must be positive, got {v}")
+    v = float(exact_value(v, "reference volume", positive=True))
     b = packet.bindings()
     dq, dp = b["dQ"], b["dP"]
     return (
@@ -160,6 +165,5 @@ def entropy_classical(packet: PacketMoments, v: Optional[float] = None) -> float
     b = packet.bindings()
     if v is None:
         v = 2.0 * math.pi * b["hbar"]
-    if v <= 0:
-        raise DomainError(f"reference volume must be positive, got {v}")
+    v = float(exact_value(v, "reference volume", positive=True))
     return 1.0 + math.log(2.0 * math.pi * b["dQ"] * b["dP"] / v)

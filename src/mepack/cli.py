@@ -9,8 +9,10 @@ and output; exact rationals are accepted as strings ("3/2").  Each flag
 replaces its run or output value before `Scenario` reads the object, so
 flags and file pass the same checks in one pass: an unknown key, a value
 of the wrong type, an empty `expressions` or `orders` list, an order below
-1 (below 2 for Taylor propagation) or a grid without points or with more
-than `MAX_GRID_POINTS` is a validation failure.
+1 (below 2 for Taylor propagation) or above `MAX_ORDER`, or a grid without
+points or with more than `MAX_GRID_POINTS` is a validation failure.  So is
+an expression of degree above `MAX_EXPRESSION_DEGREE`, found when the
+expressions are parsed, before any of them is computed.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
 failure or a float that leaves range (also an oracle-check delta over
@@ -66,6 +68,11 @@ RUN_KEYS = ("mode", "kind", "grid", "order", "orders", "propagation", "nu_sweep"
 TRAJECTORY_COLUMNS = ("t", "Q", "P", "dQ", "dP", "nu", "S")
 # the most times one grid may hold; the bundled scenarios use at most 21
 MAX_GRID_POINTS = 100_000
+# the highest order (run.order, run.orders) and expression degree a run may
+# ask for; the bundled scenarios use at most order 6 and degree 4, the
+# tests order 8 and degree 24
+MAX_ORDER = 16
+MAX_EXPRESSION_DEGREE = 28
 
 _DEFAULT_EXPRESSIONS = ("q", "p", "q^2", "p^2", "q*p", "p*q^2*p")
 
@@ -122,6 +129,14 @@ def _integer(value, field: str) -> int:
     if number < 1:
         raise ValidationError(f"must be at least 1, got {value!r}", field)
     return int(number)
+
+
+def _order(value, field: str) -> int:
+    """A derivative or Taylor order, from 1 to `MAX_ORDER`."""
+    order = _integer(value, field)
+    if order > MAX_ORDER:
+        raise ValidationError(f"must be at most {MAX_ORDER}, got {value!r}", field)
+    return order
 
 
 def _object(raw, field: str, keys) -> dict:
@@ -241,9 +256,9 @@ class Scenario:
         self.mode = _choice(run.get("mode", "moments"), MODES, "run.mode")
         self.kind = _choice(run.get("kind", "classical"), ("classical", "quantum"), "run.kind")
         self.grid = _parse_grid(run.get("grid"), "run.grid")
-        self.order = _integer(run.get("order", 4), "run.order")
+        self.order = _order(run.get("order", 4), "run.order")
         # an absent list means the defaults; a given one must not be empty
-        self.orders = (_list(run["orders"], "run.orders", _integer, nonempty=True)
+        self.orders = (_list(run["orders"], "run.orders", _order, nonempty=True)
                        if "orders" in run else [])
         self.propagation = _choice(run.get("propagation"), PROPAGATIONS, "run.propagation")
         self.nu_sweep = _list(run.get("nu_sweep", []), "run.nu_sweep",
@@ -360,20 +375,29 @@ class OutputBundle:
 # ---------------------------------------------------------------------------
 
 
-def _parse_operator(text: str, bindings: dict):
-    """Parse one expression; every coefficient symbol must have a value in
-    `bindings`."""
-    try:
-        op = parse_weyl(text)
-    except ParseError as exc:
-        raise ValidationError(str(exc), f"expression {text!r}")
-    unbound = set().union(*(c.symbols() for _, c in op.terms())) - bindings.keys()
-    if unbound:
-        raise ValidationError(
-            f"symbol {min(unbound)!r} has no value for a numeric packet",
-            f"expression {text!r}",
-        )
-    return op
+def _parse_operators(scenario: Scenario, bindings: dict) -> list:
+    """Parse every expression before any work; each is at most of degree
+    `MAX_EXPRESSION_DEGREE`, and every coefficient symbol must have a value
+    in `bindings`."""
+    operators = []
+    for i, text in enumerate(scenario.expressions):
+        try:
+            op = parse_weyl(text)
+        except ParseError as exc:
+            raise ValidationError(str(exc), f"expression {text!r}")
+        if op.degree() > MAX_EXPRESSION_DEGREE:
+            raise ValidationError(
+                f"degree must be at most {MAX_EXPRESSION_DEGREE}, got {op.degree()}",
+                f"run.expressions[{i}]",
+            )
+        unbound = set().union(*(c.symbols() for _, c in op.terms())) - bindings.keys()
+        if unbound:
+            raise ValidationError(
+                f"symbol {min(unbound)!r} has no value for a numeric packet",
+                f"expression {text!r}",
+            )
+        operators.append(op)
+    return operators
 
 
 def run_moments(scenario: Scenario, out: OutputBundle):
@@ -382,10 +406,10 @@ def run_moments(scenario: Scenario, out: OutputBundle):
     columns = ("expr", "classical", "quantum", "classical_value", "quantum_value_re",
                "quantum_value_im")
     rows = []
+    operators = _parse_operators(scenario, bindings)
     out.say("expectation values of operator polynomials")
     out.say("")
-    for i, text in enumerate(scenario.expressions):
-        op = _parse_operator(text, bindings)
+    for i, (text, op) in enumerate(zip(scenario.expressions, operators)):
         quantum = expectation_quantum(sym, op)
         classical = moment_classical(sym, op.classical().map_coefficients(
             lambda c: c.drop_symbol("hbar")))
@@ -515,7 +539,7 @@ ORACLE_CHECK_BOUND = 1e-8
 def run_oracle_check(scenario: Scenario, out: OutputBundle):
     packet = scenario.packet
     bindings = packet.bindings()
-    operators = [(text, _parse_operator(text, bindings)) for text in scenario.expressions]
+    operators = list(zip(scenario.expressions, _parse_operators(scenario, bindings)))
     degree = max(op.degree() for _, op in operators)
     state = fock_state(packet, degree=degree, cutoff=scenario.cutoff)
     sym = PacketMoments.symbolic()

@@ -38,7 +38,7 @@ from .algebra.phase import PhasePolynomial, poisson_bracket
 from .algebra.weyl import WeylPolynomial
 from .classical import entropy_classical, moment_classical
 from .errors import DomainError, HorizonError, routes_agree
-from .packets import FieldValue, PacketMoments
+from .packets import FieldValue, PacketMoments, exact_value
 from .quantum import entropy_quantum, expectation_quantum, restore_hbar
 
 
@@ -49,18 +49,10 @@ class PolynomialPotential(namedtuple("PolynomialPotential", "mass coefficients")
     __slots__ = ()
 
     def __new__(cls, mass: FieldValue, coefficients: Sequence[FieldValue]):
-        try:  # nan and inf have no exact value
-            exact_mass, exact = Expr.coerce(mass), tuple(map(Expr.coerce, coefficients))
-        except (ValueError, OverflowError):
-            raise DomainError(
-                f"potential values must be finite, got m = {mass}, V = {coefficients}"
-            ) from None
-        if exact_mass.is_constant() and not (exact_mass.constant_value().is_real()
-                                             and exact_mass.constant_value().re > 0):
-            raise DomainError(f"mass must be positive, got {mass}")
-        if any(c.is_constant() and not c.constant_value().is_real() for c in exact):
-            raise DomainError(f"potential coefficients must be real, got V = {coefficients}")
-        return super().__new__(cls, exact_mass, exact)
+        exact_value(mass, "mass", positive=True)
+        for c in coefficients:
+            exact_value(c, "potential coefficients")
+        return super().__new__(cls, Expr.coerce(mass), tuple(map(Expr.coerce, coefficients)))
 
     @classmethod
     def symbolic(cls, degree: int) -> "PolynomialPotential":
@@ -92,9 +84,10 @@ class PolynomialPotential(namedtuple("PolynomialPotential", "mass coefficients")
 
 
 def _number(value: Expr, what: str) -> float:
-    if not value.is_constant():
+    exact = exact_value(value, what)
+    if exact is None:
         raise DomainError(f"numeric {what} requested from symbolic potential")
-    return float(value.constant_value().re)
+    return float(exact)
 
 
 def hamiltonian(potential: PolynomialPotential, cls):
@@ -437,7 +430,8 @@ def propagate(
     after each step, discarding the accumulated q-p correlation; this is a
     documented approximation, not an exact scheme.  The magnitude of the
     largest retained last Taylor term is reported as a crude remainder
-    proxy.
+    proxy.  Raises HorizonError, naming the time, where the series leaves
+    float range.
     """
     if order < 2:
         raise DomainError(f"Taylor order must be >= 2, got {order}")
@@ -468,6 +462,8 @@ def propagate(
         q2 = eval_series(coeffs["q2"], dt)
         p2 = eval_series(coeffs["p2"], dt)
         var_q, var_p = q2 - qm * qm, p2 - pm * pm
+        if not all(map(math.isfinite, (qm, pm, var_q, var_p))):
+            raise OverflowError  # a float sum past range is inf, not an error
         if min(var_q, var_p) <= 0:
             raise DomainError(
                 f"Taylor moments lost positivity at dt = {dt}; shrink the horizon"
@@ -480,24 +476,28 @@ def propagate(
 
     packets = []
     remainder = 0.0
-    if mode == "taylor-origin":
-        coeffs = coeffs_at(packet)
-        for t in times:
-            pk, last = moments_at(coeffs, t)
-            remainder = max(remainder, last)
-            packets.append(pk)
-    else:
-        current = packet
-        prev_t = 0.0
-        for t in times:
-            if t == 0.0:
+    t = 0.0
+    try:
+        if mode == "taylor-origin":
+            coeffs = coeffs_at(packet)
+            for t in times:
+                pk, last = moments_at(coeffs, t)
+                remainder = max(remainder, last)
+                packets.append(pk)
+        else:
+            current = packet
+            prev_t = 0.0
+            for t in times:
+                if t == 0.0:
+                    packets.append(current)
+                    continue
+                coeffs = coeffs_at(current)
+                current, last = moments_at(coeffs, t - prev_t)
+                remainder = max(remainder, last)
                 packets.append(current)
-                continue
-            coeffs = coeffs_at(current)
-            current, last = moments_at(coeffs, t - prev_t)
-            remainder = max(remainder, last)
-            packets.append(current)
-            prev_t = t
+                prev_t = t
+    except OverflowError:
+        raise HorizonError(f"Taylor series leaves float range at t = {t}") from None
     return _trajectory(times, packets, kind, v, mode, remainder)
 
 

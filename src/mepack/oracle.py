@@ -29,7 +29,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra.weyl import WeylPolynomial
-from .dynamics import PolynomialPotential
+from .dynamics import PolynomialPotential, _finite_time
 from .errors import CutoffError, DomainError, HorizonError
 from .packets import PacketMoments
 from .quantum import tail_levels, tail_weight
@@ -236,8 +236,7 @@ def fock_evolve(
     (or a NaN leakage) raises HorizonError.  A non-finite `t` raises
     DomainError before any numeric work.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"evolution time must be finite, got t = {t}")
+    _finite_time(t)
     import numpy as np
 
     key = (potential.mass_value(),

@@ -16,6 +16,16 @@ dyadic rationals they are), and the exact `nu` once dQ and dP are numbers;
 so a mixed packet keeps its numbers, and `PacketMoments.symbolic()` leaves
 the expression as it is.  The float route is `bindings()`, the values that
 `Expr.evaluate` reads.
+
+Every physical number in the package is read by one rule, `exact_value`:
+the packet fields and hbar, the potential's mass and coefficients, the
+reference volume and the multipliers lam3, lam4.  A number or a constant
+`Expr` is read exactly (a float as the dyadic rational it is), and a value
+with symbols passes.  DomainError names the field where the value is not
+finite, not real, or, where positivity is asked, not above zero.  So a
+packet field of `Fraction(1, 10**400)` or `10**400` is as good as a
+potential's mass of that size, and a reference volume of nan, 0 or -1 is
+refused by every reader.
 """
 
 from __future__ import annotations
@@ -37,12 +47,22 @@ _FIELDS = ("Q", "P", "dQ", "dP")
 _BARE = {name: Expr.symbol(name) for name in _FIELDS}
 
 
-def _numeric(value: FieldValue) -> Optional[float]:
-    """The float of a number field (`PacketMoments` refuses non-real
-    constants); None for a symbolic one."""
-    if isinstance(value, Expr):
-        return float(value.constant_value().re) if value.is_constant() else None
-    return float(value)
+def exact_value(value: FieldValue, name: str, positive: bool = False) -> Optional[Fraction]:
+    """The exact real value of a number or a constant `Expr`; None for a
+    value with symbols.  DomainError, naming the field, where the value is
+    not finite, not real, or (with `positive`) not above zero."""
+    try:
+        exact = Expr.coerce(value)
+    except (ValueError, OverflowError):  # nan and inf have no exact value
+        raise DomainError(f"{name} must be finite, got {value}") from None
+    if not exact.is_constant():
+        return None
+    scalar = exact.constant_value()
+    if not scalar.is_real():
+        raise DomainError(f"{name} must be real, got {value}")
+    if positive and scalar.re <= 0:
+        raise DomainError(f"{name} must be positive, got {value}")
+    return scalar.re
 
 
 class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
@@ -52,20 +72,16 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
 
     def __new__(cls, Q, P, dQ, dP, hbar=None):
         self = super().__new__(cls, Q, P, dQ, dP, hbar)
-        for name in ("Q", "P", "dQ", "dP", "hbar"):
-            value = getattr(self, name)  # exact values are always finite
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
-            if isinstance(value, complex) or (isinstance(value, Expr) and value.is_constant()
-                                              and not value.constant_value().is_real()):
-                raise DomainError(f"{name} must be real, got {value}")
-        for name in ("dQ", "dP"):
-            value = _numeric(getattr(self, name))
-            if value is not None and value <= 0:
-                raise DomainError(f"{name} must be positive, got {value}")
-        if self.hbar is not None and float(self.hbar) <= 0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        for name in self._fields:
+            self._exact(name)
         return self
+
+    def _exact(self, name: str) -> Optional[Fraction]:
+        """The field's `exact_value`; dQ, dP and hbar must be positive."""
+        value = getattr(self, name)
+        if name == "hbar" and value is None:
+            value = DEFAULT_HBAR
+        return exact_value(value, name, positive=name not in ("Q", "P"))
 
     @classmethod
     def symbolic(cls) -> "PacketMoments":
@@ -73,7 +89,7 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
 
     @property
     def is_symbolic(self) -> bool:
-        return any(_numeric(getattr(self, name)) is None for name in _FIELDS)
+        return any(self._exact(name) is None for name in _FIELDS)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -81,11 +97,10 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
     def nu(self) -> FieldValue:
         """Uncertainty ratio 2*dQ*dP/hbar: an exact rational once dQ and dP
         are numbers, else the symbol nu."""
-        if _numeric(self.dQ) is None or _numeric(self.dP) is None:
+        dQ, dP = self._exact("dQ"), self._exact("dP")
+        if dQ is None or dP is None:
             return Expr.symbol("nu")
-        hbar = self.hbar if self.hbar is not None else DEFAULT_HBAR
-        dQ, dP = (Expr.coerce(v).constant_value().re for v in (self.dQ, self.dP))
-        return 2 * dQ * dP / Fraction(hbar)
+        return 2 * dQ * dP / self._exact("hbar")
 
     def nu_value(self) -> float:
         nu = self.nu
@@ -95,8 +110,8 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
 
     def _float_nu(self) -> float:
         """nu from the float fields, as `bindings()` gives it."""
-        hbar = float(self.hbar if self.hbar is not None else DEFAULT_HBAR)
-        return 2.0 * _numeric(self.dQ) * _numeric(self.dP) / hbar
+        dQ, dP, hbar = (float(self._exact(name)) for name in ("dQ", "dP", "hbar"))
+        return 2.0 * dQ * dP / hbar
 
     def specialize(self, expr: Expr) -> Expr:
         """Substitute every field that is not its own bare symbol, and the
@@ -113,8 +128,7 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
         """Numeric bindings for Expr.evaluate; symbolic packets refuse."""
         if self.is_symbolic:
             raise DomainError("symbolic packet cannot be bound numerically")
-        out = {name: _numeric(getattr(self, name)) for name in _FIELDS}
-        out["hbar"] = float(self.hbar if self.hbar is not None else DEFAULT_HBAR)
+        out = {name: float(self._exact(name)) for name in self._fields}
         out["pi"] = math.pi
         out["nu"] = self._float_nu()
         out["Lnu"] = (

@@ -19,6 +19,7 @@ from typing import Mapping, NamedTuple
 
 from .algebra.expression import Expr, sqrt_monomial
 from .errors import DomainError
+from .packets import exact_value
 
 _PI = Expr.symbol("pi")
 _HALF = Fraction(1, 2)
@@ -26,13 +27,6 @@ _HALF = Fraction(1, 2)
 
 def _gaussian_exponent(lam1: Expr, lam2: Expr, lam3: Expr, lam4: Expr) -> Expr:
     return lam1 * lam1 / (Expr.number(4) * lam3) + lam2 * lam2 / (Expr.number(4) * lam4)
-
-
-def check_positive(expr: Expr, name: str):
-    if expr.is_constant():
-        value = expr.constant_value()
-        if not value.is_real() or value.re <= 0:
-            raise DomainError(f"{name} must be positive, got {value.to_complex()}")
 
 
 class GaussianPartition(NamedTuple):
@@ -47,8 +41,8 @@ class GaussianPartition(NamedTuple):
     def from_multipliers(cls, lam1, lam2, lam3, lam4, volume) -> "GaussianPartition":
         lam1, lam2 = Expr.coerce(lam1), Expr.coerce(lam2)
         lam3, lam4 = Expr.coerce(lam3), Expr.coerce(lam4)
-        check_positive(lam3, "lam3")
-        check_positive(lam4, "lam4")
+        for name, value in (("lam3", lam3), ("lam4", lam4), ("reference volume", volume)):
+            exact_value(value, name, positive=True)
         coeff = _PI / Expr.coerce(volume)
         exponent = _gaussian_exponent(lam1, lam2, lam3, lam4)
         product = lam3 * lam4

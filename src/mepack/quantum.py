@@ -44,8 +44,8 @@ from .algebra.weyl import WeylPolynomial
 from .algebra.words import contract
 from .classical import moment_gaussian_route, multiplier_expressions
 from .errors import DomainError, routes_agree
-from .packets import PacketMoments
-from .partition import QuantumPartition, check_positive
+from .packets import PacketMoments, exact_value
+from .partition import QuantumPartition
 
 _NU = Expr.symbol("nu")
 _HALF = Expr.number(Fraction(1, 2))
@@ -82,8 +82,8 @@ def solve_multipliers_quantum(packet: PacketMoments) -> QuantumMultipliers:
 
 def partition_quantum(mult: QuantumMultipliers) -> QuantumPartition:
     """exp(lam1^2/4lam3 + lam2^2/4lam4) / (2 sinh(hbar sqrt(lam3 lam4)))."""
-    check_positive(mult.lam3, "lam3")
-    check_positive(mult.lam4, "lam4")
+    exact_value(mult.lam3, "lam3", positive=True)
+    exact_value(mult.lam4, "lam4", positive=True)
     return QuantumPartition(mult.lam1, mult.lam2, mult.lam3, mult.lam4)
 
 

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from mepack.algebra import format_expression, parse_expression
-from mepack.cli import MAX_GRID_POINTS, format_nu_polynomial, main
+from mepack.cli import (
+    MAX_EXPRESSION_DEGREE,
+    MAX_GRID_POINTS,
+    MAX_ORDER,
+    format_nu_polynomial,
+    main,
+)
 
 # an override value that removes its key from the base scenario
 DROP = object()
@@ -373,9 +379,10 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
         ({"run": {"mode": "limit-sweep", "nu_sweep": ["1e300", "1e301"], "grid": None}}, 3,
          "numeric range error: run.nu_sweep[0]: a value at nu = 1e+300 is beyond float range"),
         ({"potential": _QUARTIC, "run": {"propagation": "taylor-origin", "grid": [0, "1e300"]}},
-         3, "numeric range error: "),
+         3, "numeric range error: Taylor series leaves float range at t = 1e+300\n"),
         ({"potential": {"m": 1, "V": [0, 0, 0, 0, "1e300"]},
-          "run": {"kind": "quantum", "grid": [0, 0.1]}}, 3, "numeric range error: "),
+          "run": {"kind": "quantum", "grid": [0, 0.1]}}, 3,
+         "numeric range error: Taylor series leaves float range at t = 0.0\n"),
         ({"packet": {"Q": 0.5}, "run": {"mode": "moments", "expressions": ["(10^400)*q"],
                                         "grid": None}}, 3,
          "numeric range error: run.expressions[0]: the value of '(10^400)*q' is beyond float "
@@ -384,9 +391,18 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
          f"validation error: run.grid: grid has more than {MAX_GRID_POINTS} points"),
         ({"run": {"grid": list(range(MAX_GRID_POINTS + 1))}}, 2,
          f"validation error: run.grid: grid has more than {MAX_GRID_POINTS} points"),
+        ({"run": {"mode": "derivatives", "order": MAX_ORDER + 1, "grid": None}}, 2,
+         f"validation error: run.order: must be at most {MAX_ORDER}, got {MAX_ORDER + 1}\n"),
+        ({"run": {"mode": "corrections", "orders": [2, MAX_ORDER + 1], "grid": None}}, 2,
+         f"validation error: run.orders[1]: must be at most {MAX_ORDER}, got {MAX_ORDER + 1}\n"),
+        ({"run": {"mode": "moments", "grid": None,
+                  "expressions": ["q", f"q^{MAX_EXPRESSION_DEGREE}*p"]}}, 2,
+         f"validation error: run.expressions[1]: degree must be at most "
+         f"{MAX_EXPRESSION_DEGREE}, got {MAX_EXPRESSION_DEGREE + 1}\n"),
     ],
     ids=["nu_sweep-1e300", "taylor-grid-1e300", "quantum-V4-1e300", "moments-10^400",
-         "grid-step-1e-300", "grid-list-too-long"],
+         "grid-step-1e-300", "grid-list-too-long", "order-over-cap", "orders-entry-over-cap",
+         "expression-degree-over-cap"],
 )
 def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overrides, code,
                                                          message):
@@ -395,6 +411,13 @@ def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overri
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+
+
+def test_an_order_and_a_degree_at_their_caps_are_accepted(tmp_path):
+    path = write_scenario(tmp_path, run={"mode": "moments", "order": MAX_ORDER, "grid": None,
+                                         "orders": [MAX_ORDER],
+                                         "expressions": [f"q^{MAX_EXPRESSION_DEGREE}"]})
+    assert main(["run", str(path)]) == 0
 
 
 @pytest.mark.parametrize("expressions", [["(10^306)*q^4"], ["(10^307)*q^4"],

@@ -2,6 +2,7 @@
 and Taylor propagation."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -558,6 +559,21 @@ def test_flow_past_float_range_is_a_horizon_error():
     # cosh(omega t) leaves float range from about omega t = 710
     with pytest.raises(HorizonError, match="flow leaves float range at t = 800.0$"):
         quadratic_flow(PolynomialPotential(1, (0, 0, -1)), 800)
+
+
+@pytest.mark.parametrize("mode", ["taylor-origin", "repacketized-stepping"])
+@pytest.mark.parametrize("v4, t, at", [
+    # a series coefficient overflows: at the origin, or in the step to t
+    (1e300, 0.1, {"taylor-origin": 0.0, "repacketized-stepping": 0.1}),
+    (1, 1e60, None),  # the sums reach inf without an OverflowError
+    (1, 1e300, None),  # a power of t overflows
+], ids=["coefficient", "sum", "power"])
+def test_a_taylor_series_past_float_range_is_a_horizon_error(mode, v4, t, at):
+    pk = PacketMoments(0.5, 0.0, 1.0, 1.0, hbar=1.0)
+    pot = PolynomialPotential(1, (0, 0, 0, 0, v4))
+    message = f"Taylor series leaves float range at t = {at[mode] if at else t}"
+    with pytest.raises(HorizonError, match=f"^{re.escape(message)}$"):
+        propagate(pk, pot, [0, t], order=4, mode=mode, kind="quantum")
 
 
 _FINITE_TIME = "evolution time must be finite, got t = "
