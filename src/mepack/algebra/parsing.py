@@ -13,7 +13,9 @@ keep their written order.  Example: `(3/2)*V3*q^2*p + i*hbar*q`.
 The parser evaluates as it reads, in the target algebra: a scalar
 sub-expression is an `Expr`, an operator letter is the degree-1 monomial of
 the target `OrderedPolynomial` class, and `+ - * / ^` are that ring's own
-operations, so `(q+p)^n` costs O(log n) ring products.  Divisors and bases
+operations, so `(q+p)^n` costs O(log n) ring products.  A product or
+power of operator degree above `MAX_EXPRESSION_DEGREE` is a ParseError,
+raised before it is formed; a scalar power has degree 0.  Divisors and bases
 of negative powers must be nonzero scalar monomials (`q*p - p*q` counts);
 the ring's `inverse()` decides, and a ZeroDivisionError becomes a
 ParseError.
@@ -33,6 +35,9 @@ from .weyl import WeylPolynomial
 from .words import OrderedPolynomial
 
 _OPERATOR_LETTERS = ("q", "p", "A", "Ad")
+# the highest operator degree a parse may form, checked before each product
+# or power is formed; the bundled scenarios use at most 4, the tests 24
+MAX_EXPRESSION_DEGREE = 28
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +154,16 @@ def _inverse(value, message: str):
         raise ParseError(message) from None
 
 
+def _degree(value) -> int:
+    return 0 if isinstance(value, Expr) else value.degree()
+
+
+def _check_degree(degree: int):
+    """Refuse a product or power above `MAX_EXPRESSION_DEGREE` before it is formed."""
+    if degree > MAX_EXPRESSION_DEGREE:
+        raise ParseError(f"degree must be at most {MAX_EXPRESSION_DEGREE}, got {degree}")
+
+
 class _Parser:
     """Recursive descent that evaluates as it parses: a scalar is an `Expr`,
     and `letter` turns an operator letter into a value of the target ring
@@ -193,6 +208,7 @@ class _Parser:
             rhs = self.factor()
             if op == "/":
                 rhs = _inverse(rhs, "can only divide by a scalar monomial")
+            _check_degree(_degree(value) + _degree(rhs))
             value = value * rhs
         return value
 
@@ -213,6 +229,7 @@ class _Parser:
             exp = sign * int(tok)
             if exp < 0:
                 return _inverse(base, "negative power of a non-scalar") ** (-exp)
+            _check_degree(_degree(base) * exp)
             return base ** exp
         return base
 

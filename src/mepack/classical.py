@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 from .algebra.expression import Expr, sum_of_products
 from .algebra.phase import PhasePolynomial
 from .errors import routes_agree
-from .packets import PacketMoments, exact_value
+from .packets import PacketMoments, exact_value, float_value
 from .partition import GaussianPartition
 
 _LAM = {name: Expr.symbol(name) for name in ("lam1", "lam2", "lam3", "lam4")}
@@ -73,7 +73,7 @@ def partition_classical(mult: ClassicalMultipliers) -> GaussianPartition:
 
 def density_at(packet: PacketMoments, q: float, p: float, v: float) -> float:
     """Phase-space density of the packet at (q, p), for reference volume v."""
-    v = float(exact_value(v, "reference volume", positive=True))
+    v = float_value(exact_value(v, "reference volume", positive=True), "reference volume")
     b = packet.bindings()
     dq, dp = b["dQ"], b["dP"]
     return (
@@ -165,5 +165,5 @@ def entropy_classical(packet: PacketMoments, v: Optional[float] = None) -> float
     b = packet.bindings()
     if v is None:
         v = 2.0 * math.pi * b["hbar"]
-    v = float(exact_value(v, "reference volume", positive=True))
+    v = float_value(exact_value(v, "reference volume", positive=True), "reference volume")
     return 1.0 + math.log(2.0 * math.pi * b["dQ"] * b["dP"] / v)

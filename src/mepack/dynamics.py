@@ -84,10 +84,9 @@ class PolynomialPotential(namedtuple("PolynomialPotential", "mass coefficients")
 
 
 def _number(value: Expr, what: str) -> float:
-    exact = exact_value(value, what)
-    if exact is None:
+    if not value.is_constant():
         raise DomainError(f"numeric {what} requested from symbolic potential")
-    return float(exact)
+    return float(value.constant_value().re)
 
 
 def hamiltonian(potential: PolynomialPotential, cls):

@@ -17,15 +17,21 @@ so a mixed packet keeps its numbers, and `PacketMoments.symbolic()` leaves
 the expression as it is.  The float route is `bindings()`, the values that
 `Expr.evaluate` reads.
 
-Every physical number in the package is read by one rule, `exact_value`:
-the packet fields and hbar, the potential's mass and coefficients, the
-reference volume and the multipliers lam3, lam4.  A number or a constant
-`Expr` is read exactly (a float as the dyadic rational it is), and a value
-with symbols passes.  DomainError names the field where the value is not
-finite, not real, or, where positivity is asked, not above zero.  So a
+Every physical number in the package is read by one rule, `exact_value`,
+once, where it enters: the packet fields and hbar, the potential's mass
+and coefficients, the reference volume and the multipliers lam3, lam4.  A
+number or a constant `Expr` is read exactly (a float as the dyadic rational
+it is), and a value with symbols passes.  DomainError names the field where
+the value is not finite, not real, or, where positivity is asked, not
+above zero.  A packet holds what the rule read: an int, `Fraction` or float
+as given, any other constant (a constant `Expr`, a `Scalar`, `2+0j`) as its
+`Fraction`, and a value with symbols as given; hbar must be a number.  So a
 packet field of `Fraction(1, 10**400)` or `10**400` is as good as a
 potential's mass of that size, and a reference volume of nan, 0 or -1 is
-refused by every reader.
+refused by every reader.  The float route reads the held numbers through
+`float_value`, which names the field whose float leaves range: `bindings()`
+of such a packet raises DomainError, and so does a reference volume of that
+size in `entropy_classical` and `density_at`.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Union
 
 from .algebra.expression import Expr
@@ -65,23 +72,38 @@ def exact_value(value: FieldValue, name: str, positive: bool = False) -> Optiona
     return scalar.re
 
 
+def float_value(value: Number, name: str) -> float:
+    """The float of a number the rule has read; DomainError, naming the
+    field, where that float leaves range (it overflows, or it is 0.0 for a
+    value that is not zero)."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out) or (value and not out):
+        raise DomainError(f"{name} must be within float range, got {value}")
+    return out
+
+
+def _hbar(packet: "PacketMoments") -> Number:
+    """The packet's hbar, `DEFAULT_HBAR` when unset."""
+    return DEFAULT_HBAR if packet.hbar is None else packet.hbar
+
+
 class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
     """Q, P, dQ, dP: a `FieldValue` each; hbar: a number, None for `DEFAULT_HBAR`."""
 
     __slots__ = ()
 
     def __new__(cls, Q, P, dQ, dP, hbar=None):
-        self = super().__new__(cls, Q, P, dQ, dP, hbar)
-        for name in self._fields:
-            self._exact(name)
-        return self
-
-    def _exact(self, name: str) -> Optional[Fraction]:
-        """The field's `exact_value`; dQ, dP and hbar must be positive."""
-        value = getattr(self, name)
-        if name == "hbar" and value is None:
-            value = DEFAULT_HBAR
-        return exact_value(value, name, positive=name not in ("Q", "P"))
+        held = [Q, P, dQ, dP, hbar]  # read once, here; a number type is held as given
+        for i, name in enumerate(_FIELDS if hbar is None else cls._fields):
+            exact = exact_value(held[i], name, positive=name not in ("Q", "P"))
+            if exact is None and name == "hbar":
+                raise DomainError(f"hbar must be a number, got {hbar}")
+            if exact is not None and not isinstance(held[i], (Rational, float)):
+                held[i] = exact
+        return super().__new__(cls, *held)
 
     @classmethod
     def symbolic(cls) -> "PacketMoments":
@@ -89,7 +111,7 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
 
     @property
     def is_symbolic(self) -> bool:
-        return any(self._exact(name) is None for name in _FIELDS)
+        return any(isinstance(getattr(self, name), Expr) for name in _FIELDS)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -97,10 +119,9 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
     def nu(self) -> FieldValue:
         """Uncertainty ratio 2*dQ*dP/hbar: an exact rational once dQ and dP
         are numbers, else the symbol nu."""
-        dQ, dP = self._exact("dQ"), self._exact("dP")
-        if dQ is None or dP is None:
+        if isinstance(self.dQ, Expr) or isinstance(self.dP, Expr):
             return Expr.symbol("nu")
-        return 2 * dQ * dP / self._exact("hbar")
+        return 2 * Fraction(self.dQ) * Fraction(self.dP) / Fraction(_hbar(self))
 
     def nu_value(self) -> float:
         nu = self.nu
@@ -110,8 +131,8 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
 
     def _float_nu(self) -> float:
         """nu from the float fields, as `bindings()` gives it."""
-        dQ, dP, hbar = (float(self._exact(name)) for name in ("dQ", "dP", "hbar"))
-        return 2.0 * dQ * dP / hbar
+        dQ, dP = float_value(self.dQ, "dQ"), float_value(self.dP, "dP")
+        return 2.0 * dQ * dP / float_value(_hbar(self), "hbar")
 
     def specialize(self, expr: Expr) -> Expr:
         """Substitute every field that is not its own bare symbol, and the
@@ -128,7 +149,8 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
         """Numeric bindings for Expr.evaluate; symbolic packets refuse."""
         if self.is_symbolic:
             raise DomainError("symbolic packet cannot be bound numerically")
-        out = {name: float(self._exact(name)) for name in self._fields}
+        out = {name: float_value(getattr(self, name), name) for name in _FIELDS}
+        out["hbar"] = float_value(_hbar(self), "hbar")
         out["pi"] = math.pi
         out["nu"] = self._float_nu()
         out["Lnu"] = (

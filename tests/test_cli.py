@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from mepack.algebra import format_expression, parse_expression
+from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE
 from mepack.cli import (
-    MAX_EXPRESSION_DEGREE,
     MAX_GRID_POINTS,
     MAX_ORDER,
+    MAX_POTENTIAL_DEGREE,
     format_nu_polynomial,
     main,
 )
@@ -399,10 +400,18 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
                   "expressions": ["q", f"q^{MAX_EXPRESSION_DEGREE}*p"]}}, 2,
          f"validation error: run.expressions[1]: degree must be at most "
          f"{MAX_EXPRESSION_DEGREE}, got {MAX_EXPRESSION_DEGREE + 1}\n"),
+        # the parser refuses the power before it forms it
+        ({"run": {"mode": "moments", "grid": None, "expressions": ["(q+p)^64"]}}, 2,
+         f"validation error: run.expressions[0]: degree must be at most "
+         f"{MAX_EXPRESSION_DEGREE}, got 64\n"),
+        ({"potential": {"m": 1, "V": [0] * (MAX_POTENTIAL_DEGREE + 2)},
+          "run": {"mode": "corrections", "grid": None}}, 2,
+         f"validation error: potential.V: degree must be at most {MAX_POTENTIAL_DEGREE}, "
+         f"got {MAX_POTENTIAL_DEGREE + 1}\n"),
     ],
     ids=["nu_sweep-1e300", "taylor-grid-1e300", "quantum-V4-1e300", "moments-10^400",
          "grid-step-1e-300", "grid-list-too-long", "order-over-cap", "orders-entry-over-cap",
-         "expression-degree-over-cap"],
+         "expression-degree-over-cap", "expression-power-over-cap", "potential-degree-over-cap"],
 )
 def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overrides, code,
                                                          message):
@@ -414,9 +423,10 @@ def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overri
 
 
 def test_an_order_and_a_degree_at_their_caps_are_accepted(tmp_path):
-    path = write_scenario(tmp_path, run={"mode": "moments", "order": MAX_ORDER, "grid": None,
-                                         "orders": [MAX_ORDER],
-                                         "expressions": [f"q^{MAX_EXPRESSION_DEGREE}"]})
+    path = write_scenario(tmp_path, potential={"m": 1, "V": [0] * MAX_POTENTIAL_DEGREE + [1]},
+                          run={"mode": "moments", "order": MAX_ORDER, "grid": None,
+                               "orders": [MAX_ORDER],
+                               "expressions": [f"q^{MAX_EXPRESSION_DEGREE}"]})
     assert main(["run", str(path)]) == 0
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mepack import dynamics, packets
 from mepack.algebra.expression import Expr
 from mepack.algebra.scalar import Scalar
 from mepack.classical import (
@@ -75,6 +76,12 @@ def test_record_constructors_still_validate():
 
 _LAM = [Expr.symbol(name) for name in ("lam1", "lam2", "lam3", "lam4")]
 
+# the readers that compute in floats once the rule has passed v; they also
+# refuse a v whose float leaves range
+_FLOAT_READERS = [
+    ("reference volume", lambda v: entropy_classical(PK, v)),
+    ("reference volume", lambda v: density_at(PK, 0.5, 1.5, v)),
+]
 # each reader of a value that must be positive, with the field it names
 _POSITIVE_READERS = [
     ("dQ", lambda v: PacketMoments(0, 0, v, 1)),
@@ -84,9 +91,7 @@ _POSITIVE_READERS = [
     ("reference volume", lambda v: solve_multipliers_classical(PK, volume=v)),
     ("reference volume", ClassicalMultipliers.symbols),
     ("reference volume", lambda v: GaussianPartition.from_multipliers(*_LAM, v)),
-    ("reference volume", lambda v: entropy_classical(PK, v)),
-    ("reference volume", lambda v: density_at(PK, 0.5, 1.5, v)),
-]
+] + _FLOAT_READERS
 
 _TINY, _HUGE = Fraction(1, 10 ** 400), 10 ** 400
 _NUMBERS = st.one_of(
@@ -114,6 +119,20 @@ def _refusal(value):
     return f" must be positive, got {value}" if scalar.re <= 0 else None
 
 
+def _float_refusal(value):
+    """What a reader that computes in floats adds to the rule for a value the
+    rule passes: the message past the field name where the float leaves
+    range, or None."""
+    exact = (value.constant_value() if isinstance(value, Expr) else Scalar.coerce(value)).re
+    try:
+        approx = float(exact)
+    except OverflowError:
+        approx = math.inf
+    if math.isinf(approx) or not approx:
+        return f" must be within float range, got {exact}"
+    return None
+
+
 def _verdict(name, call, value):
     """What `call(value)` refuses, past the field name, or None."""
     try:
@@ -121,10 +140,6 @@ def _verdict(name, call, value):
     except DomainError as exc:
         assert str(exc).startswith(name)
         return str(exc)[len(name):]
-    except (OverflowError, ZeroDivisionError):
-        # entropy_classical and density_at compute in floats once the rule
-        # has passed a value; 10**400 and 1/10**400 are beyond that range
-        assert name == "reference volume" and not isinstance(value, float)
     return None
 
 
@@ -133,20 +148,62 @@ def _verdict(name, call, value):
 def test_every_reader_refuses_a_value_by_the_one_rule(value):
     expected = _refusal(value)
     for name, call in _POSITIVE_READERS:
-        assert _verdict(name, call, value) == expected
+        in_floats = expected is None and (name, call) in _FLOAT_READERS
+        assert _verdict(name, call, value) == (_float_refusal(value) if in_floats else expected)
 
 
 def test_exact_packet_fields_beyond_float_range_are_accepted():
     tiny = PacketMoments(0, 0, _TINY, 1)  # as the potential takes such a mass
     assert PolynomialPotential(_TINY, (0,)).mass == Expr.number(_TINY)
-    assert tiny.nu == 2 * _TINY and tiny.bindings()["dQ"] == 0.0
+    assert tiny.nu == 2 * _TINY
     huge = PacketMoments(0, 0, Fraction(_HUGE), 1)
     assert huge.nu == 2 * _HUGE
     assert PacketMoments(0, 0, 1, 1, hbar=Fraction(_HUGE)).nu == Fraction(2, _HUGE)
-    # the float route has no value for them: bindings() overflows
-    for packet in (huge, PacketMoments(0, 0, 1, 1, hbar=_HUGE)):
-        with pytest.raises(OverflowError):
+    # the float route has no value for them: bindings() and the float nu of
+    # require_quantum(strict=True) name the field
+    for packet, name in ((tiny, "dQ"), (huge, "dQ"), (PacketMoments(0, 0, _TINY, _HUGE), "dQ"),
+                         (PacketMoments(0, 0, 1, 1, hbar=_HUGE), "hbar")):
+        with pytest.raises(DomainError, match=f"^{name} must be within float range, got "):
             packet.bindings()
+        if packet.nu > 1:
+            with pytest.raises(DomainError, match=f"^{name} must be within float range, got "):
+                packet.require_quantum(strict=True)
+
+
+def test_a_symbolic_hbar_is_refused():
+    with pytest.raises(DomainError, match="^hbar must be a number, got hbar$"):
+        PacketMoments(0, 0, 1, 1, hbar=Expr.symbol("hbar"))
+
+
+@pytest.mark.parametrize("two", [2, 2.0, Fraction(2), 2 + 0j, Scalar(2), Expr.number(2)],
+                         ids=["int", "float", "Fraction", "complex", "Scalar", "Expr"])
+def test_a_packet_holds_the_number_the_rule_read(two):
+    packet = PacketMoments(1, Fraction(1, 2), two, 3)
+    reference = PacketMoments(1, Fraction(1, 2), 2, 3)
+    assert type(packet.dQ) in (int, float, Fraction)
+    assert packet == reference and hash(packet) == hash(reference)
+    assert packet.bindings() == reference.bindings()
+    assert packet.nu == reference.nu and type(packet.nu) is Fraction
+    expr = Expr.symbol("dQ") ** 2 * Expr.symbol("nu") + Expr.symbol("Q") * Expr.symbol("hbar")
+    assert packet.specialize(expr) == reference.specialize(expr)
+
+
+def test_a_built_packet_and_potential_are_read_without_the_rule(monkeypatch):
+    numeric = PacketMoments(Fraction(1, 2), 0.25, 2 + 0j, Expr.number(3), hbar=Fraction(1, 10))
+    mixed = PacketMoments(Expr.symbol("Q"), 0, 1, Fraction(3, 2))
+    potential = PolynomialPotential(2, (0, 1, Expr.number(3)))
+    calls = []
+    for module in (packets, dynamics):
+        monkeypatch.setattr(module, "exact_value",
+                            lambda *args, real=module.exact_value, **kw:
+                            calls.append(args) or real(*args, **kw))
+    expr = Expr.symbol("Q") * Expr.symbol("dP") + Expr.symbol("nu")
+    for packet in (numeric, mixed):
+        packet.nu, packet.is_symbolic, packet.specialize(expr)
+        packet.require_quantum(strict=True)
+    numeric.bindings()
+    potential.coefficient(2), potential.mass_value()
+    assert calls == []
 
 
 @pytest.mark.parametrize("v", [-1, 0])
