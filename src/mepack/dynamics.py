@@ -38,7 +38,7 @@ from .algebra.phase import PhasePolynomial, poisson_bracket
 from .algebra.weyl import WeylPolynomial
 from .classical import entropy_classical, moment_classical
 from .errors import DomainError, HorizonError, routes_agree
-from .packets import FieldValue, PacketMoments, exact_value
+from .packets import FieldValue, PacketMoments, exact_value, float_value
 from .quantum import entropy_quantum, expectation_quantum, restore_hbar
 
 
@@ -77,7 +77,7 @@ class PolynomialPotential(namedtuple("PolynomialPotential", "mass coefficients")
             raise DomainError(f"potential coefficient index must be >= 0, got {k}")
         if k >= len(self.coefficients):
             return 0.0
-        return _number(self.coefficients[k], "coefficient")
+        return _number(self.coefficients[k], f"coefficient V{k}")
 
     def mass_value(self) -> float:
         return _number(self.mass, "mass")
@@ -86,7 +86,7 @@ class PolynomialPotential(namedtuple("PolynomialPotential", "mass coefficients")
 def _number(value: Expr, what: str) -> float:
     if not value.is_constant():
         raise DomainError(f"numeric {what} requested from symbolic potential")
-    return float(value.constant_value().re)
+    return float_value(value.constant_value().re, what)
 
 
 def hamiltonian(potential: PolynomialPotential, cls):

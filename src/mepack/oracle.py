@@ -8,11 +8,11 @@ eigendecomposition, keeping w and turning V.  Its only shared dependencies
 with the algebra layer are expression evaluation for numeric coefficients
 and the geometric-tail formula of `quantum`.
 
-q and p are tridiagonal on this basis, so the Hamiltonian, the moments read
-by `state_moments` and a fresh state's Tr(rho X) are formed from diagonals
-(`_band_product`).  The only O(n^3) work left is an operator word's literal
-products, one eigendecomposition per potential (kept on the state for later
-times) and one product per evolution time, U itself.
+q and p are tridiagonal on this basis and a state holds their diagonals,
+so the Hamiltonian, the moments read by `state_moments` and a fresh state's
+Tr(rho X) are formed from diagonals (`_band_product`).  Only an operator
+word's literal products, one eigendecomposition per potential (kept on the
+state for later times) and one product per evolution time, U itself, are dense.
 
 numpy is imported inside the functions that use it, so it loads on the
 first oracle call, not with `mepack`: the exact engine never needs it.
@@ -25,6 +25,7 @@ exceed `MAX_MATRIX_BYTES` raises CutoffError before anything is allocated.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -42,10 +43,10 @@ DEFAULT_TAIL_TOL = 1e-12
 # top levels whose weight fock_evolve reports as truncation leakage
 LEAK_BAND = 4
 
-# largest dense complex n x n matrix the oracle builds (n <= 2896); a state
-# holds q, p and, once evolved, its vectors, states from fock_evolve share
-# the eigenvectors of the last Hamiltonian, and fock_state or fock_evolve
-# holds about four more while it runs
+# largest dense complex n x n matrix the oracle builds (n <= 2896); a fresh
+# state holds none and an evolved one its vectors, states from fock_evolve
+# share the eigenvectors of the last Hamiltonian, and a word's product or an
+# evolution step holds up to four more while it runs
 MAX_MATRIX_BYTES = 128 * 2 ** 20
 
 Word = Union[str, Sequence[str]]
@@ -59,7 +60,8 @@ def choose_cutoff(nu: float, degree: int = 0) -> int:
 
 
 class FockState(NamedTuple):
-    """q, p as dense matrices on the packet-adapted number basis and
+    """q and p held as their diagonals {-1, 0, 1} on the packet-adapted
+    number basis (`q_mat`, `p_mat` build them dense) and
     rho = V diag(weights) V^dagger; `vectors` V is None for a fresh state,
     whose V is the number basis itself."""
 
@@ -67,15 +69,23 @@ class FockState(NamedTuple):
     nu: float
     hbar: float
     bindings: dict
-    q_mat: np.ndarray
-    p_mat: np.ndarray
+    q_bands: dict
+    p_bands: dict
     weights: np.ndarray
     # eigendecomposition of H for the last potential fock_evolve saw, keyed by
     # its numbers: a new dict per fock_state, which `_replace` shares (valid,
-    # as q_mat, p_mat and hbar stay)
+    # as the bands and hbar stay)
     eigh_cache: dict
     vectors: Optional[np.ndarray] = None
     leakage: float = 0.0  # top-band weight after the last evolution step
+
+    @property
+    def q_mat(self) -> np.ndarray:
+        return _letter_matrix(self, 0)
+
+    @property
+    def p_mat(self) -> np.ndarray:
+        return _letter_matrix(self, 1)
 
     @property
     def rho(self) -> np.ndarray:
@@ -92,6 +102,37 @@ class FockState(NamedTuple):
         # summed as complex numbers, in the order trace(rho) adds a complex
         # diagonal, so the printed deficit keeps its last bits
         return 1.0 - float(self.weights.astype(complex).sum().real)
+
+
+def _letter_entries(b: dict, nu: float, eye, lower, raise_) -> tuple:
+    """q's and p's entries where the identity, lowering and raising operators
+    have entries `eye`, `lower`, `raise_`: Q 1 + s (a + a^dagger) and
+    P 1 - i s (a - a^dagger) in elementwise numpy arithmetic, so that each
+    entry has the bits of the dense sum, signed zeros included."""
+    scale_q, scale_p = b["dQ"] / math.sqrt(nu), b["dP"] / math.sqrt(nu)
+    return (b["Q"] * eye + scale_q * (lower + raise_),
+            b["P"] * eye - 1j * scale_p * (lower - raise_))
+
+
+def _from_bands(bands: dict, n: int, fill=0j) -> np.ndarray:
+    """The n x n matrix with diagonals `bands` (as `_band_product` holds
+    them) and `fill` elsewhere."""
+    import numpy as np
+
+    m = np.full((n, n), fill, dtype=complex)
+    for d, band in bands.items():
+        rows = np.arange(len(band)) - min(0, d)
+        m[rows, rows + d] = band
+    return m
+
+
+def _letter_matrix(state: FockState, i: int) -> np.ndarray:
+    """q (i = 0) or p (i = 1) as a dense matrix."""
+    import numpy as np
+
+    zero = np.zeros(1, dtype=complex)  # an entry of a and of a^dagger = conj(a)^T
+    fill = _letter_entries(state.bindings, state.nu, np.zeros(1), zero, zero.conj())[i]
+    return _from_bands((state.q_bands, state.p_bands)[i], state.cutoff, fill[0])
 
 
 def fock_state(
@@ -117,27 +158,28 @@ def fock_state(
         )
     import numpy as np
 
-    lower = np.zeros((n, n), dtype=complex)
-    idx = np.arange(1, n)
-    lower[idx - 1, idx] = np.sqrt(idx)
-    raise_ = lower.conj().T
-    scale_q = b["dQ"] / math.sqrt(nu)
-    scale_p = b["dP"] / math.sqrt(nu)
-    q_mat = b["Q"] * np.eye(n) + scale_q * (lower + raise_)
-    p_mat = b["P"] * np.eye(n) - 1j * scale_p * (lower - raise_)
+    zero = np.zeros(1, dtype=complex)
+    root = np.sqrt(np.arange(1, n)).astype(complex)  # a[i-1, i]
+    # (identity, a, a^dagger) entries on each diagonal
+    kinds = {-1: (np.zeros(1), zero, root.conj()), 0: (np.ones(n), zero, zero.conj()),
+             1: (np.zeros(1), root, zero.conj())}
+    bands = {d: _letter_entries(b, nu, *entries) for d, entries in kinds.items()}
+    q_bands, p_bands = ({d: pair[i] for d, pair in bands.items()} for i in (0, 1))
     x = (nu - 1.0) / (nu + 1.0)
     weights = 2.0 / (nu + 1.0) * x ** np.arange(n)
-    return FockState(n, nu, b["hbar"], b, q_mat, p_mat, weights, {})
+    return FockState(n, nu, b["hbar"], b, q_bands, p_bands, weights, {})
 
 
 def _word_matrix(state: FockState, word: Word) -> np.ndarray:
     import numpy as np
 
-    letters = {"q": state.q_mat, "p": state.p_mat}
+    letters = {"q": None, "p": None}  # each built on its first use
     out = None
     for letter in word:
         if letter not in letters:
             raise DomainError(f"unknown letter {letter!r} in operator word")
+        if letters[letter] is None:
+            letters[letter] = getattr(state, f"{letter}_mat")
         out = letters[letter] if out is None else out @ letters[letter]
     return np.eye(state.cutoff, dtype=complex) if out is None else out
 
@@ -158,6 +200,7 @@ def fock_expectation(state: FockState, x) -> complex:
     cutoff is checked against X's degree before any product is built.  A
     fresh state's rho is diagonal, so only the words' diagonals are summed;
     an evolved state's dense rho is rebuilt for each call, one more product.
+    A trace that is not finite raises OverflowError.
     """
     terms = _operator_terms(x)
     degree = max((len(word) for _, word in terms), default=0)
@@ -168,16 +211,20 @@ def fock_expectation(state: FockState, x) -> complex:
         )
     import numpy as np
 
-    fresh = state.vectors is None
-    total = np.zeros(state.cutoff if fresh else state.q_mat.shape, dtype=complex)
-    for coeff, word in terms:
-        value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
-        product = _word_matrix(state, word)
-        total += value * (product.diagonal() if fresh else product)
-    if fresh:  # the terms and pairwise order of the dense sum below, less its zeros
-        return complex((state.weights * total).sum())
-    # Tr(rho M): row i of rho * M^T sums to (rho M)[i, i]
-    return complex((state.rho * total.T).sum(axis=1).sum())
+    fresh, n = state.vectors is None, state.cutoff
+    total = np.zeros(n if fresh else (n, n), dtype=complex)
+    with np.errstate(all="ignore"):  # a value past float range is reported below
+        for coeff, word in terms:
+            value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
+            product = _word_matrix(state, word)
+            total += value * (product.diagonal() if fresh else product)
+        if fresh:  # the terms and pairwise order of the dense sum below, less its zeros
+            trace = complex((state.weights * total).sum())
+        else:  # Tr(rho M): row i of rho * M^T sums to (rho M)[i, i]
+            trace = complex((state.rho * total.T).sum(axis=1).sum())
+    if not cmath.isfinite(trace):
+        raise OverflowError(f"Tr(rho X) leaves float range: {trace}")
+    return trace
 
 
 def _band_product(a: dict, b: dict, n: int) -> dict:
@@ -203,8 +250,7 @@ def hamiltonian_matrix(state: FockState, potential: PolynomialPotential) -> np.n
     """H = p^2 / 2m + V(q), its diagonals formed from those of p and q."""
     import numpy as np
 
-    n = state.cutoff
-    q, p = ({k: x.diagonal(k) for k in (-1, 0, 1)} for x in (state.q_mat, state.p_mat))
+    n, q, p = state.cutoff, state.q_bands, state.p_bands
     coeffs = [potential.coefficient(k) / math.factorial(k) for k in range(potential.degree + 1)]
     bands = {0: np.full(n, coeffs.pop(), dtype=complex)}
     for coeff in reversed(coeffs):  # Horner's rule
@@ -212,11 +258,7 @@ def hamiltonian_matrix(state: FockState, potential: PolynomialPotential) -> np.n
         bands[0] += coeff
     for d, band in _band_product(p, p, n).items():
         bands[d] = bands.get(d, 0) + band / (2.0 * potential.mass_value())
-    h = np.zeros((n, n), dtype=complex)
-    for d, band in bands.items():
-        rows = np.arange(len(band)) - min(0, d)
-        h[rows, rows + d] = band
-    return h
+    return _from_bands(bands, n)
 
 
 def fock_evolve(
@@ -245,7 +287,11 @@ def fock_evolve(
         state.eigh_cache.clear()
         state.eigh_cache[key] = np.linalg.eigh(hamiltonian_matrix(state, potential))
     h, e = state.eigh_cache[key]
-    u = (e * np.exp(-1j * h * float(t) / state.hbar)) @ e.conj().T
+    # conj(U) = conj(E) conj(diag(phase)) E^T: one n x n temporary besides U
+    u = np.conj(e)
+    u *= np.exp(-1j * h * float(t) / state.hbar).conj()
+    u = u @ e.T
+    np.conjugate(u, out=u)
     vectors = u if state.vectors is None else u @ state.vectors
     leakage = float(np.sum(np.abs(vectors[-LEAK_BAND:]) ** 2 @ state.weights))
     if not leakage <= leak_tol:  # NaN counts as over
@@ -267,18 +313,19 @@ def state_moments(state: FockState) -> PacketMoments:
     n, rho = state.cutoff, {0: state.weights}
     if state.vectors is not None:
         s = state.vectors * np.sqrt(state.weights)
-        rho = {k: (s[:n - k] * s[k:].conj()).sum(axis=1) for k in (0, 1, 2)}  # rho[i, i+k]
+        s_conj = s.conj()
+        rho = {k: np.einsum("ij,ij->i", s[:n - k], s_conj[k:]) for k in (0, 1, 2)}  # rho[i, i+k]
         rho.update({-k: rho[k].conj() for k in (1, 2)})
 
-    def mean_and_spread(x: np.ndarray, c: float) -> Tuple[float, float]:
-        y = {k: x.diagonal(k) - (c if k == 0 else 0) for k in (-1, 0, 1)}
+    def mean_and_spread(x: dict, c: float) -> Tuple[float, float]:
+        y = {k: band - (c if k == 0 else 0) for k, band in x.items()}
         # Tr(rho M) = sum_k sum_i rho[i, i+k] M[i+k, i], both at entry i + min(0, k)
         shift, square = (float(sum((rho[k] * m[-k]).sum() for k in rho if -k in m).real)
                          for m in (y, _band_product(y, y, n)))
         return c + shift, math.sqrt(square - shift * shift)
 
-    q1, dq = mean_and_spread(state.q_mat, state.bindings["Q"])
-    p1, dp = mean_and_spread(state.p_mat, state.bindings["P"])
+    q1, dq = mean_and_spread(state.q_bands, state.bindings["Q"])
+    p1, dp = mean_and_spread(state.p_bands, state.bindings["P"])
     return PacketMoments(q1, p1, dq, dp, hbar=state.hbar)
 
 

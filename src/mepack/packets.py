@@ -130,9 +130,11 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
         return float(nu)
 
     def _float_nu(self) -> float:
-        """nu from the float fields, as `bindings()` gives it."""
+        """nu from the float fields, as `bindings()` gives it; the exact nu's
+        float where that product leaves float range on the way."""
         dQ, dP = float_value(self.dQ, "dQ"), float_value(self.dP, "dP")
-        return 2.0 * dQ * dP / float_value(_hbar(self), "hbar")
+        nu = 2.0 * dQ * dP / float_value(_hbar(self), "hbar")
+        return nu if nu and not math.isinf(nu) else float_value(self.nu, "nu")
 
     def specialize(self, expr: Expr) -> Expr:
         """Substitute every field that is not its own bare symbol, and the

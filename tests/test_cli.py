@@ -408,10 +408,16 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
           "run": {"mode": "corrections", "grid": None}}, 2,
          f"validation error: potential.V: degree must be at most {MAX_POTENTIAL_DEGREE}, "
          f"got {MAX_POTENTIAL_DEGREE + 1}\n"),
+        # the Fock oracle's own sum overflows, with no numpy warning
+        ({"packet": {"dQ": 2, "dP": 2}, "potential": {"m": 1, "V": [0]},
+          "run": {"mode": "oracle-check", "expressions": ["(10^306)*q^4"], "grid": None}}, 3,
+         "numeric range error: run.expressions[0]: the value of '(10^306)*q^4' is beyond float "
+         "range\n"),
     ],
     ids=["nu_sweep-1e300", "taylor-grid-1e300", "quantum-V4-1e300", "moments-10^400",
          "grid-step-1e-300", "grid-list-too-long", "order-over-cap", "orders-entry-over-cap",
-         "expression-degree-over-cap", "expression-power-over-cap", "potential-degree-over-cap"],
+         "expression-degree-over-cap", "expression-power-over-cap", "potential-degree-over-cap",
+         "oracle-check-10^306"],
 )
 def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overrides, code,
                                                          message):
@@ -419,7 +425,7 @@ def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overri
     assert main(["run", str(path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(message)
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_an_order_and_a_degree_at_their_caps_are_accepted(tmp_path):
@@ -432,8 +438,8 @@ def test_an_order_and_a_degree_at_their_caps_are_accepted(tmp_path):
 
 @pytest.mark.parametrize("expressions", [["(10^306)*q^4"], ["(10^307)*q^4"],
                                          ["q", "(10^306)*q^4"]])
-def test_oracle_check_fails_on_a_non_finite_delta(tmp_path, expressions):
-    # a subprocess, so that numpy's overflow warnings stay warnings
+def test_oracle_check_names_an_oracle_value_past_float_range(tmp_path, expressions):
+    # a subprocess, so that a numpy warning would reach stderr as a user sees it
     path = write_scenario(tmp_path, packet={"dQ": 2, "dP": 2}, potential={"m": 1, "V": [0]},
                           run={"mode": "oracle-check", "expressions": expressions,
                                "grid": None})
@@ -442,12 +448,9 @@ def test_oracle_check_fails_on_a_non_finite_delta(tmp_path, expressions):
                           env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "numeric range error: engine and Fock oracle differ by nan" in proc.stderr
-    report = (tmp_path / "out" / "report.txt").read_text()
-    assert "worst relative delta: nan" in report
-    assert "oracle_delta: nan (bound 1e-08)" in report
-    assert json.loads((tmp_path / "out" / "results.json").read_text())["worst_rel_delta"] != 0
+    i = len(expressions) - 1
+    assert proc.stderr == (f"numeric range error: run.expressions[{i}]: the value of "
+                           f"{expressions[i]!r} is beyond float range\n")
 
 
 def test_absent_lists_mean_the_defaults(tmp_path):

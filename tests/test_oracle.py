@@ -423,6 +423,65 @@ def test_word_matrix_equals_identity_started_product(state):
         _word_matrix(state, "qx")
 
 
+def _dense_letters(st):
+    """q and p as a dense build forms them: Q 1 + s (a + a^dagger) and
+    P 1 - i s (a - a^dagger) with a^dagger = conj(a)^T."""
+    n, b = st.cutoff, st.bindings
+    lower = np.zeros((n, n), dtype=complex)
+    idx = np.arange(1, n)
+    lower[idx - 1, idx] = np.sqrt(idx)
+    raise_ = lower.conj().T
+    scale_q, scale_p = b["dQ"] / math.sqrt(st.nu), b["dP"] / math.sqrt(st.nu)
+    return (b["Q"] * np.eye(n) + scale_q * (lower + raise_),
+            b["P"] * np.eye(n) - 1j * scale_p * (lower - raise_))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("centre", [0.0, -0.0, -0.7, 1.3])
+def test_letters_are_the_dense_build_bit_for_bit(centre):
+    # signed zeros included: a zero's sign can decide how an exactly zero
+    # imaginary part prints
+    rng = random.Random(str(centre))
+    for n in (2, 3, 17, 80):
+        for other in (0.0, -0.0, -1.1, 0.4):
+            for q, p in ((centre, other), (other, centre)):
+                dq = Fraction(rng.randint(8, 12), 10)
+                dp = 1 / (2 * dq) if n < 80 else rng.uniform(0.7, 0.9)  # nu = 1 for n < 80
+                st = fock_state(PacketMoments(q, p, dq, dp, hbar=1), cutoff=n)
+                for held, built, ref in zip((st.q_bands, st.p_bands), (st.q_mat, st.p_mat),
+                                            _dense_letters(st)):
+                    assert np.array_equal(_bits(built), _bits(ref))
+                    assert sorted(held) == [-1, 0, 1]
+                    for k, band in held.items():
+                        assert np.array_equal(_bits(band), _bits(ref.diagonal(k)))
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_fresh_state_holds_no_dense_matrix():
+    pk = PacketMoments(0.3, -0.2, 0.8, 7.5, hbar=1.0)  # nu = 12
+    assert _peak_bytes(lambda: fock_state(pk, cutoff=400)) < 2 ** 20  # a matrix is 2.4 MiB
+
+
+def test_evolution_makes_one_dense_temporary_besides_the_propagator():
+    pk = PacketMoments(0.3, -0.2, 0.8, 7.5, hbar=1.0)
+    st = fock_state(pk, cutoff=400)
+    evolved = fock_evolve(st, QUARTIC, 0.05)  # decomposes H once, outside the count
+    matrix = 16 * st.cutoff ** 2
+    assert _peak_bytes(lambda: fock_evolve(st, QUARTIC, 0.05)) < 3 * matrix
+    assert _peak_bytes(lambda: fock_evolve(evolved, QUARTIC, 0.05)) < 3 * matrix
+
+
 def test_expectation_checks_cutoff_before_building_words(packet, monkeypatch):
     st = fock_state(packet, degree=0)
     needed = choose_cutoff(packet.nu_value(), 24)

@@ -170,6 +170,40 @@ def test_exact_packet_fields_beyond_float_range_are_accepted():
                 packet.require_quantum(strict=True)
 
 
+@pytest.mark.parametrize("spread", [1e200, 1e-200])
+def test_a_float_nu_outside_float_range_is_refused(spread):
+    # each field's float is in range; 2*dQ*dP/hbar is not (it read inf, or 0.0)
+    packet = PacketMoments(0, 0, spread, spread)
+    with pytest.raises(DomainError, match="^nu must be within float range, got "):
+        packet.bindings()
+    if packet.nu > 1:
+        with pytest.raises(DomainError, match="^nu must be within float range, got "):
+            packet.require_quantum(strict=True)
+
+
+def test_a_float_nu_in_range_is_kept():
+    # the float product as it was, and the exact nu's float where only the
+    # product left range on the way
+    assert PacketMoments(0, 0, 1e150, 1e150).bindings()["nu"] == 2.0 * 1e150 * 1e150
+    assert PacketMoments(0, 0, 0.3, 0.7, hbar=0.1).bindings()["nu"] == 2.0 * 0.3 * 0.7 / 0.1
+    packet = PacketMoments(0, 0, 1e200, 1e200, hbar=1e300)
+    assert packet.bindings()["nu"] == float(packet.nu)
+    assert math.isfinite(packet.bindings()["Lnu"])  # it was nan
+
+
+@pytest.mark.parametrize("potential, field", [
+    (PolynomialPotential(10 ** 400, (0, 0, 1)), "mass"),
+    (PolynomialPotential(1, (0, 0, 10 ** 400)), "coefficient V2"),
+    (PolynomialPotential(1, (0, _TINY, 1)), "coefficient V1"),
+], ids=["mass-10^400", "V2-10^400", "V1-10^-400"])
+def test_a_potential_number_outside_float_range_is_named(potential, field):
+    with pytest.raises(DomainError, match=f"^{field} must be within float range, got "):
+        potential.mass_value() if field == "mass" else potential.coefficient(int(field[-1]))
+    # the closed form names the field, not a time
+    with pytest.raises(DomainError, match=f"^{field} must be within float range, got "):
+        dynamics.evolve_quadratic(PK, potential, 1.0)
+
+
 def test_a_symbolic_hbar_is_refused():
     with pytest.raises(DomainError, match="^hbar must be a number, got hbar$"):
         PacketMoments(0, 0, 1, 1, hbar=Expr.symbol("hbar"))
