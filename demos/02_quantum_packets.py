@@ -30,9 +30,7 @@ print(f"  lam3 = {mult.lam3}")
 
 print("\nthe common factor tends to 1 in the wide-packet limit:")
 for nu in (2.0, 10.0, 100.0, 1e6):
-    value = log_ratio_factor().evaluate(
-        {"nu": nu, "Lnu": math.log((nu + 1) / (nu - 1))}
-    ).real
+    value = log_ratio_factor().evaluate({"nu": nu, "Lnu": math.log1p(2 / (nu - 1))}).real
     print(f"  nu = {nu:>9.0f}: factor = {value:.12f}")
 
 print("\ngeometric weights at nu = 3 (exact): R_k = (1/2)^(k+1)")

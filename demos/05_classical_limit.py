@@ -38,7 +38,7 @@ for hbar in (1.0, 0.1, 0.01, 0.001):
 
 print("\nmultiplier dressing (nu/2) ln((nu+1)/(nu-1)) - 1:")
 for nu in (10.0, 100.0, 1e4, 1e6):
-    f = log_ratio_factor().evaluate({"nu": nu, "Lnu": math.log((nu + 1) / (nu - 1))}).real
+    f = log_ratio_factor().evaluate({"nu": nu, "Lnu": math.log1p(2 / (nu - 1))}).real
     print(f"  nu = {nu:>9.0f}: {f - 1.0:.3e}")
 
 print("\nfifth-order correction magnitude vs nu (quartic potential):")

@@ -45,7 +45,6 @@ from .classical import (
     solve_multipliers_classical,
 )
 from .dynamics import (
-    AveragedDerivatives,
     DerivativeTable,
     PolynomialPotential,
     QuadraticFlow,

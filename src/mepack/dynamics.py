@@ -16,12 +16,14 @@ chains are commutative polynomial arithmetic.  The Moyal weights carry
 hbar already written as 2 dQ dP / nu, so the quantum chains are in packet
 symbols; the quantum packet's Wigner function is the classical packet
 Gaussian, so a symbol is averaged with the classical moments as it is.
-Every caller reads one chain store, which walks each chain once per
-potential.  `derivatives_quantum` restores hbar only for its printed
-operators, converting each symbol once to a q-left ordered
+Every caller reads one chain store per potential, which walks each chain
+once.  dq/dt = p/m under both brackets, so the q chain is read off the p
+chain and never walked.  `derivatives_quantum` restores hbar only for its
+printed operators, converting each symbol once to a q-left ordered
 `WeylPolynomial` (`WeylPolynomial.from_symbol`).  The classical and
-quantum averaged equations coincide through fourth order;
-`quantum_correction` extracts the residual as a polynomial in 1/nu.
+quantum averaged equations coincide through fourth order.  Each order's
+Moyal entry is averaged once: its nu^0 part is the classical average, and
+`quantum_correction` is the rest, a polynomial in 1/nu.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ _OBSERVABLES = {"q": _Q, "p": _P, "q2": _Q * _Q, "p2": _P * _P, "qp": _Q * _P}
 
 
 class DerivativeTable(NamedTuple):
-    """d^n q/dt^n and d^n p/dt^n at t = 0, n = 1..order."""
+    """d^n q/dt^n and d^n p/dt^n at t = 0, n = 1..order, or their packet
+    averages (`averaged_derivatives`)."""
 
     kind: str  # "classical" | "quantum"
     q: Tuple
@@ -147,32 +150,27 @@ def _moyal_step(h: PhasePolynomial):
     return step
 
 
-def derivative_chain(x0, step, order: int) -> List:
-    """[x0, dx0/dt, ..., d^order x0/dt^order]."""
-    if order < 1:
-        raise DomainError(f"derivative order must be >= 1, got {order}")
-    chain = [x0]
-    for _ in range(order):
-        chain.append(step(chain[-1]))
-    return chain
-
-
 @lru_cache(maxsize=16)
-def _chains(potential: PolynomialPotential, moyal_step, classical_step) -> dict:
+def _chains(potential: PolynomialPotential) -> dict:
     """The chain store of one potential: per bracket ("quantum" is Moyal,
     "classical" Poisson), its step and the chains walked so far, which
-    `_chain` grows on demand.  The step factories are part of the key, so
-    a replaced factory never reads chains that another one built."""
+    `_chain` grows on demand."""
     h = hamiltonian(potential, PhasePolynomial)
-    return {"quantum": (moyal_step(h), {}), "classical": (classical_step(h), {})}
+    return {"quantum": (_moyal_step(h), {}), "classical": (_classical_step(h), {})}
 
 
-def _chain(store, name: str, order: int) -> List:
-    """[x0, ..., d^order x0/dt^order] for the tracked observable `name`,
-    walking only the steps that `store` does not hold yet."""
+def _chain(potential: PolynomialPotential, kind: str, name: str, order: int) -> List:
+    """[x0, ..., d^order x0/dt^order] for the tracked observable `name`
+    under bracket `kind`, walking only the steps the store does not hold
+    yet.  dq/dt = p/m under both brackets, as d_p^3 q = 0, so the q chain
+    is read off the p chain and never walked."""
     if order < 1:
         raise DomainError(f"derivative order must be >= 1, got {order}")
-    step, chains = store
+    if name == "q":
+        inv_m = potential.mass.inverse()
+        ps = _chain(potential, kind, "p", order)[:-1]
+        return [_Q] + [x.map_coefficients(lambda c: c * inv_m) for x in ps]
+    step, chains = _chains(potential)[kind]
     chain = chains.setdefault(name, [_OBSERVABLES[name]])
     while len(chain) <= order:
         chain.append(step(chain[-1]))
@@ -180,12 +178,8 @@ def _chain(store, name: str, order: int) -> List:
 
 
 def _derivative_table(potential: PolynomialPotential, order: int, kind: str, convert):
-    """The table from the p chain alone: dq/dt = p/m under both brackets,
-    as d_p^3 q = 0, so d^(n+1) q/dt^(n+1) = (d^n p/dt^n)/m."""
-    ps = _chain(_chains(potential, _moyal_step, _classical_step)[kind], "p", order)
-    inv_m = potential.mass.inverse()
-    qs = [x.map_coefficients(lambda c: c * inv_m) for x in ps[:-1]]
-    return DerivativeTable(kind, tuple(map(convert, qs)), tuple(map(convert, ps[1:])))
+    q, p = (tuple(map(convert, _chain(potential, kind, name, order)[1:])) for name in "qp")
+    return DerivativeTable(kind, q, p)
 
 
 def derivatives_classical(potential: PolynomialPotential, order: int) -> DerivativeTable:
@@ -202,51 +196,41 @@ def derivatives_quantum(potential: PolynomialPotential, order: int) -> Derivativ
     )
 
 
-class AveragedDerivatives(NamedTuple):
-    """d^n Q/dt^n and d^n P/dt^n as expressions in the packet data."""
-
-    kind: str
-    q: Tuple[Expr, ...]
-    p: Tuple[Expr, ...]
-
-
-def _average(kind: str, packet: PacketMoments, entry) -> Expr:
-    """Packet average of a phase-space polynomial (classical), a q-left
-    ordered operator (quantum `WeylPolynomial`) or a Weyl symbol in packet
-    symbols (quantum `PhasePolynomial`, averaged over the Wigner function,
-    which is the classical Gaussian)."""
+def _average(packet: PacketMoments, entry) -> Expr:
+    """Packet average of a q-left ordered operator (`WeylPolynomial`), or
+    of a phase-space polynomial or Weyl symbol in packet symbols over the
+    packet Gaussian (a symbol's Wigner function)."""
     if isinstance(entry, WeylPolynomial):
         return expectation_quantum(packet, entry)
-    if kind == "quantum":
-        packet.require_quantum()
     return moment_classical(packet, entry)
 
 
-def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> AveragedDerivatives:
-    return AveragedDerivatives(
+def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> DerivativeTable:
+    return DerivativeTable(
         table.kind,
-        tuple(_average(table.kind, packet, e) for e in table.q),
-        tuple(_average(table.kind, packet, e) for e in table.p),
+        tuple(_average(packet, e) for e in table.q),
+        tuple(_average(packet, e) for e in table.p),
     )
 
 
 def averaged_p_derivatives(potential: PolynomialPotential, order: int) -> Tuple[Expr, Expr]:
     """(quantum, classical) averaged d^order P/dt^order in packet symbols.
 
-    The quantum side is the Moyal chain of the Weyl symbol of p, the
-    classical side the Poisson chain, both read from the chain store; the
-    hbar^0 (nu^0) part of the quantum symbol must equal the classical
-    entry, or AssertionError is raised, on every call.
+    The quantum side averages the Moyal chain's Weyl symbol of p over the
+    packet Gaussian (the Wigner function).  The symbol carries nu only as
+    nu^(-2k) and the Gaussian moments carry none, so the classical side is
+    the nu^0 part of that one average.  The hbar^0 (nu^0) part of the
+    symbol must equal the Poisson chain's entry, or AssertionError is
+    raised, on every call.
     """
-    store = _chains(potential, _moyal_step, _classical_step)
-    quantum = _chain(store["quantum"], "p", order)[-1]
-    classical = _chain(store["classical"], "p", order)[-1]
+    quantum = _chain(potential, "quantum", "p", order)[-1]
     routes_agree(
         f"hbar^0 part of the Moyal chain differs from the Poisson chain at order {order}",
-        quantum.map_coefficients(lambda c: c.drop_symbol("nu")), classical,
+        quantum.map_coefficients(lambda c: c.drop_symbol("nu")),
+        _chain(potential, "classical", "p", order)[-1],
     )
-    sym = PacketMoments.symbolic()
-    return _average("quantum", sym, quantum), _average("classical", sym, classical)
+    average = moment_classical(PacketMoments.symbolic(), quantum)
+    return average, average.drop_symbol("nu")
 
 
 def quantum_correction(potential: PolynomialPotential, order: int) -> Expr:
@@ -361,21 +345,15 @@ class Trajectory(NamedTuple):
 
 def _taylor_series(potential: PolynomialPotential, order: int, kind: str) -> dict:
     """Averaged Taylor coefficients <d^n X/dt^n>/n! for each tracked
-    observable.  The q series past order 0 is read off the p series, as
-    d^n q/dt^n = (d^(n-1) p/dt^(n-1))/m, so the q chain is never walked."""
-    store = _chains(potential, _moyal_step, _classical_step)[kind]
+    observable."""
     sym = PacketMoments.symbolic()
-    series = {
+    return {
         name: [
-            _average(kind, sym, entry) * Expr.number(Fraction(1, math.factorial(n)))
-            for n, entry in enumerate(_chain(store, name, order))
+            _average(sym, entry) * Expr.number(Fraction(1, math.factorial(n)))
+            for n, entry in enumerate(_chain(potential, kind, name, order))
         ]
-        for name in _OBSERVABLES if name != "q"
+        for name in _OBSERVABLES
     }
-    inv_m = potential.mass.inverse()
-    q = [_average(kind, sym, _OBSERVABLES["q"])]
-    q += [c * inv_m / n for n, c in enumerate(series["p"][:-1], 1)]
-    return {"q": q, **series}
 
 
 def _grid_checked(grid: Sequence[float], kind: str) -> List[float]:

@@ -29,9 +29,10 @@ as given, any other constant (a constant `Expr`, a `Scalar`, `2+0j`) as its
 packet field of `Fraction(1, 10**400)` or `10**400` is as good as a
 potential's mass of that size, and a reference volume of nan, 0 or -1 is
 refused by every reader.  The float route reads the held numbers through
-`float_value`, which names the field whose float leaves range: `bindings()`
-of such a packet raises DomainError, and so does a reference volume of that
-size in `entropy_classical` and `density_at`.
+`float_value`, which names the field whose float leaves range and gives
+the value's magnitude (`nu must be within float range, got 2.0e+400`):
+`bindings()` of such a packet raises DomainError, and so does a reference
+volume of that size in `entropy_classical` and `density_at`.
 """
 
 from __future__ import annotations
@@ -74,15 +75,28 @@ def exact_value(value: FieldValue, name: str, positive: bool = False) -> Optiona
 
 def float_value(value: Number, name: str) -> float:
     """The float of a number the rule has read; DomainError, naming the
-    field, where that float leaves range (it overflows, or it is 0.0 for a
-    value that is not zero)."""
+    field and the value's magnitude, where that float leaves range (it
+    overflows, or it is 0.0 for a value that is not zero)."""
     try:
         out = float(value)
     except OverflowError:
         out = math.inf
     if math.isinf(out) or (value and not out):
-        raise DomainError(f"{name} must be within float range, got {value}")
+        raise DomainError(f"{name} must be within float range, got {_magnitude(value)}")
     return out
+
+
+def _magnitude(value: Number) -> str:
+    """A nonzero number of any size to two digits, as 2.0e+400: `math.log10`
+    reads an int of any length, so no float overflows on the way."""
+    if not isinstance(value, Rational):
+        return str(value)  # a float is its own float
+    log = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+    exponent = math.floor(log)
+    mantissa = round(10 ** (log - exponent), 1)
+    if mantissa == 10:
+        mantissa, exponent = 1.0, exponent + 1
+    return f"{'-' if value < 0 else ''}{mantissa:.1f}e{exponent:+03d}"
 
 
 def _hbar(packet: "PacketMoments") -> Number:
@@ -155,9 +169,8 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
         out["hbar"] = float_value(_hbar(self), "hbar")
         out["pi"] = math.pi
         out["nu"] = self._float_nu()
-        out["Lnu"] = (
-            math.log((out["nu"] + 1.0) / (out["nu"] - 1.0)) if out["nu"] > 1 else math.inf
-        )
+        # log1p keeps the digits that ln((nu+1)/(nu-1)) loses as nu grows
+        out["Lnu"] = math.log1p(2.0 / (out["nu"] - 1.0)) if out["nu"] > 1 else math.inf
         return out
 
     def require_quantum(self, strict: bool = False):

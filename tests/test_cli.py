@@ -165,14 +165,20 @@ def test_derivatives_mode_runs_the_shadow_check(tmp_path, monkeypatch):
 
     moyal_step = dynamics._moyal_step
     nudge = PhasePolynomial.q().map_coefficients(lambda c: c * Expr.number(3))
+    # the chain store is keyed by the potential alone: the patched step
+    # walks from an empty store and leaves none of its chains behind
+    dynamics._chains.cache_clear()
     monkeypatch.setattr(dynamics, "_moyal_step", lambda h: (lambda x: moyal_step(h)(x) + nudge))
     path = write_scenario(
         tmp_path,
         run={"mode": "derivatives", "order": 2, "grid": None},
         potential={"m": 1, "V": [0, 0, 0, 1, 1]},
     )
-    with pytest.raises(AssertionError, match="Poisson chain"):
-        main(["run", str(path)])
+    try:
+        with pytest.raises(AssertionError, match="Poisson chain"):
+            main(["run", str(path)])
+    finally:
+        dynamics._chains.cache_clear()
 
 
 def test_moments_far_from_the_origin_round_once(tmp_path):

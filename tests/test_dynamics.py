@@ -20,11 +20,11 @@ from mepack.algebra import (
     parse_phase,
     parse_weyl,
 )
+from mepack.classical import moment_classical
 from mepack.dynamics import (
     PolynomialPotential,
     averaged_derivatives,
     averaged_p_derivatives,
-    derivative_chain,
     derivatives_classical,
     derivatives_quantum,
     evolve_quadratic,
@@ -139,6 +139,14 @@ def test_fifth_derivative_contains_printed_commutator(quartic):
 _INV_I_HBAR = Expr.number(1) / (Expr.i() * Expr.symbol("hbar"))
 
 
+def walk(x0, step, order):
+    """[x0, dx0/dt, ..., d^order x0/dt^order], walked afresh by `step`."""
+    chain = [x0]
+    for _ in range(order):
+        chain.append(step(chain[-1]))
+    return chain
+
+
 def commutator_chain(potential, x0, order):
     """Reference Heisenberg chain X -> [X, H]/(i hbar) on q-left operators."""
     h = hamiltonian(potential, WeylPolynomial)
@@ -146,7 +154,7 @@ def commutator_chain(potential, x0, order):
     def step(x):
         return commutator(x, h).map_coefficients(lambda c: c * _INV_I_HBAR)
 
-    return derivative_chain(x0, step, order)[1:]
+    return walk(x0, step, order)[1:]
 
 
 @pytest.mark.parametrize("degree", range(7))
@@ -214,7 +222,17 @@ def test_quantum_engine_stays_off_weyl_products(monkeypatch):
     assert len(traj.packets) == 2
 
 
-def test_moyal_shadow_check_sees_a_perturbed_step(monkeypatch):
+@pytest.fixture
+def fresh_chains():
+    """An empty chain store before and after the test: the store is keyed
+    by the potential alone, so a patched step must not read chains walked
+    before it, nor leave its own behind."""
+    dynamics._chains.cache_clear()
+    yield
+    dynamics._chains.cache_clear()
+
+
+def test_moyal_shadow_check_sees_a_perturbed_step(monkeypatch, fresh_chains):
     # the hbar^0 part of the Moyal chain must equal the Poisson chain
     moyal_step = dynamics._moyal_step
     nudge = PhasePolynomial.q().map_coefficients(lambda c: c * Expr.symbol("V0"))
@@ -224,15 +242,13 @@ def test_moyal_shadow_check_sees_a_perturbed_step(monkeypatch):
 
 
 def _fresh_averaged_p(potential, order):
-    """averaged_p_derivatives by fresh chain walks, without the memo."""
+    """averaged_p_derivatives by fresh chain walks and two averages,
+    without the memo."""
     h = hamiltonian(potential, PhasePolynomial)
     x0, sym = PhasePolynomial.p(), PacketMoments.symbolic()
-    quantum = derivative_chain(x0, dynamics._moyal_step(h), order)[-1]
-    classical = derivative_chain(x0, dynamics._classical_step(h), order)[-1]
-    return (
-        dynamics._average("quantum", sym, quantum),
-        dynamics._average("classical", sym, classical),
-    )
+    quantum = walk(x0, dynamics._moyal_step(h), order)[-1]
+    classical = walk(x0, dynamics._classical_step(h), order)[-1]
+    return moment_classical(sym, quantum), moment_classical(sym, classical)
 
 
 def test_memoized_chains_match_fresh_walks():
@@ -242,16 +258,35 @@ def test_memoized_chains_match_fresh_walks():
         assert averaged_p_derivatives(pot, order) == _fresh_averaged_p(pot, order)
 
 
-def test_memo_does_not_outlive_a_patched_step(monkeypatch):
-    pot = PolynomialPotential.symbolic(4)
-    quantum_correction(pot, 3)
-    moyal_step = dynamics._moyal_step
-    nudge = PhasePolynomial.q().map_coefficients(lambda c: c * Expr.symbol("V0"))
-    with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_moyal_step", lambda h: (lambda x: moyal_step(h)(x) + nudge))
-        with pytest.raises(AssertionError, match="Poisson chain"):
-            quantum_correction(pot, 3)
-    quantum_correction(pot, 3)
+@pytest.mark.parametrize("degree", range(7))
+def test_classical_average_is_the_poisson_entry_averaged(degree):
+    # the nu^0 part of the one Moyal average equals the average of the
+    # Poisson chain's entry, the computation it replaced
+    pot = PolynomialPotential.symbolic(degree)
+    step = dynamics._classical_step(hamiltonian(pot, PhasePolynomial))
+    poisson = walk(PhasePolynomial.p(), step, 8)
+    for order in range(1, 9):
+        _, classical = averaged_p_derivatives(pot, order)
+        assert classical == moment_classical(PacketMoments.symbolic(), poisson[order]), order
+
+
+@pytest.mark.parametrize("degree", range(3, 7))
+def test_quantum_correction_has_no_nu0_term(degree):
+    pot = PolynomialPotential.symbolic(degree)
+    for order in range(1, 7):
+        correction = quantum_correction(pot, order)
+        assert correction.drop_symbol("nu").is_zero(), order
+        assert all(e < 0 for e in correction.as_poly_in("nu")), order
+
+
+@pytest.mark.parametrize("kind, step", [
+    ("classical", "_classical_step"), ("quantum", "_moyal_step"),
+])
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_q_chain_read_off_p_matches_a_walked_q_chain(kind, step, degree):
+    pot = PolynomialPotential.symbolic(degree)
+    bracket = getattr(dynamics, step)(hamiltonian(pot, PhasePolynomial))
+    assert dynamics._chain(pot, kind, "q", 6) == walk(PhasePolynomial.q(), bracket, 6)
 
 
 def test_each_chain_step_runs_once_per_potential(monkeypatch):
@@ -276,7 +311,7 @@ def test_equal_potentials_share_one_chain_memo_entry():
     dynamics._chains.cache_clear()
     assert quantum_correction(plain, 2) == quantum_correction(wrapped, 2)
     info = dynamics._chains.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_one_chain_store_serves_every_caller(monkeypatch):
@@ -307,7 +342,7 @@ def test_moyal_chains_carry_no_hbar():
     x0s = [PhasePolynomial.q(), PhasePolynomial.p(), parse_phase("q^2"), parse_phase("q*p")]
     symbols = set()
     for x0 in x0s:
-        for entry in derivative_chain(x0, step, 6):
+        for entry in walk(x0, step, 6):
             symbols |= set().union(*(c.symbols() for _, c in entry.terms()))
     assert "hbar" not in symbols and {"nu", "dQ", "dP"} <= symbols
 

@@ -82,6 +82,15 @@ def test_numeric_multipliers_keep_the_log_symbolic():
     assert lam3.evaluate(pk.bindings()).real == pytest.approx(math.log(3) / 2, rel=1e-15)
 
 
+@pytest.mark.parametrize("nu", [1e8, 1e12, 1e17])
+def test_bindings_keep_the_digits_of_lnu_at_large_nu(nu):
+    # ln((nu+1)/(nu-1)) taken as the log of a quotient loses about nu*1e-16
+    # relative, and reads 0.0 from nu ~ 1e16 on
+    lnu = PacketMoments(0, 0, nu / 2, 1, hbar=1).bindings()["Lnu"]
+    reference = 2 * math.atanh(1 / nu)
+    assert abs(lnu - reference) <= 4 * math.ulp(reference)
+
+
 def test_multipliers_domain_errors():
     with pytest.raises(PureStateLimitError):
         solve_multipliers_quantum(PacketMoments(0, 0, 1.0, 0.5, hbar=1.0))

@@ -1,6 +1,8 @@
 """The result records: immutable named tuples whose constructors validate."""
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,6 @@ from mepack.classical import (
 )
 from mepack.dynamics import (
     PolynomialPotential,
-    averaged_derivatives,
     derivatives_classical,
     quadratic_flow,
     trajectory_quadratic,
@@ -37,7 +38,6 @@ RECORDS = {
     "PacketMoments": lambda: PK,
     "PolynomialPotential": lambda: POT,
     "DerivativeTable": lambda: derivatives_classical(POT, 1),
-    "AveragedDerivatives": lambda: averaged_derivatives(derivatives_classical(POT, 1), PK),
     "QuadraticFlow": lambda: quadratic_flow(POT, 0.5),
     "Trajectory": lambda: trajectory_quadratic(PK, POT, [0.0, 0.5]),
     "FockState": lambda: fock_state(PacketMoments(0.0, 0.0, 1.0, 1.0, hbar=1.0)),
@@ -129,7 +129,9 @@ def _float_refusal(value):
     except OverflowError:
         approx = math.inf
     if math.isinf(approx) or not approx:
-        return f" must be within float range, got {exact}"
+        # the magnitude to two digits, by decimal division rather than logs
+        magnitude = Decimal(exact.numerator) / Decimal(exact.denominator)
+        return f" must be within float range, got {magnitude:.1e}"
     return None
 
 
@@ -170,15 +172,27 @@ def test_exact_packet_fields_beyond_float_range_are_accepted():
                 packet.require_quantum(strict=True)
 
 
-@pytest.mark.parametrize("spread", [1e200, 1e-200])
-def test_a_float_nu_outside_float_range_is_refused(spread):
+@pytest.mark.parametrize("spread, shown", [(1e200, "2.0e+400"), (1e-200, "2.0e-400")],
+                         ids=["1e+200", "1e-200"])
+def test_a_float_nu_outside_float_range_is_refused(spread, shown):
     # each field's float is in range; 2*dQ*dP/hbar is not (it read inf, or 0.0)
     packet = PacketMoments(0, 0, spread, spread)
-    with pytest.raises(DomainError, match="^nu must be within float range, got "):
+    message = f"^nu must be within float range, got {re.escape(shown)}$"
+    with pytest.raises(DomainError, match=message):
         packet.bindings()
     if packet.nu > 1:
-        with pytest.raises(DomainError, match="^nu must be within float range, got "):
+        with pytest.raises(DomainError, match=message):
             packet.require_quantum(strict=True)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (10 ** 400, "1.0e+400"), (-10 ** 400, "-1.0e+400"), (99999 * 10 ** 400, "1.0e+405"),
+    (Fraction(3, 10 ** 400), "3.0e-400"), (Fraction(-25, 10 ** 401), "-2.5e-400"),
+])
+def test_a_float_range_refusal_shows_the_magnitude(value, shown):
+    with pytest.raises(DomainError) as info:
+        packets.float_value(value, "x")
+    assert str(info.value) == f"x must be within float range, got {shown}"
 
 
 def test_a_float_nu_in_range_is_kept():
