@@ -311,7 +311,7 @@ def format_nu_polynomial(expr: Expr) -> str:
     parts = []
     for e in sorted(groups, reverse=True):
         cs = format_expression(groups[e])
-        if len(groups[e].terms()) > 1:
+        if not groups[e].is_monomial():
             cs = f"({cs})"
         if e == 0:
             parts.append(cs)
@@ -484,12 +484,11 @@ def run_corrections(scenario: Scenario, out: OutputBundle):
     out.say(f"quantum corrections to d^n P/dt^n (symbolic potential of degree {degree})")
     rows = []
     for n in orders:
-        quantum, classical = averaged_p_derivatives(potential, n)
-        rendered = format_nu_polynomial(quantum - classical)
+        rendered = format_nu_polynomial(quantum_correction(potential, n))
         out.say(f"  order {n}: {rendered}")
         rows.append({"order": n, "correction": rendered})
         if n == 5 and degree >= 4:
-            group = quantum
+            group = averaged_p_derivatives(potential, 5)[0]
             for name, power in (("V3", 1), ("V4", 1), ("dQ", 2), ("dP", 2), ("Q", 0), ("P", 0)):
                 group = group.coefficient_of(name, power)
             factor = format_nu_polynomial(group * Expr.number(2) * Expr.symbol("m") ** 3)

@@ -12,18 +12,20 @@ iterates the equation of motion at t = 0 on phase-space polynomials,
 for X in {q, p, q^2, p^2, qp}.  On the quantum side X is the Weyl symbol
 of the observable and the step is the Moyal bracket with
 H = p^2/2m + V(q) (Moyal, Proc. Camb. Phil. Soc. 45, 99 (1949)), so both
-chains are commutative polynomial arithmetic.  The Moyal weights carry
-hbar already written as 2 dQ dP / nu, so the quantum chains are in packet
-symbols; the quantum packet's Wigner function is the classical packet
-Gaussian, so a symbol is averaged with the classical moments as it is.
+chains are commutative polynomial arithmetic (the Poisson chain, the
+Moyal chain's independent check, by the general `poisson_bracket`).  The
+Moyal weights carry hbar already written as 2 dQ dP / nu, so the quantum
+chains are in packet symbols; the quantum packet's Wigner function is the
+classical packet Gaussian, so a symbol is averaged with the classical
+moments as it is.
 Every caller reads one chain store per potential, which walks each chain
 once.  dq/dt = p/m under both brackets, so the q chain is read off the p
 chain and never walked.  `derivatives_quantum` restores hbar only for its
 printed operators, converting each symbol once to a q-left ordered
 `WeylPolynomial` (`WeylPolynomial.from_symbol`).  The classical and
 quantum averaged equations coincide through fourth order.  Each order's
-Moyal entry is averaged once: its nu^0 part is the classical average, and
-`quantum_correction` is the rest, a polynomial in 1/nu.
+Moyal p entry is averaged once, its nu^0 part is the classical average,
+and `quantum_correction` averages only the entry's 1/nu part.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra.expression import Expr
+from .algebra.expression import Expr, sum_of_products
 from .algebra.ladder import HBAR_AS_NU
 from .algebra.phase import PhasePolynomial, poisson_bracket
 from .algebra.weyl import WeylPolynomial
@@ -123,29 +125,35 @@ def _classical_step(h):
 
 
 def _moyal_step(h: PhasePolynomial):
-    """The Moyal bracket with H = p^2/2m + V(q) on Weyl symbols:
-    X -> {X, H} - sum_{k>=1} (-hbar^2/4)^k/(2k+1)! V^(2k+1)(q) d_p^(2k+1) X,
-    with hbar written as 2 dQ dP / nu in the weights."""
-    odd_terms = []  # (-hbar^2/4)^k/(2k+1)! V^(2k+1)(q) for k = 1, 2, ...
-    dv = h.diff_q().diff_q().diff_q()  # V'''(q), as p^2/2m has no q
-    k = 1
+    """The Moyal bracket with H = p^2/2m + V(q) on Weyl symbols, one sum of
+    products per output coefficient: X -> (p/m) d_q X - sum_{k>=0} w_k
+    V^(2k+1)(q) d_p^(2k+1) X, w_k = (-hbar^2/4)^k/(2k+1)!, hbar = 2 dQ dP/nu.
+    1/m and V' are read off `h`."""
+    inv_m = h.coefficient(0, 2) * 2
+    odd_terms = []  # (2k+1, [(j, -w_k * [q^j] V^(2k+1))]) for k = 0, 1, ...
+    dv = h.diff_q()  # V'(q), as p^2/2m has no q
+    k = 0
     while not dv.is_zero():
         weight = Expr.number(
-            Fraction((-1) ** k, 4 ** k * math.factorial(2 * k + 1))
+            Fraction((-1) ** (k + 1), 4 ** k * math.factorial(2 * k + 1))
         ) * HBAR_AS_NU ** (2 * k)
-        odd_terms.append(dv.map_coefficients(lambda c: c * weight))
+        odd_terms.append((2 * k + 1, [(j, c * weight) for (j, _), c in dv.terms()]))
         dv = dv.diff_q().diff_q()
         k += 1
 
     def step(x):
-        out = poisson_bracket(x, h)
-        dx = x.diff_p()
-        for term in odd_terms:
-            dx = dx.diff_p().diff_p()
-            if dx.is_zero():
-                break
-            out = out - term * dx
-        return out
+        xs = x._terms.items()
+        pairs = {}  # output key -> its (coefficient, factor) pairs
+        for (a, b), c in xs:
+            if a:
+                pairs.setdefault((a - 1, b + 1), []).append((c, inv_m * a))
+        for n, vs in odd_terms:
+            # terms in the order of d_p X * V' and V^(2k+1) * d_p^(2k+1) X; floats follow it
+            grid = ((t, v) for t in xs for v in vs) if n == 1 else ((t, v) for v in vs for t in xs)
+            for ((a, b), c), (j, v) in grid:
+                if b >= n:
+                    pairs.setdefault((a + j, b - n), []).append((c, v * math.perm(b, n)))
+        return PhasePolynomial({key: sum_of_products(ps) for key, ps in pairs.items()})
 
     return step
 
@@ -213,31 +221,36 @@ def averaged_derivatives(table: DerivativeTable, packet: PacketMoments) -> Deriv
     )
 
 
+def _checked_p_entry(potential: PolynomialPotential, order: int):
+    """The Moyal chain's d^order p/dt^order and its hbar^0 (nu^0) part, which
+    must equal the Poisson chain's entry (else AssertionError), on every call."""
+    quantum = _chain(potential, "quantum", "p", order)[-1]
+    classical = quantum.map_coefficients(lambda c: c.drop_symbol("nu"))
+    routes_agree(f"hbar^0 part of the Moyal chain differs from the Poisson chain at order {order}",
+                 classical, _chain(potential, "classical", "p", order)[-1])
+    return quantum, classical
+
+
 def averaged_p_derivatives(potential: PolynomialPotential, order: int) -> Tuple[Expr, Expr]:
     """(quantum, classical) averaged d^order P/dt^order in packet symbols.
 
     The quantum side averages the Moyal chain's Weyl symbol of p over the
     packet Gaussian (the Wigner function).  The symbol carries nu only as
     nu^(-2k) and the Gaussian moments carry none, so the classical side is
-    the nu^0 part of that one average.  The hbar^0 (nu^0) part of the
-    symbol must equal the Poisson chain's entry, or AssertionError is
-    raised, on every call.
+    the nu^0 part of that one average.  The symbol's nu^0 part is checked
+    against the Poisson chain on every call (`_checked_p_entry`).
     """
-    quantum = _chain(potential, "quantum", "p", order)[-1]
-    routes_agree(
-        f"hbar^0 part of the Moyal chain differs from the Poisson chain at order {order}",
-        quantum.map_coefficients(lambda c: c.drop_symbol("nu")),
-        _chain(potential, "classical", "p", order)[-1],
-    )
-    average = moment_classical(PacketMoments.symbolic(), quantum)
+    average = moment_classical(PacketMoments.symbolic(), _checked_p_entry(potential, order)[0])
     return average, average.drop_symbol("nu")
 
 
 def quantum_correction(potential: PolynomialPotential, order: int) -> Expr:
     """Quantum minus classical averaged d^order P/dt^order, as a polynomial
-    in 1/nu; `PacketMoments.specialize` puts in a numeric packet."""
-    quantum, classical = averaged_p_derivatives(potential, order)
-    return quantum - classical
+    in 1/nu; `PacketMoments.specialize` puts in a numeric packet.  Averaging
+    is linear and the Gaussian moments carry no nu, so only the Moyal entry's
+    1/nu part is averaged (none through order 4, or for V of degree 3)."""
+    quantum, classical = _checked_p_entry(potential, order)
+    return moment_classical(PacketMoments.symbolic(), quantum - classical)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +357,18 @@ class Trajectory(NamedTuple):
 
 
 def _taylor_series(potential: PolynomialPotential, order: int, kind: str) -> dict:
-    """Averaged Taylor coefficients <d^n X/dt^n>/n! for each tracked
-    observable."""
+    """Averaged Taylor coefficients <d^n X/dt^n>/n! for each tracked observable;
+    as dq/dt = p/m, q's coefficient n is p's coefficient n-1 over m n."""
     sym = PacketMoments.symbolic()
-    return {
+    series = {
         name: [
             _average(sym, entry) * Expr.number(Fraction(1, math.factorial(n)))
             for n, entry in enumerate(_chain(potential, kind, name, order))
         ]
-        for name in _OBSERVABLES
+        for name in ("p", "q2", "p2", "qp")
     }
+    q = [c / (potential.mass * n) for n, c in enumerate(series["p"][:-1], 1)]
+    return {"q": [_average(sym, _Q)] + q, **series}
 
 
 def _grid_checked(grid: Sequence[float], kind: str) -> List[float]:

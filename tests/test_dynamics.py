@@ -19,6 +19,7 @@ from mepack.algebra import (
     parse_expression,
     parse_phase,
     parse_weyl,
+    poisson_bracket,
 )
 from mepack.classical import moment_classical
 from mepack.dynamics import (
@@ -289,15 +290,77 @@ def test_q_chain_read_off_p_matches_a_walked_q_chain(kind, step, degree):
     assert dynamics._chain(pot, kind, "q", 6) == walk(PhasePolynomial.q(), bracket, 6)
 
 
-def test_each_chain_step_runs_once_per_potential(monkeypatch):
+def composed_moyal_step(h):
+    """The Moyal step composed from general products:
+    X -> {X, H} - sum_{k>=1} term_k * d_p^(2k+1) X, with
+    term_k = (-hbar^2/4)^k/(2k+1)! V^(2k+1)(q) and hbar = 2 dQ dP / nu."""
+    terms = []
+    dv = h.diff_q().diff_q().diff_q()
+    k = 1
+    while not dv.is_zero():
+        weight = Expr.number(Fraction((-1) ** k, 4 ** k * math.factorial(2 * k + 1)))
+        weight = weight * parse_expression("2*dQ*dP/nu") ** (2 * k)
+        terms.append(dv.map_coefficients(lambda c: c * weight))
+        dv = dv.diff_q().diff_q()
+        k += 1
+
+    def step(x):
+        out = poisson_bracket(x, h)
+        dx = x.diff_p()
+        for term in terms:
+            dx = dx.diff_p().diff_p()
+            out = out - term * dx
+        return out
+
+    return step
+
+
+def term_order(poly):
+    """Keys and each coefficient's monomials in insertion order, which
+    float evaluation follows."""
+    return [(key, list(c._terms)) for key, c in poly._terms.items()]
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_one_pass_moyal_step_matches_the_composed_bracket(degree):
+    h = hamiltonian(PolynomialPotential.symbolic(degree), PhasePolynomial)
+    step, reference = dynamics._moyal_step(h), composed_moyal_step(h)
+    for name, x0 in dynamics._OBSERVABLES.items():
+        for n, x in enumerate(walk(x0, reference, 7)):
+            expected = reference(x)
+            assert step(x) == expected, (name, n + 1)
+            assert term_order(step(x)) == term_order(expected), (name, n + 1)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_quantum_correction_is_the_difference_of_the_averages(degree):
+    pot = PolynomialPotential.symbolic(degree)
+    for order in range(1, 9):
+        quantum, classical = averaged_p_derivatives(pot, order)
+        assert quantum_correction(pot, order) == quantum - classical, order
+
+
+def count_steps(monkeypatch):
+    """A list that grows by one on each Moyal or Poisson chain step."""
     calls = []
-    exact = dynamics.poisson_bracket
+    for name in ("_moyal_step", "_classical_step"):
+        factory = getattr(dynamics, name)
 
-    def counted(x, h):
-        calls.append(1)
-        return exact(x, h)
+        def counted(h, factory=factory):
+            step = factory(h)
 
-    monkeypatch.setattr(dynamics, "poisson_bracket", counted)
+            def counted_step(x):
+                calls.append(1)
+                return step(x)
+
+            return counted_step
+
+        monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+def test_each_chain_step_runs_once_per_potential(monkeypatch, fresh_chains):
+    calls = count_steps(monkeypatch)
     pot = PolynomialPotential(Fraction(7, 4), (Fraction(3, 8), 0, Fraction(-5, 8), 0, 1, 2))
     for order in range(1, 7):
         quantum_correction(pot, order)
@@ -314,17 +377,9 @@ def test_equal_potentials_share_one_chain_memo_entry():
     assert (info.misses, info.currsize) == (1, 1)
 
 
-def test_one_chain_store_serves_every_caller(monkeypatch):
-    calls = []
-    exact = dynamics.poisson_bracket
-
-    def counted(x, h):
-        calls.append(1)
-        return exact(x, h)
-
-    monkeypatch.setattr(dynamics, "poisson_bracket", counted)
+def test_one_chain_store_serves_every_caller(monkeypatch, fresh_chains):
+    calls = count_steps(monkeypatch)
     pot = PolynomialPotential(Fraction(5, 4), (0, Fraction(1, 8), Fraction(3, 4), 0, Fraction(1, 2)))
-    dynamics._chains.cache_clear()
     quantum_correction(pot, 6)
     assert len(calls) == 12  # the Moyal and the Poisson p chains
     derivatives_quantum(pot, 6)
