@@ -18,8 +18,7 @@ from mepack import (
     propagate,
     quantum_correction,
 )
-from mepack.algebra import format_expression, format_phase, format_weyl
-from mepack.cli import format_nu_polynomial
+from mepack.algebra import Expr, format_expression, format_nu_polynomial, format_phase, format_weyl
 
 print(__doc__)
 
@@ -44,7 +43,6 @@ fifth = averaged_derivatives(derivatives_quantum(quartic, 5), sym).p[-1]
 group = fifth
 for name, power in (("V3", 1), ("V4", 1), ("dQ", 2), ("dP", 2), ("Q", 0), ("P", 0)):
     group = group.coefficient_of(name, power)
-from mepack.algebra import Expr
 
 factor = format_nu_polynomial(group * Expr.number(2) * Expr.symbol("m") ** 3)
 print(f"\nthe V3*V4 block of the fifth derivative carries dQ^2*dP^2*({factor})")

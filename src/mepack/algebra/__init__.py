@@ -7,6 +7,7 @@ from .parsing import (
     ParseError,
     format_expression,
     format_ladder,
+    format_nu_polynomial,
     format_phase,
     format_weyl,
     parse_expression,
@@ -30,6 +31,7 @@ __all__ = [
     "diagonal_part",
     "format_expression",
     "format_ladder",
+    "format_nu_polynomial",
     "format_phase",
     "format_weyl",
     "ladder_p",

@@ -1,4 +1,4 @@
-"""Plain-text printer and parser for expressions and operator polynomials.
+"""Plain-text printers and parser for expressions and operator polynomials.
 
 Grammar (round-trips with the printers):
 
@@ -10,24 +10,36 @@ Grammar (round-trips with the printers):
 Scalar parts commute; the operator letters q, p (Weyl) and A, Ad (ladder)
 keep their written order.  Example: `(3/2)*V3*q^2*p + i*hbar*q`.
 
+This module is the one place that knows the printed form.
+`format_expression` prints an `Expr` in its canonical term order,
+`format_ordered` (also named `format_weyl`, `format_phase` and
+`format_ladder`) prints an operator polynomial word by word, and
+`format_nu_polynomial` prints an `Expr` grouped by powers of nu
+(`21 - 2/nu^2`), the form of the `1/nu` corrections.  Every term is
+rendered by one rule: a coefficient of 1 is dropped, one of -1 becomes a
+leading minus, and a fraction is parenthesized.
+
 The parser evaluates as it reads, in the target algebra: a scalar
 sub-expression is an `Expr`, an operator letter is the degree-1 monomial of
 the target `OrderedPolynomial` class, and `+ - * / ^` are that ring's own
 operations, so `(q+p)^n` costs O(log n) ring products.  A product or
 power of operator degree above `MAX_EXPRESSION_DEGREE` is a ParseError,
-raised before it is formed; a scalar power has degree 0.  Divisors and bases
-of negative powers must be nonzero scalar monomials (`q*p - p*q` counts);
-the ring's `inverse()` decides, and a ZeroDivisionError becomes a
-ParseError.
+raised before it is formed.  So is a power of a sum, scalar or not, whose
+exponent is above `MAX_EXPRESSION_DEGREE` or that would form more than
+`MAX_POWER_TERMS` products of the sum's terms (`(V1+V2+V3+dQ)^28` would
+form 4495).  Divisors and bases of negative powers must be nonzero scalar
+monomials (`q*p - p*q` counts); the ring's `inverse()` decides, and a
+ZeroDivisionError becomes a ParseError.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Callable, List
 
-from .expression import Expr, _symbol_rank, is_known_symbol
+from .expression import Expr, is_known_symbol
 from .ladder import LadderPolynomial
 from .phase import PhasePolynomial
 from .scalar import Scalar
@@ -38,6 +50,10 @@ _OPERATOR_LETTERS = ("q", "p", "A", "Ad")
 # the highest operator degree a parse may form, checked before each product
 # or power is formed; the bundled scenarios use at most 4, the tests 24
 MAX_EXPRESSION_DEGREE = 28
+# the most products of e of a sum's t terms, C(e + t - 1, t - 1), that a
+# power of the sum may form, checked before it is formed; `(V1+V2+V3+dQ)^16`
+# forms 969 and parses in about 0.2 s, `(q+p)^28` forms 29
+MAX_POWER_TERMS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +64,13 @@ def _format_fraction(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _format_scalar(c: Scalar, *, bare: bool = False) -> str:
+def _format_scalar(c: Scalar) -> str:
     """Token for a scalar; parenthesized where needed for re-parsing."""
-    if c.im == 0:
-        s = _format_fraction(c.re)
-        if c.re.denominator != 1 and not bare:
-            return f"({s})"
-        return s
-    if c.re == 0:
+    a, b, d = c.abd
+    if b == 0:
+        # a/d is in lowest terms, as (a, 0, d) is
+        return str(a) if d == 1 else f"({a}/{d})"
+    if a == 0:
         if c.im == 1:
             return "i"
         if c.im == -1:
@@ -69,20 +84,20 @@ def _format_scalar(c: Scalar, *, bare: bool = False) -> str:
 
 
 def _format_mono(mono) -> str:
-    parts = []
-    for sym, exp in sorted(mono, key=lambda it: _symbol_rank(it[0])):
-        parts.append(sym if exp == 1 else f"{sym}^{exp}")
-    return "*".join(parts)
+    # a canonical monomial is already in rank order
+    return "*".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in mono)
 
 
-def _format_term(coeff: Scalar, mono_str: str) -> str:
-    if not mono_str:
-        return _format_scalar(coeff)
-    if coeff == Scalar(1):
-        return mono_str
-    if coeff == Scalar(-1):
-        return f"-{mono_str}"
-    return f"{_format_scalar(coeff)}*{mono_str}"
+def _format_term(coefficient: str, tail: str) -> str:
+    """One printed term from its rendered coefficient and the rest: a
+    coefficient of 1 is dropped and one of -1 becomes a leading minus."""
+    if not tail:
+        return coefficient
+    if coefficient == "1":
+        return tail
+    if coefficient == "-1":
+        return f"-{tail}"
+    return f"{coefficient}*{tail}"
 
 
 def _join_terms(terms: List[str]) -> str:
@@ -98,7 +113,7 @@ def _join_terms(terms: List[str]) -> str:
 
 
 def format_expression(expr: Expr) -> str:
-    return _join_terms([_format_term(c, _format_mono(m)) for m, c in expr.terms()])
+    return _join_terms([_format_term(_format_scalar(c), _format_mono(m)) for m, c in expr.terms()])
 
 
 def _power_word(letter: str, exp: int) -> str:
@@ -115,8 +130,23 @@ def format_ordered(poly: OrderedPolynomial) -> str:
         word = "*".join(w for w in (_power_word(x, a), _power_word(y, b)) if w)
         for mono, scalar in Expr.coerce(coeff).terms():
             tail = "*".join(w for w in (_format_mono(mono), word) if w)
-            rendered.append(_format_term(scalar, tail))
+            rendered.append(_format_term(_format_scalar(scalar), tail))
     return _join_terms(rendered)
+
+
+def format_nu_polynomial(expr: Expr) -> str:
+    """Render an expression grouped by powers of nu, e.g. `21 - 2/nu^2`."""
+    groups = expr.as_poly_in("nu")
+    parts = []
+    for e in sorted(groups, reverse=True):
+        cs = format_expression(groups[e])
+        if not groups[e].is_monomial():
+            cs = f"({cs})"
+        if e < 0:
+            parts.append(f"{cs}/{_power_word('nu', -e)}")
+        else:
+            parts.append(_format_term(cs, _power_word("nu", e)))
+    return _join_terms(parts)
 
 
 format_weyl = format_phase = format_ladder = format_ordered
@@ -162,6 +192,25 @@ def _check_degree(degree: int):
     """Refuse a product or power above `MAX_EXPRESSION_DEGREE` before it is formed."""
     if degree > MAX_EXPRESSION_DEGREE:
         raise ParseError(f"degree must be at most {MAX_EXPRESSION_DEGREE}, got {degree}")
+
+
+def _check_power(base, exp: int):
+    """Refuse `base^exp` before it is formed if its operator degree is above
+    `MAX_EXPRESSION_DEGREE`, or if `base` is a sum of t > 1 terms (scalar
+    monomials, counted over every operator word) and `exp` is above
+    `MAX_EXPRESSION_DEGREE` or C(exp + t - 1, t - 1) is above `MAX_POWER_TERMS`."""
+    _check_degree(_degree(base) * exp)
+    coefficients = [base] if isinstance(base, Expr) else base._terms.values()
+    terms = sum(len(c._terms) for c in coefficients)
+    if terms < 2:
+        return
+    if exp > MAX_EXPRESSION_DEGREE:
+        raise ParseError(f"the exponent of a sum must be at most {MAX_EXPRESSION_DEGREE}, "
+                         f"got {exp}")
+    products = math.comb(exp + terms - 1, exp)
+    if products > MAX_POWER_TERMS:
+        raise ParseError(f"a power of a sum may form at most {MAX_POWER_TERMS} products, "
+                         f"got {products} ({terms} terms to the power {exp})")
 
 
 class _Parser:
@@ -229,7 +278,7 @@ class _Parser:
             exp = sign * int(tok)
             if exp < 0:
                 return _inverse(base, "negative power of a non-scalar") ** (-exp)
-            _check_degree(_degree(base) * exp)
+            _check_power(base, exp)
             return base ** exp
         return base
 

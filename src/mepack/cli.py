@@ -13,8 +13,10 @@ of the wrong type, an empty `expressions` or `orders` list, an order below
 points or with more than `MAX_GRID_POINTS` is a validation failure.  So is
 a potential of degree above `MAX_POTENTIAL_DEGREE`, and an expression whose
 parse would form a product or power of degree above `MAX_EXPRESSION_DEGREE`
-(refused by the parser before it forms it); every expression is parsed
-before any of them is computed.
+or a power of a sum past the parser's bound (`MAX_POWER_TERMS`), each
+refused by the parser before it forms it; every expression is parsed
+before any of them is computed.  Every expression and `1/nu` correction is
+printed by the printers of `mepack.algebra`; this module has none of its own.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
 failure or a float that leaves range (also an oracle-check delta over
@@ -38,12 +40,12 @@ from typing import Dict, List, Optional, Sequence
 from .algebra import (
     ParseError,
     format_expression,
+    format_nu_polynomial,
     format_phase,
     format_weyl,
     parse_weyl,
 )
 from .algebra.expression import Expr
-from .algebra.parsing import _join_terms
 from .algebra.phase import PhasePolynomial
 from .classical import moment_classical
 from .dynamics import (
@@ -298,35 +300,6 @@ class Scenario:
                     f"nu values {bad} violate the uncertainty bound nu = 2*dQ*dP/hbar > 1",
                     "run.nu_sweep",
                 )
-
-
-# ---------------------------------------------------------------------------
-# rendering helpers
-# ---------------------------------------------------------------------------
-
-
-def format_nu_polynomial(expr: Expr) -> str:
-    """Render an expression grouped by powers of nu, e.g. `21 - 2/nu^2`."""
-    groups = expr.as_poly_in("nu")
-    parts = []
-    for e in sorted(groups, reverse=True):
-        cs = format_expression(groups[e])
-        if not groups[e].is_monomial():
-            cs = f"({cs})"
-        if e == 0:
-            parts.append(cs)
-            continue
-        power = ("nu" if e == 1 else f"nu^{e}") if e > 0 else ("/nu" if e == -1 else f"/nu^{-e}")
-        if e > 0:
-            if cs == "1":
-                parts.append(power)
-            elif cs == "-1":
-                parts.append(f"-{power}")
-            else:
-                parts.append(f"{cs}*{power}")
-        else:
-            parts.append(f"{cs}{power}")
-    return _join_terms(parts)
 
 
 class OutputBundle:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mepack.algebra import format_expression, parse_expression
-from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE
+from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS
 from mepack.cli import (
     MAX_GRID_POINTS,
     MAX_ORDER,
@@ -410,6 +410,10 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
         ({"run": {"mode": "moments", "grid": None, "expressions": ["(q+p)^64"]}}, 2,
          f"validation error: run.expressions[0]: degree must be at most "
          f"{MAX_EXPRESSION_DEGREE}, got 64\n"),
+        # a power of a sum, of degree 1, is bounded by the terms it would form
+        ({"run": {"mode": "moments", "grid": None, "expressions": ["(Q+P+dQ+dP)^28*q"]}}, 2,
+         f"validation error: run.expressions[0]: a power of a sum may form at most "
+         f"{MAX_POWER_TERMS} products, got 4495 (4 terms to the power 28)\n"),
         ({"potential": {"m": 1, "V": [0] * (MAX_POTENTIAL_DEGREE + 2)},
           "run": {"mode": "corrections", "grid": None}}, 2,
          f"validation error: potential.V: degree must be at most {MAX_POTENTIAL_DEGREE}, "
@@ -422,7 +426,8 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
     ],
     ids=["nu_sweep-1e300", "taylor-grid-1e300", "quantum-V4-1e300", "moments-10^400",
          "grid-step-1e-300", "grid-list-too-long", "order-over-cap", "orders-entry-over-cap",
-         "expression-degree-over-cap", "expression-power-over-cap", "potential-degree-over-cap",
+         "expression-degree-over-cap", "expression-power-over-cap", "scalar-power-over-bound",
+         "potential-degree-over-cap",
          "oracle-check-10^306"],
 )
 def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overrides, code,

@@ -1,5 +1,8 @@
 """Printer/parser round trips and the golden text format."""
 
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +11,27 @@ from mepack.algebra import (
     Expr,
     ParseError,
     PhasePolynomial,
+    Scalar,
     WeylPolynomial,
     format_expression,
     format_ladder,
+    format_nu_polynomial,
     format_phase,
     format_weyl,
     parse_expression,
     parse_ladder,
     parse_phase,
     parse_weyl,
+    to_ladder,
+)
+from mepack.algebra.expression import _symbol_rank
+from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS
+from mepack.dynamics import (
+    PolynomialPotential,
+    averaged_p_derivatives,
+    derivatives_classical,
+    derivatives_quantum,
+    quantum_correction,
 )
 
 
@@ -227,3 +242,200 @@ def test_parsed_trees_equal_ring_arithmetic(tree):
     assert parse_phase(text) == _build(tree, PhasePolynomial), text
     if "letter" not in repr(tree):
         assert parse_expression(text) == _build(tree, Expr), text
+
+
+# -- a power of a sum is bounded before it is formed
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(V1+V2)^800*q",
+         f"the exponent of a sum must be at most {MAX_EXPRESSION_DEGREE}, got 800"),
+        ("(V1+V2+V3+dQ)^28*q",
+         f"a power of a sum may form at most {MAX_POWER_TERMS} products, got 4495 "
+         "(4 terms to the power 28)"),
+        ("(q+p+Q+P)^28",
+         f"a power of a sum may form at most {MAX_POWER_TERMS} products, got 4495 "
+         "(4 terms to the power 28)"),
+    ],
+)
+def test_a_power_of_a_sum_is_refused_before_it_is_formed(monkeypatch, text, message):
+    calls = []
+    for cls in (Expr, WeylPolynomial):
+        def counting(self, other, mul=cls.__mul__):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_weyl(text)
+    assert calls == []
+
+
+def test_a_power_of_a_sum_up_to_the_bound_parses():
+    assert len(list(parse_expression("(V1+V2+V3+dQ)^16").terms())) == 969
+    assert parse_weyl(f"(q+p)^{MAX_EXPRESSION_DEGREE}").degree() == MAX_EXPRESSION_DEGREE
+    assert parse_expression("(1+1)^100") == Expr.number(2 ** 100)
+    assert parse_expression("(V1+V2)^0") == Expr.number(1)
+
+
+# -- the printers against the printer they replaced, kept here as it was as
+# -- the reference: every printed byte must stay
+
+
+def _reference_fraction(f):
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def _reference_scalar(c):
+    if c.im == 0:
+        s = _reference_fraction(c.re)
+        return f"({s})" if c.re.denominator != 1 else s
+    if c.re == 0:
+        if c.im == 1:
+            return "i"
+        if c.im == -1:
+            return "-i"
+        mag = _reference_fraction(abs(c.im))
+        mag = f"({mag})" if abs(c.im).denominator != 1 else mag
+        return f"{'-' if c.im < 0 else ''}{mag}*i"
+    re_part = _reference_fraction(c.re)
+    im_mag = "i" if abs(c.im) == 1 else f"{_reference_fraction(abs(c.im))}*i"
+    return f"({re_part}{'+' if c.im > 0 else '-'}{im_mag})"
+
+
+def _reference_mono(mono):
+    parts = []
+    for sym, exp in sorted(mono, key=lambda it: _symbol_rank(it[0])):
+        parts.append(sym if exp == 1 else f"{sym}^{exp}")
+    return "*".join(parts)
+
+
+def _reference_term(coeff, mono_str):
+    if not mono_str:
+        return _reference_scalar(coeff)
+    if coeff == Scalar(1):
+        return mono_str
+    if coeff == Scalar(-1):
+        return f"-{mono_str}"
+    return f"{_reference_scalar(coeff)}*{mono_str}"
+
+
+def _reference_join(terms):
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def _reference_expression(expr):
+    return _reference_join([_reference_term(c, _reference_mono(m)) for m, c in expr.terms()])
+
+
+def _reference_power_word(letter, exp):
+    if exp == 0:
+        return ""
+    return letter if exp == 1 else f"{letter}^{exp}"
+
+
+def _reference_ordered(poly):
+    x, y = poly.LETTERS
+    rendered = []
+    for (a, b), coeff in poly.terms():
+        word = "*".join(w for w in (_reference_power_word(x, a), _reference_power_word(y, b))
+                        if w)
+        for mono, scalar in Expr.coerce(coeff).terms():
+            tail = "*".join(w for w in (_reference_mono(mono), word) if w)
+            rendered.append(_reference_term(scalar, tail))
+    return _reference_join(rendered)
+
+
+def _reference_nu_polynomial(expr):
+    groups = expr.as_poly_in("nu")
+    parts = []
+    for e in sorted(groups, reverse=True):
+        cs = _reference_expression(groups[e])
+        if not groups[e].is_monomial():
+            cs = f"({cs})"
+        if e == 0:
+            parts.append(cs)
+            continue
+        power = ("nu" if e == 1 else f"nu^{e}") if e > 0 else ("/nu" if e == -1 else f"/nu^{-e}")
+        if e > 0:
+            if cs == "1":
+                parts.append(power)
+            elif cs == "-1":
+                parts.append(f"-{power}")
+            else:
+                parts.append(f"{cs}*{power}")
+        else:
+            parts.append(f"{cs}{power}")
+    return _reference_join(parts)
+
+
+def _assert_prints_as_reference(expr):
+    assert format_expression(expr) == _reference_expression(expr)
+    text = format_nu_polynomial(expr)
+    assert text == _reference_nu_polynomial(expr)
+    assert parse_expression(text) == expr, text
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_corrections_print_as_the_reference(degree):
+    potential = PolynomialPotential.symbolic(degree)
+    for order in range(1, 9):
+        quantum, classical = averaged_p_derivatives(potential, order)
+        for expr in (quantum_correction(potential, order), quantum, classical):
+            _assert_prints_as_reference(expr)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_derivative_operators_print_as_the_reference(degree):
+    potential = PolynomialPotential.symbolic(degree)
+    quantum = derivatives_quantum(potential, 6)
+    classical = derivatives_classical(potential, 6)
+    for poly in quantum.q + quantum.p:
+        assert format_weyl(poly) == _reference_ordered(poly)
+    for poly in classical.q + classical.p:
+        assert format_phase(poly) == _reference_ordered(poly)
+    for poly in quantum.p[:3]:
+        ladder = to_ladder(poly)
+        assert format_ladder(ladder) == _reference_ordered(ladder)
+
+
+_PACKET_SYMBOLS = tuple(name for name in _SYMBOLS if name != "nu")
+# real coefficients 1, -1 and fractions, and complex ones with and without a
+# real part, ±i among them
+_SCALARS = st.one_of(
+    st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (1, 1)]),
+    st.tuples(_NONZERO, st.just(0)),
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4), _NONZERO),
+)
+_LAURENT_TERMS = st.lists(
+    st.tuples(
+        _SCALARS,
+        st.integers(-4, 4),
+        st.lists(st.tuples(st.sampled_from(_PACKET_SYMBOLS), st.integers(-2, 3)), max_size=3),
+    ),
+    max_size=6,
+)
+
+
+def _laurent_in_nu(terms):
+    out = Expr()
+    for (re_part, im_part), nu_power, powers in terms:
+        term = Expr.number(Scalar(Fraction(re_part), Fraction(im_part)))
+        term = term * Expr.symbol("nu") ** nu_power
+        for name, exp in powers:
+            term = term * Expr.symbol(name) ** exp
+        out = out + term
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAURENT_TERMS)
+def test_laurent_polynomials_in_nu_print_as_the_reference(terms):
+    _assert_prints_as_reference(_laurent_in_nu(terms))
