@@ -27,7 +27,8 @@ power of operator degree above `MAX_EXPRESSION_DEGREE` is a ParseError,
 raised before it is formed.  So is a power of a sum, scalar or not, whose
 exponent is above `MAX_EXPRESSION_DEGREE` or that would form more than
 `MAX_POWER_TERMS` products of the sum's terms (`(V1+V2+V3+dQ)^28` would
-form 4495).  Divisors and bases of negative powers must be nonzero scalar
+form 4495), and a product that would multiply more than `MAX_PRODUCT_TERMS`
+pairs of its factors' terms.  Divisors and bases of negative powers must be nonzero scalar
 monomials (`q*p - p*q` counts); the ring's `inverse()` decides, and a
 ZeroDivisionError becomes a ParseError.
 """
@@ -54,6 +55,11 @@ MAX_EXPRESSION_DEGREE = 28
 # power of the sum may form, checked before it is formed; `(V1+V2+V3+dQ)^16`
 # forms 969 and parses in about 0.2 s, `(q+p)^28` forms 29
 MAX_POWER_TERMS = 1000
+# the most products of a term of one factor with a term of the other,
+# t_x * t_y, that a product may form, checked before it is formed; a pair
+# costs up to about 40 us (`(q+p)^14*(q+p)^14` forms 4096 pairs in 0.15 s),
+# and the tests, demos and scenarios form at most 106
+MAX_PRODUCT_TERMS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +200,30 @@ def _check_degree(degree: int):
         raise ParseError(f"degree must be at most {MAX_EXPRESSION_DEGREE}, got {degree}")
 
 
+def _term_count(value) -> int:
+    """Scalar monomials of `value`, counted over every operator word."""
+    coefficients = [value] if isinstance(value, Expr) else value._terms.values()
+    return sum(len(c._terms) for c in coefficients)
+
+
+def _check_product(x, y):
+    """Refuse `x * y` before it is formed if its operator degree is above
+    `MAX_EXPRESSION_DEGREE` or it would multiply more than
+    `MAX_PRODUCT_TERMS` pairs of terms."""
+    _check_degree(_degree(x) + _degree(y))
+    tx, ty = _term_count(x), _term_count(y)
+    if tx * ty > MAX_PRODUCT_TERMS:
+        raise ParseError(f"a product may form at most {MAX_PRODUCT_TERMS} products of terms, "
+                         f"got {tx * ty} ({tx} terms times {ty})")
+
+
 def _check_power(base, exp: int):
     """Refuse `base^exp` before it is formed if its operator degree is above
-    `MAX_EXPRESSION_DEGREE`, or if `base` is a sum of t > 1 terms (scalar
-    monomials, counted over every operator word) and `exp` is above
-    `MAX_EXPRESSION_DEGREE` or C(exp + t - 1, t - 1) is above `MAX_POWER_TERMS`."""
+    `MAX_EXPRESSION_DEGREE`, or if `base` is a sum of t > 1 terms and `exp`
+    is above `MAX_EXPRESSION_DEGREE` or C(exp + t - 1, t - 1) is above
+    `MAX_POWER_TERMS`."""
     _check_degree(_degree(base) * exp)
-    coefficients = [base] if isinstance(base, Expr) else base._terms.values()
-    terms = sum(len(c._terms) for c in coefficients)
+    terms = _term_count(base)
     if terms < 2:
         return
     if exp > MAX_EXPRESSION_DEGREE:
@@ -257,7 +279,7 @@ class _Parser:
             rhs = self.factor()
             if op == "/":
                 rhs = _inverse(rhs, "can only divide by a scalar monomial")
-            _check_degree(_degree(value) + _degree(rhs))
+            _check_product(value, rhs)
             value = value * rhs
         return value
 

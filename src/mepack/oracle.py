@@ -9,18 +9,24 @@ with the algebra layer are expression evaluation for numeric coefficients
 and the geometric-tail formula of `quantum`.
 
 q and p are tridiagonal on this basis and a state holds their diagonals,
-so the Hamiltonian, the moments read by `state_moments` and a fresh state's
-Tr(rho X) are formed from diagonals (`_band_product`).  Only an operator
-word's literal products, one eigendecomposition per potential (kept on the
-state for later times) and one product per evolution time, U itself, are dense.
+so the Hamiltonian and the moments read by `state_moments` are formed from
+diagonals (`_band_product`).  An operator word is a literal product of
+dense letters in written order.  A fresh state's Tr(rho X) needs only the
+words' diagonals, which `_word_diagonal` reads from products of
+`WORD_BLOCK`-level blocks, so it costs O(n) memory at any cutoff.  The
+other dense work is one eigendecomposition per potential (kept on the
+state for later times), one product per evolution time, U itself, and an
+evolved state's words and rho.
 
 numpy is imported inside the functions that use it, so it loads on the
 first oracle call, not with `mepack`: the exact engine never needs it.
 
 Cutoff policy: smallest N with the neglected weight tail below
 `DEFAULT_TAIL_TOL`, plus a margin of max(8, 2*degree) basis states, since
-a polynomial of degree d couples at most d bands.  A cutoff whose dense matrices would
-exceed `MAX_MATRIX_BYTES` raises CutoffError before anything is allocated.
+a polynomial of degree d couples at most d bands.  A fresh state whose
+bands and weights would exceed `MAX_MATRIX_BYTES`, and any n x n matrix
+that would (an evolution, an evolved state's trace, `rho`, `q_mat`), raise
+CutoffError before it is allocated.
 """
 
 from __future__ import annotations
@@ -43,10 +49,17 @@ DEFAULT_TAIL_TOL = 1e-12
 # top levels whose weight fock_evolve reports as truncation leakage
 LEAK_BAND = 4
 
-# largest dense complex n x n matrix the oracle builds (n <= 2896); a fresh
-# state holds none and an evolved one its vectors, states from fock_evolve
-# share the eigenvectors of the last Hamiltonian, and a word's product or an
-# evolution step holds up to four more while it runs
+# levels whose word diagonals one product of a fresh state's trace keeps
+WORD_BLOCK = 128
+
+# rows of the propagator that one product of an evolution step forms
+STEP_ROWS = 128
+
+# largest dense complex n x n matrix the oracle builds (n <= 2896), and the
+# most a fresh state's bands and weights may hold; a fresh state holds no
+# dense matrix and an evolved one its vectors, states from fock_evolve
+# share the eigenvectors of the last Hamiltonian, and an evolved state's word
+# product holds up to four more while it runs, an evolution step one or two
 MAX_MATRIX_BYTES = 128 * 2 ** 20
 
 Word = Union[str, Sequence[str]]
@@ -93,6 +106,7 @@ class FockState(NamedTuple):
         product for an evolved state); the oracle itself reads the factor."""
         import numpy as np
 
+        _check_dense(self.cutoff)
         if self.vectors is None:
             return np.diag(self.weights).astype(complex)
         return (self.vectors * self.weights) @ self.vectors.conj().T
@@ -114,25 +128,42 @@ def _letter_entries(b: dict, nu: float, eye, lower, raise_) -> tuple:
             b["P"] * eye - 1j * scale_p * (lower - raise_))
 
 
-def _from_bands(bands: dict, n: int, fill=0j) -> np.ndarray:
-    """The n x n matrix with diagonals `bands` (as `_band_product` holds
-    them) and `fill` elsewhere."""
+def _check_bytes(n: int, nbytes: int, what: str) -> None:
+    if nbytes > MAX_MATRIX_BYTES:
+        raise CutoffError(
+            f"cutoff {n} needs {nbytes / 2 ** 20:.0f} MiB {what}, over the "
+            f"{MAX_MATRIX_BYTES / 2 ** 20:.0f} MiB limit"
+        )
+
+
+def _check_dense(n: int) -> None:
+    """Refuse an n x n complex matrix over `MAX_MATRIX_BYTES`."""
+    _check_bytes(n, 16 * n * n, "per dense matrix")
+
+
+def _from_bands(bands: dict, n: int, fill=0j, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """Rows and columns [lo, hi) (all n by default) of the n x n matrix
+    with diagonals `bands` (as `_band_product` holds them) and `fill`
+    elsewhere."""
     import numpy as np
 
-    m = np.full((n, n), fill, dtype=complex)
+    hi = n if hi is None else hi
+    _check_dense(hi - lo)
+    m = np.full((hi - lo, hi - lo), fill, dtype=complex)
     for d, band in bands.items():
-        rows = np.arange(len(band)) - min(0, d)
-        m[rows, rows + d] = band
+        # entry j of a band lies in row j - min(0, d); keep the rows and columns in range
+        rows = np.arange(max(lo, lo - d), min(hi, hi - d)) - lo
+        m[rows, rows + d] = band[rows + lo + min(0, d)]
     return m
 
 
-def _letter_matrix(state: FockState, i: int) -> np.ndarray:
-    """q (i = 0) or p (i = 1) as a dense matrix."""
+def _letter_matrix(state: FockState, i: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """q (i = 0) or p (i = 1) as a dense matrix on levels [lo, hi)."""
     import numpy as np
 
     zero = np.zeros(1, dtype=complex)  # an entry of a and of a^dagger = conj(a)^T
     fill = _letter_entries(state.bindings, state.nu, np.zeros(1), zero, zero.conj())[i]
-    return _from_bands((state.q_bands, state.p_bands)[i], state.cutoff, fill[0])
+    return _from_bands((state.q_bands, state.p_bands)[i], state.cutoff, fill[0], lo, hi)
 
 
 def fock_state(
@@ -150,12 +181,8 @@ def fock_state(
         raise CutoffError(
             f"cutoff {n} leaves weight tail {dropped:.3e} > {DEFAULT_TAIL_TOL:.1e}"
         )
-    matrix_bytes = 16 * n * n
-    if matrix_bytes > MAX_MATRIX_BYTES:
-        raise CutoffError(
-            f"cutoff {n} needs {matrix_bytes / 2 ** 20:.0f} MiB per dense matrix, over the "
-            f"{MAX_MATRIX_BYTES / 2 ** 20:.0f} MiB limit (nu = {nu:.6g})"
-        )
+    # three complex diagonals each for q and p, and the float weights
+    _check_bytes(n, 2 * 16 * (3 * n - 2) + 8 * n, "for its bands and weights")
     import numpy as np
 
     zero = np.zeros(1, dtype=complex)
@@ -170,18 +197,42 @@ def fock_state(
     return FockState(n, nu, b["hbar"], b, q_bands, p_bands, weights, {})
 
 
-def _word_matrix(state: FockState, word: Word) -> np.ndarray:
+def _word_matrix(state: FockState, word: Word, lo: int = 0,
+                 hi: Optional[int] = None) -> np.ndarray:
+    """The word's letters on levels [lo, hi) (all by default), multiplied
+    in written order."""
     import numpy as np
 
+    hi = state.cutoff if hi is None else hi
     letters = {"q": None, "p": None}  # each built on its first use
     out = None
     for letter in word:
         if letter not in letters:
             raise DomainError(f"unknown letter {letter!r} in operator word")
         if letters[letter] is None:
-            letters[letter] = getattr(state, f"{letter}_mat")
+            letters[letter] = _letter_matrix(state, "qp".index(letter), lo, hi)
         out = letters[letter] if out is None else out @ letters[letter]
-    return np.eye(state.cutoff, dtype=complex) if out is None else out
+    return np.eye(hi - lo, dtype=complex) if out is None else out
+
+
+def _word_diagonal(state: FockState, word: Word) -> np.ndarray:
+    """<i|W|i> for every level i, from blocks of `WORD_BLOCK` levels.  q and
+    p are tridiagonal, so <i|W|i> for a word of L letters depends only on
+    levels i-L .. i+L: each block multiplies the letters restricted to its
+    levels and L more on each side, and keeps its own diagonal entries.  A
+    block whose product reaches the top level keeps everything up to it,
+    so a cutoff of at most WORD_BLOCK + L is one product of the whole basis."""
+    import numpy as np
+
+    n, reach = state.cutoff, len(word)
+    out = np.empty(n, dtype=complex)
+    lo = 0
+    while lo < n:
+        start, stop = max(0, lo - reach), min(n, lo + WORD_BLOCK + reach)
+        keep = n if stop == n else lo + WORD_BLOCK
+        out[lo:keep] = _word_matrix(state, word, start, stop).diagonal()[lo - start:keep - start]
+        lo = keep
+    return out
 
 
 def _operator_terms(x) -> list:
@@ -216,8 +267,8 @@ def fock_expectation(state: FockState, x) -> complex:
     with np.errstate(all="ignore"):  # a value past float range is reported below
         for coeff, word in terms:
             value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
-            product = _word_matrix(state, word)
-            total += value * (product.diagonal() if fresh else product)
+            product = _word_diagonal(state, word) if fresh else _word_matrix(state, word)
+            total += value * product
         if fresh:  # the terms and pairwise order of the dense sum below, less its zeros
             trace = complex((state.weights * total).sum())
         else:  # Tr(rho M): row i of rho * M^T sums to (rho M)[i, i]
@@ -279,6 +330,7 @@ def fock_evolve(
     DomainError before any numeric work.
     """
     _finite_time(t)
+    _check_dense(state.cutoff)
     import numpy as np
 
     key = (potential.mass_value(),
@@ -287,10 +339,14 @@ def fock_evolve(
         state.eigh_cache.clear()
         state.eigh_cache[key] = np.linalg.eigh(hamiltonian_matrix(state, potential))
     h, e = state.eigh_cache[key]
-    # conj(U) = conj(E) conj(diag(phase)) E^T: one n x n temporary besides U
-    u = np.conj(e)
-    u *= np.exp(-1j * h * float(t) / state.hbar).conj()
-    u = u @ e.T
+    # conj(U) = conj(E) conj(diag(phase)) E^T, formed `STEP_ROWS` rows at a
+    # time, so that no n x n temporary is made besides U
+    phase = np.exp(-1j * h * float(t) / state.hbar).conj()
+    u = np.empty_like(e)
+    for r in range(0, state.cutoff, STEP_ROWS):
+        rows = np.conj(e[r:r + STEP_ROWS])
+        rows *= phase
+        np.matmul(rows, e.T, out=u[r:r + STEP_ROWS])
     np.conjugate(u, out=u)
     vectors = u if state.vectors is None else u @ state.vectors
     leakage = float(np.sum(np.abs(vectors[-LEAK_BAND:]) ** 2 @ state.weights))

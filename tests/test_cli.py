@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mepack.algebra import format_expression, parse_expression
-from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS
+from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS, MAX_PRODUCT_TERMS
 from mepack.cli import (
     MAX_GRID_POINTS,
     MAX_ORDER,
@@ -414,6 +414,11 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
         ({"run": {"mode": "moments", "grid": None, "expressions": ["(Q+P+dQ+dP)^28*q"]}}, 2,
          f"validation error: run.expressions[0]: a power of a sum may form at most "
          f"{MAX_POWER_TERMS} products, got 4495 (4 terms to the power 28)\n"),
+        # powers that each pass their bound are not multiplied past the product's
+        ({"run": {"mode": "moments", "grid": None,
+                  "expressions": ["(V1+V2+V3+dQ)^16*(V1+V2+V3+dQ)^16*q"]}}, 2,
+         f"validation error: run.expressions[0]: a product may form at most "
+         f"{MAX_PRODUCT_TERMS} products of terms, got 938961 (969 terms times 969)\n"),
         ({"potential": {"m": 1, "V": [0] * (MAX_POTENTIAL_DEGREE + 2)},
           "run": {"mode": "corrections", "grid": None}}, 2,
          f"validation error: potential.V: degree must be at most {MAX_POTENTIAL_DEGREE}, "
@@ -427,6 +432,7 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
     ids=["nu_sweep-1e300", "taylor-grid-1e300", "quantum-V4-1e300", "moments-10^400",
          "grid-step-1e-300", "grid-list-too-long", "order-over-cap", "orders-entry-over-cap",
          "expression-degree-over-cap", "expression-power-over-cap", "scalar-power-over-bound",
+         "scalar-product-over-bound",
          "potential-degree-over-cap",
          "oracle-check-10^306"],
 )

@@ -15,6 +15,7 @@ from mepack.errors import CutoffError, DomainError, HorizonError
 from mepack.oracle import (
     DEFAULT_TAIL_TOL,
     _band_product,
+    _word_diagonal,
     _word_matrix,
     choose_cutoff,
     fock_evolve,
@@ -140,14 +141,44 @@ def test_exact_minimal_packet_with_float_nu_below_one():
         assert delta <= ORACLE_CHECK_BOUND, text
 
 
+@pytest.mark.parametrize("text", ["p*q^2*p", "q^3*p"])
+def test_oracle_reaches_nu_1000(text):
+    # 13,823 levels: the trace reads each word's diagonal block by block
+    from mepack.cli import ORACLE_CHECK_BOUND
+    from mepack.quantum import expectation_value
+
+    pk = PacketMoments(0.0, 0.0, 10.0, 50.0, hbar=1.0)
+    op = parse_weyl(text)
+    state = fock_state(pk, degree=op.degree())
+    assert state.cutoff == 13823
+    got = fock_expectation(state, op)
+    assert abs(expectation_value(pk, op) - got) / max(abs(got), 1.0) <= ORACLE_CHECK_BOUND
+
+
 def test_oversized_cutoff_fails_before_allocating():
-    # nu = 1000 needs 13,823 levels, about 3 GB per dense complex matrix
+    # nu = 1000 needs 13,823 levels, about 3 GB per dense complex matrix;
+    # the fresh state holds bands only, and evolution refuses the dense work
     pk = PacketMoments(0.0, 0.0, 10.0, 50.0, hbar=1.0)
     assert choose_cutoff(pk.nu_value()) == 13823
+    state = fock_state(pk)
+    pot = PolynomialPotential(1.0, (0.0, 0.0, 1.0))
+    for call in (lambda: fock_evolve(state, pot, 0.1), lambda: state.rho):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError, match="MiB per dense matrix"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def test_oversized_bands_fail_before_allocating():
+    pk = PacketMoments(0.0, 0.0, 10.0, 50.0, hbar=1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(CutoffError, match="MiB"):
-            fock_state(pk)
+        with pytest.raises(CutoffError, match="MiB for its bands and weights"):
+            fock_state(pk, cutoff=2 ** 21)  # about 200 MiB of bands
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,6 +454,50 @@ def test_word_matrix_equals_identity_started_product(state):
         _word_matrix(state, "qx")
 
 
+def _random_words(rng, count, longest):
+    return ["".join(rng.choice("qp") for _ in range(rng.randint(1, longest)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [oracle.WORD_BLOCK, oracle.WORD_BLOCK + 1])
+def test_word_diagonal_up_to_one_block_is_the_dense_product_bit_for_bit(packet, n):
+    st = fock_state(packet, cutoff=n)
+    for word in _random_words(random.Random(n), 10, 8):
+        assert np.array_equal(_bits(_word_diagonal(st, word)),
+                              _bits(_word_matrix(st, word).diagonal()))
+    for i, dense in enumerate((st.q_mat, st.p_mat)):
+        for lo, hi in ((0, n), (0, 1), (3, 40), (n - 5, n)):
+            assert np.array_equal(_bits(oracle._letter_matrix(st, i, lo, hi)),
+                                  _bits(dense[lo:hi, lo:hi]))
+
+
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_word_diagonal_over_several_blocks_matches_the_dense_product(packet, n):
+    # the blocks sum the same terms as the dense product, though BLAS may
+    # group a larger product's sums differently
+    st = fock_state(packet, cutoff=n)
+    for word in _random_words(random.Random(n), 6, 8):
+        dense = _word_matrix(st, word).diagonal()
+        got = _word_diagonal(st, word)
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense)), word
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_word_longer_than_a_block(n):
+    st = fock_state(PacketMoments(0.2, -0.1, 0.3, 2.0, hbar=1.0), cutoff=n)  # nu = 1.2
+    rng = random.Random(n)
+    word = "".join(rng.choice("qp") for _ in range(oracle.WORD_BLOCK + 20))
+    dense = _word_matrix(st, word).diagonal()
+    assert np.max(np.abs(_word_diagonal(st, word) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n", [9, oracle.WORD_BLOCK + 1, 300])
+def test_empty_word_diagonal_is_the_identity(n):
+    st = fock_state(PacketMoments(0.0, 0.0, 1.0, 0.5, hbar=1.0), cutoff=n)  # nu = 1
+    assert np.array_equal(_word_diagonal(st, ""), np.ones(n, dtype=complex))
+    assert fock_expectation(st, [(3, "")]) == 3 * complex(st.weights.sum())
+
+
 def _dense_letters(st):
     """q and p as a dense build forms them: Q 1 + s (a + a^dagger) and
     P 1 - i s (a - a^dagger) with a^dagger = conj(a)^T."""
@@ -478,8 +553,20 @@ def test_evolution_makes_one_dense_temporary_besides_the_propagator():
     st = fock_state(pk, cutoff=400)
     evolved = fock_evolve(st, QUARTIC, 0.05)  # decomposes H once, outside the count
     matrix = 16 * st.cutoff ** 2
-    assert _peak_bytes(lambda: fock_evolve(st, QUARTIC, 0.05)) < 3 * matrix
+    # U alone from a fresh state, formed in row blocks; U and U V from an evolved one
+    assert _peak_bytes(lambda: fock_evolve(st, QUARTIC, 0.05)) < 2 * matrix
     assert _peak_bytes(lambda: fock_evolve(evolved, QUARTIC, 0.05)) < 3 * matrix
+
+
+@pytest.mark.parametrize("cutoff", [80, oracle.STEP_ROWS, oracle.STEP_ROWS + 1, 300])
+def test_propagator_in_row_blocks_is_the_whole_product(cutoff):
+    st = fock_state(PacketMoments(0.3, -0.2, 1.0, 0.5, hbar=1.0), cutoff=cutoff)  # nu = 1
+    t = 0.3
+    evolved = fock_evolve(st, QUARTIC, t)
+    ((h, e),) = st.eigh_cache.values()
+    u = np.conj(e) * np.exp(-1j * h * t / st.hbar).conj()
+    # a block of a few rows may take another BLAS kernel, which rounds differently
+    assert np.max(np.abs(evolved.vectors - np.conj(u @ e.T))) <= 1e-14
 
 
 def test_expectation_checks_cutoff_before_building_words(packet, monkeypatch):

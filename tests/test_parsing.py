@@ -25,7 +25,8 @@ from mepack.algebra import (
     to_ladder,
 )
 from mepack.algebra.expression import _symbol_rank
-from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS
+from mepack.algebra import parsing
+from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS, MAX_PRODUCT_TERMS
 from mepack.dynamics import (
     PolynomialPotential,
     averaged_p_derivatives,
@@ -278,6 +279,43 @@ def test_a_power_of_a_sum_up_to_the_bound_parses():
     assert parse_weyl(f"(q+p)^{MAX_EXPRESSION_DEGREE}").degree() == MAX_EXPRESSION_DEGREE
     assert parse_expression("(1+1)^100") == Expr.number(2 ** 100)
     assert parse_expression("(V1+V2)^0") == Expr.number(1)
+
+
+# -- a product is bounded by the pairs of terms it would multiply
+
+
+@pytest.mark.parametrize(
+    "text, pairs, tx, ty",
+    [("(V1+V2+V3+dQ)^16*(V1+V2+V3+dQ)^16*(V1+V2+V3+dQ)^16*q", 938961, 969, 969),
+     ("(V1+V2+V3+dQ)^7*(q+p+Q)^10", 120 * 161, 120, 161)],
+)
+def test_a_product_past_the_bound_is_refused_before_it_is_formed(monkeypatch, text, pairs,
+                                                                  tx, ty):
+    def size(x):
+        return parsing._term_count(x) if isinstance(x, (Expr, WeylPolynomial)) else 1
+
+    refused = []  # the powers are formed; the product of the two is not
+    for cls in (Expr, WeylPolynomial):
+        def counting(self, other, mul=cls.__mul__):
+            if (size(self), size(other)) == (tx, ty):
+                refused.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+    message = (f"a product may form at most {MAX_PRODUCT_TERMS} products of terms, "
+               f"got {pairs} ({tx} terms times {ty})")
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_weyl(text)
+    assert refused == []
+
+
+def test_a_product_up_to_the_bound_parses():
+    assert 84 * 84 <= MAX_PRODUCT_TERMS < 120 * 120
+    assert parse_expression("(V1+V2+V3+dQ)^6*(V1+V2+V3+dQ)^6") == parse_expression(
+        "(V1+V2+V3+dQ)^12")
+    with pytest.raises(ParseError, match="got 14400"):
+        parse_expression("(V1+V2+V3+dQ)^7*(V1+V2+V3+dQ)^7")
+    assert parse_weyl("(q+p)^14*(q+p)^14") == parse_weyl("(q+p)^28")
 
 
 # -- the printers against the printer they replaced, kept here as it was as
