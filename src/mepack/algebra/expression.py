@@ -14,6 +14,9 @@ A canonical monomial is a tuple of (symbol, nonzero exponent) pairs in the
 order of their ranks, with s^2 -> 1/nu applied (the auxiliary symbol `s` is
 1/sqrt(nu), so its exponent is 0 or 1).  A symbol's rank is computed once,
 the first time its name is read, and each product of two monomials once.
+`Expr(terms)` brings any key to its canonical monomial (once per distinct
+key) and adds the keys that collide; the constructors below start from
+canonical keys and skip that step.
 
 `TermMap` is the storage under `Expr`, the ordered polynomials and
 `NumberPolynomial`; `term_sum` and `term_negation` are the `+` and unary `-`
@@ -24,6 +27,7 @@ has an inverse, and a one-term power scales its exponents directly.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -74,6 +78,18 @@ def _normalize_powers(powers: Dict[str, int]) -> Mono:
 
 
 @lru_cache(maxsize=None)
+def _canonical(key) -> Mono:
+    """The canonical monomial of (symbol, exponent) pairs in any order, with
+    repeats and zero exponents allowed."""
+    powers: Dict[str, int] = {}
+    for sym, exp in key:
+        if not is_known_symbol(sym):
+            raise KeyError(f"unknown symbol {sym!r}")
+        powers[sym] = powers.get(sym, 0) + operator.index(exp)
+    return _normalize_powers(powers)
+
+
+@lru_cache(maxsize=None)
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a or not b:
         return a or b
@@ -110,7 +126,8 @@ class TermMap:
     @classmethod
     def _wrap(cls, terms: dict):
         """`cls(terms)` without the copy and the coercion, for a dict of
-        coerced nonzero coefficients (as `_accumulate` leaves it)."""
+        coerced nonzero coefficients (as `_accumulate` leaves it) under
+        canonical keys; the dict is held, not copied."""
         out = object.__new__(cls)
         object.__setattr__(out, "_terms", terms)
         return out
@@ -164,9 +181,24 @@ class Expr(TermMap, ExactRing):
 
     # -- constructors --------------------------------------------------------
 
+    def __init__(self, terms=()):
+        """The sum of coeff * key over {key: coeff}, or over (key, coeff)
+        pairs: each key is a sequence of (symbol, exponent) pairs, brought to
+        its canonical monomial."""
+        merged: Dict[Mono, Scalar] = {}
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            _accumulate(merged, _canonical(key), Scalar.coerce(coeff))
+        object.__setattr__(self, "_terms", merged)
+
+    @classmethod
+    def _term(cls, mono: Mono, coeff) -> "Expr":
+        """coeff * mono for a canonical monomial, with no canonicalisation."""
+        coeff = Scalar.coerce(coeff)
+        return cls._wrap({mono: coeff} if coeff else {})
+
     @classmethod
     def number(cls, value) -> "Expr":
-        return cls({(): value})
+        return cls._term((), value)
 
     @classmethod
     def symbol(cls, name: str, exponent: int = 1) -> "Expr":
@@ -178,15 +210,15 @@ class Expr(TermMap, ExactRing):
         for name in powers:
             if not is_known_symbol(name):
                 raise KeyError(f"unknown symbol {name!r}")
-        return cls({_normalize_powers(powers): coeff})
+        return cls._term(_normalize_powers(powers), coeff)
 
     @classmethod
     def i(cls) -> "Expr":
-        return cls({(): Scalar(0, 1)})
+        return cls._term((), Scalar(0, 1))
 
     @classmethod
     def coerce(cls, value) -> "Expr":
-        return value if isinstance(value, Expr) else cls({(): value})
+        return value if isinstance(value, Expr) else cls._term((), value)
 
     # -- basic queries --------------------------------------------------------
 
@@ -226,7 +258,7 @@ class Expr(TermMap, ExactRing):
             raise ZeroDivisionError(f"not an invertible monomial: {self}")
         (mono, coeff), = self._terms.items()
         inv = _normalize_powers({sym: -exp for sym, exp in mono})
-        return Expr({inv: coeff.inverse()})
+        return Expr._term(inv, coeff.inverse())
 
     def __pow__(self, exponent: int):
         if len(self._terms) == 1 and isinstance(exponent, int):
@@ -234,7 +266,7 @@ class Expr(TermMap, ExactRing):
             # raise the coefficient
             (mono, coeff), = self._terms.items()
             powers = {sym: exp * exponent for sym, exp in mono}
-            return Expr({_normalize_powers(powers): coeff ** exponent})
+            return Expr._term(_normalize_powers(powers), coeff ** exponent)
         return super().__pow__(exponent)
 
     # -- calculus / rewriting ---------------------------------------------------
@@ -356,7 +388,7 @@ def sqrt_monomial(expr: Expr) -> Expr:
     if any(e % 2 for _, e in mono):
         raise ValueError(f"odd exponent under square root in {expr}")
     half = _normalize_powers({s: e // 2 for s, e in mono})
-    return Expr({half: Scalar(Fraction(rn, rd))})
+    return Expr._term(half, Scalar(Fraction(rn, rd)))
 
 
 def _isqrt_exact(n: int):

@@ -64,6 +64,11 @@ class Scalar(ExactRing):
         object.__setattr__(self, "abd", (a // g, b // g, d // g))
 
     @classmethod
+    def from_ints(cls, a: int, b: int, d: int) -> "Scalar":
+        """(a + b*i)/d for ints with d > 0, reduced by one gcd."""
+        return _scalar(a, b, d)
+
+    @classmethod
     def coerce(cls, value) -> "Scalar":
         if isinstance(value, Scalar):
             return value

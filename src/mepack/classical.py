@@ -8,8 +8,11 @@ central Gaussian moments.  Both routes are computed and checked against
 each other.
 
 The partition route differentiates Z as a (lam1, lam3) factor times a
-(lam2, lam4) factor: each one-variable derivative ratio follows its own
-recurrence, memoised by order, and takes the multipliers' values.
+(lam2, lam4) factor.  Each one-variable derivative ratio follows its own
+recurrence on an int table of lam^i lam_sq^-l terms, memoised by order;
+on every cold moment the monomials that `multiplier_expressions()` returns
+are put in for the multipliers, and the two factors are multiplied out
+into one term dict.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .algebra.expression import Expr, sum_of_products
 from .algebra.phase import PhasePolynomial
+from .algebra.scalar import ONE, Scalar
 from .errors import routes_agree
 from .packets import PacketMoments, exact_value, float_value
 from .partition import GaussianPartition
@@ -48,14 +54,17 @@ def _volume(volume) -> Expr:
     return Expr.coerce(volume)
 
 
+_MULTIPLIERS = {
+    "lam1": Expr.monomial(-1, Q=1, dQ=-2),
+    "lam2": Expr.monomial(-1, P=1, dP=-2),
+    "lam3": Expr.monomial(Fraction(1, 2), dQ=-2),
+    "lam4": Expr.monomial(Fraction(1, 2), dP=-2),
+}
+
+
 def multiplier_expressions() -> dict:
-    """The closed-form multipliers in packet symbols."""
-    return {
-        "lam1": Expr.monomial(-1, Q=1, dQ=-2),
-        "lam2": Expr.monomial(-1, P=1, dP=-2),
-        "lam3": Expr.monomial(Fraction(1, 2), dQ=-2),
-        "lam4": Expr.monomial(Fraction(1, 2), dP=-2),
-    }
+    """The closed-form multipliers in packet symbols, in a new dict."""
+    return dict(_MULTIPLIERS)
 
 
 def solve_multipliers_classical(packet: PacketMoments, volume=None) -> ClassicalMultipliers:
@@ -116,31 +125,47 @@ def moment_gaussian_route(a: int, b: int) -> Expr:
 
 
 @lru_cache(maxsize=None)
-def _derivative_ratio(n: int, lam: str, lam_sq: str) -> Expr:
-    """f_n = (d/d lam)^n g / g for g = exp(lam^2 / (4 lam_sq)), in the
-    multiplier symbols: f_0 = 1, f_(n+1) = d f_n/d lam + (lam / 2 lam_sq) f_n."""
+def _derivative_table(n: int) -> tuple:
+    """2^n f_n for f_n = (d/d lam)^n g / g, g = exp(lam^2 / (4 lam_sq)), as
+    the terms ((i, l), c) of c lam^i lam_sq^-l: f_0 = 1 and
+    f_(n+1) = d f_n/d lam + (lam / 2 lam_sq) f_n."""
     if not n:
-        return Expr.number(1)
-    f = _derivative_ratio(n - 1, lam, lam_sq)
-    return f.diff(lam) + _LAM[lam] / (Expr.number(2) * _LAM[lam_sq]) * f
+        return (((0, 0), 1),)
+    out = {}
+    for (i, l), c in _derivative_table(n - 1):
+        if i:
+            out[i - 1, l] = out.get((i - 1, l), 0) + 2 * i * c
+        out[i + 1, l + 1] = out.get((i + 1, l + 1), 0) + c
+    return tuple(out.items())
 
 
-@lru_cache(maxsize=64)
-def _partition_factor(n: int, lam: str, lam_sq: str, lam_value: Expr, lam_sq_value: Expr) -> Expr:
-    """`_derivative_ratio` with the multipliers' values substituted; they
-    are part of the key, so other values never read this entry."""
-    return _derivative_ratio(n, lam, lam_sq).substitute({lam: lam_value, lam_sq: lam_sq_value})
+def _partition_factor(n: int, lam: Expr, lam_sq: Expr) -> list:
+    """(-1)^n f_n with the monomials lam and lam_sq put in for the
+    multipliers: its terms as ((symbol, exponent) pairs, coefficient)."""
+    (lam_mono, lam_coeff), = lam.terms()
+    (sq_mono, sq_coeff), = lam_sq.terms()
+    lam_powers = list(accumulate([lam_coeff] * n, mul, initial=ONE))
+    sq_powers = list(accumulate([sq_coeff.inverse()] * n, mul, initial=ONE))
+    return [
+        (tuple((sym, e * i) for sym, e in lam_mono) + tuple((sym, -e * l) for sym, e in sq_mono),
+         Scalar.from_ints((-1) ** n * c, 0, 1 << n) * lam_powers[i] * sq_powers[l])
+        for (i, l), c in _derivative_table(n)
+    ]
 
 
 def _moment_partition_route(a: int, b: int) -> Expr:
     """(-1)^(a+b) (d/d lam1)^a (d/d lam2)^b Z / Z, with the multipliers
     from `multiplier_expressions()` substituted.  Z is a (lam1, lam3)
     factor times a (lam2, lam4) factor, so the ratio is the product of one
-    derivative ratio for each."""
+    derivative ratio for each, multiplied out into one term dict."""
     mult = multiplier_expressions()
-    q_factor = _partition_factor(a, "lam1", "lam3", mult["lam1"], mult["lam3"])
-    p_factor = _partition_factor(b, "lam2", "lam4", mult["lam2"], mult["lam4"])
-    return Expr.number((-1) ** (a + b)) * q_factor * p_factor
+    q_factor = _partition_factor(a, mult["lam1"], mult["lam3"])
+    p_factor = _partition_factor(b, mult["lam2"], mult["lam4"])
+    return Expr(
+        (q_key + p_key, q_coeff * p_coeff)
+        for q_key, q_coeff in q_factor
+        for p_key, p_coeff in p_factor
+    )
 
 
 @lru_cache(maxsize=None)

@@ -19,14 +19,18 @@ weights by two independent routes that must agree:
       D = ((nu^2-1)/2) d/dnu, applied in the monomial basis;
   (b) the closed falling-factorial sums  <Ad^m A^m> = m! ((nu-1)/2)^m.
 
-The words are built as X^j (A - Ad)^k with int coefficients, by the same
-closed-form ladder product, since X^j Y^k = (-i)^k X^j (A - Ad)^k, and stay
-in int until summed against the weights; the phase (-i)^k is applied once
-to each summed moment, and the binomial terms of <q^a p^b> are added into
-one term dict.
+The check computes over ints and rationals.  The words are built as
+X^j (A - Ad)^k with int coefficients, by the same closed-form ladder
+product, since X^j Y^k = (-i)^k X^j (A - Ad)^k.  Each weight sum of order m
+is an int table of coefficients in nu scaled by 2^m (m! (nu-1)^m for (b),
+the recurrence of (a) for <k^n>), and the diagonal part of each word is
+summed against both tables in int arithmetic.  The centred route then
+writes every term of <q^a p^b>, C(a,j) C(b,k) (-i)^k times a table entry,
+once into one term dict, under a monomial of its own.
 
 `ladder_monomial_expectation` keeps the same diagonal route on the full
-symbolic ladder image of q^a p^b, as an uncached reference for tests.
+symbolic ladder image of q^a p^b, as an uncached reference for tests; it
+sums its `Expr` coefficients against the same tables.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import Any, Dict, NamedTuple, Tuple, Union
 
 from .algebra.expression import Expr, sum_of_products
 from .algebra.ladder import HBAR_AS_NU, LadderPolynomial, diagonal_part, to_ladder
 from .algebra.numberpoly import NumberPolynomial
+from .algebra.scalar import Scalar
 from .algebra.weyl import WeylPolynomial
 from .algebra.words import contract
 from .classical import moment_gaussian_route, multiplier_expressions
@@ -136,33 +141,50 @@ def tail_levels(nu, tol: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _falling_weight_sum(m: int) -> Expr:
-    """<k(k-1)...(k-m+1)> over the geometric weights: m! ((nu-1)/2)^m."""
-    return Expr.number(math.factorial(m)) * (_HALF * (_NU - 1)) ** m
+# The two weight sums as int tables in nu: entry e is the coefficient of
+# nu^e, and the table of order n holds 2^n times the sum.
+Table = Tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _monomial_weight_sum(n: int) -> Expr:
-    """<k^n> via the derivative operator D = ((nu^2-1)/2) d/dnu: as
-    <k^n> = (2/(nu+1)) D^n (nu+1)/2, <k^(m+1)> = (nu-1) d/dnu ((nu+1)/2 <k^m>)."""
+def _falling_weight_table(m: int) -> Table:
+    """2^m <k(k-1)...(k-m+1)> over the geometric weights: m! (nu-1)^m."""
+    factorial = math.factorial(m)
+    return tuple((-1) ** (m - e) * factorial * math.comb(m, e) for e in range(m + 1))
+
+
+@lru_cache(maxsize=None)
+def _monomial_weight_table(n: int) -> Table:
+    """2^n <k^n> via the derivative operator D = ((nu^2-1)/2) d/dnu: as
+    <k^n> = (2/(nu+1)) D^n (nu+1)/2,
+    2^(n+1) <k^(n+1)> = (nu-1) d/dnu ((nu+1) 2^n <k^n>)."""
     if not n:
-        return Expr.number(1)
-    return (_NU - 1) * (_HALF * (_NU + 1) * _monomial_weight_sum(n - 1)).diff("nu")
+        return (1,)
+    p = _monomial_weight_table(n - 1) + (0,)
+    # d/dnu ((nu+1) p), padded with a zero at each end, then times (nu-1)
+    d = [0] + [(e + 1) * (p[e] + p[e + 1]) for e in range(n)] + [0]
+    return tuple(d[e] - d[e + 1] for e in range(n + 1))
 
 
-def _diagonal_average(number_poly: NumberPolynomial, label: str) -> Expr:
-    """Sum a number polynomial (int or Expr coefficients) against the
-    weights by both routes, which must agree."""
-    route_b = sum_of_products(
-        (Expr.coerce(coeff), _falling_weight_sum(m))
-        for m, coeff in number_poly.falling_coefficients().items()
+def _table_average(coefficients: Dict[int, Any], table, top: int) -> list:
+    """2^top sum_n c_n table(n) / 2^n, the coefficients c_n (n <= top) of a
+    number polynomial summed against a weight table: a list in nu of ints
+    for the centred words, of Exprs for the symbolic reference."""
+    out = [0] * (top + 1)
+    for n, c in coefficients.items():
+        for e, t in enumerate(table(n)):
+            out[e] += c * (t << (top - n))
+    return out
+
+
+def _diagonal_average(number_poly: NumberPolynomial, label: str, top: int) -> list:
+    """2^top times the sum of a number polynomial against the weights, by
+    both routes, which must agree."""
+    return routes_agree(
+        f"summation routes disagree for {label}",
+        _table_average(number_poly.falling_coefficients(), _falling_weight_table, top),
+        _table_average(number_poly.monomial_coefficients(), _monomial_weight_table, top),
     )
-    route_a = sum_of_products(
-        (Expr.coerce(coeff), _monomial_weight_sum(n))
-        for n, coeff in number_poly.monomial_coefficients().items()
-    )
-    return routes_agree(f"summation routes disagree for {label}", route_b, route_a)
 
 
 def ladder_monomial_expectation(a: int, b: int) -> Expr:
@@ -178,7 +200,12 @@ def ladder_monomial_expectation(a: int, b: int) -> Expr:
             raise AssertionError(
                 f"odd power of s survived in the diagonal part of q^{a} p^{b}"
             )
-    return _diagonal_average(number_poly, f"q^{a} p^{b}")
+    top = (a + b) // 2
+    table = _diagonal_average(number_poly, f"q^{a} p^{b}", top)
+    return sum_of_products(
+        (Expr.coerce(coeff), Expr.monomial(Fraction(1, 1 << top), nu=e))
+        for e, coeff in enumerate(table)
+    )
 
 
 class _IntegerLadder(LadderPolynomial):
@@ -192,7 +219,7 @@ class _IntegerLadder(LadderPolynomial):
 
 _X = _IntegerLadder({(0, 1): 1, (1, 0): 1})  # A + Ad
 _A_MINUS_AD = _IntegerLadder({(0, 1): 1, (1, 0): -1})  # i Y
-_MINUS_I_POWERS = tuple((-Expr.i()) ** n for n in range(4))  # (-i)^k has period 4
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k as (re, im)
 
 
 @lru_cache(maxsize=None)
@@ -206,27 +233,41 @@ def _centred_word(j: int, k: int) -> _IntegerLadder:
 
 
 @lru_cache(maxsize=None)
-def _centred_moment(j: int, k: int) -> Expr:
-    """<X^j Y^k> over the weights, a polynomial in nu; zero for odd j + k."""
+def _centred_moment(j: int, k: int) -> Table:
+    """2^h <X^j (A - Ad)^k> over the weights, h = (j+k)/2, as an int table
+    in nu; empty for odd j + k.  <X^j Y^k> is (-i)^k times it."""
     number_poly = diagonal_part(_centred_word(j, k))
-    if (j + k) % 2 and not number_poly.is_zero():
-        raise AssertionError(f"odd word X^{j} Y^{k} has a diagonal part")
-    return _MINUS_I_POWERS[k % 4] * _diagonal_average(number_poly, f"X^{j} Y^{k}")
+    if (j + k) % 2:
+        if not number_poly.is_zero():
+            raise AssertionError(f"odd word X^{j} Y^{k} has a diagonal part")
+        return ()
+    return tuple(_diagonal_average(number_poly, f"X^{j} Y^{k}", (j + k) // 2))
 
 
 def _centred_route(a: int, b: int) -> Expr:
     """q = Q + dQ s X and p = P + dP s Y, expanded binomially:
-    sum_{j,k} C(a,j) C(b,k) Q^(a-j) P^(b-k) dQ^j dP^k s^(j+k) <X^j Y^k>,
-    summed into one term dict."""
-    products = []
+    sum_{j,k} C(a,j) C(b,k) Q^(a-j) P^(b-k) dQ^j dP^k s^(j+k) <X^j Y^k>.
+    With s^(j+k) = nu^-h, entry c_e of `_centred_moment(j, k)` puts
+    C(a,j) C(b,k) (-i)^k c_e / 2^h under Q^(a-j) P^(b-k) dQ^j dP^k nu^(e-h),
+    a distinct monomial for each (j, k, e), written in the symbols' rank
+    order, so canonical as it is built."""
+    terms = {}
     for j in range(a + 1):
         for k in range(b + 1):
-            moment = _centred_moment(j, k)
-            if moment:
-                binomials = math.comb(a, j) * math.comb(b, k)
-                prefix = Expr.monomial(binomials, Q=a - j, P=b - k, dQ=j, dP=k, s=j + k)
-                products.append((prefix, moment))
-    return sum_of_products(products)
+            table = _centred_moment(j, k)
+            if not table:
+                continue
+            binomials = math.comb(a, j) * math.comb(b, k)
+            re, im = _MINUS_I_POWERS[k % 4]
+            half = (j + k) // 2
+            powers = (("Q", a - j), ("P", b - k), ("dQ", j), ("dP", k))
+            head = tuple(power for power in powers if power[1])
+            for e, c in enumerate(table):
+                if c:
+                    mono = (head + (("nu", e - half),)) if e < half else head
+                    c *= binomials
+                    terms[mono] = Scalar.from_ints(re * c, im * c, 1 << half)
+    return Expr._wrap(terms)
 
 
 def _wigner_route(a: int, b: int) -> Expr:

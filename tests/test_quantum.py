@@ -297,9 +297,16 @@ def test_expectation_routes_disagree_never():
 
 
 def test_engine_matches_ladder_reference_to_degree_8():
+    # the answer and the centred check route, each against the reference;
+    # the partition route's reference, the GaussianPartition.diff chain, is
+    # in test_classical.py
+    import mepack.quantum as quantum
+
     for n in range(9):
         for a in range(n + 1):
-            assert weyl_monomial_expectation(a, n - a) == ladder_monomial_expectation(a, n - a)
+            reference = ladder_monomial_expectation(a, n - a)
+            assert weyl_monomial_expectation(a, n - a) == reference, (a, n - a)
+            assert quantum._centred_route(a, n - a) == reference, (a, n - a)
 
 
 def test_route_assertion_sees_a_perturbed_centred_route(monkeypatch):
@@ -308,7 +315,8 @@ def test_route_assertion_sees_a_perturbed_centred_route(monkeypatch):
     exact = quantum._centred_moment
 
     def perturbed(j, k):
-        return exact(j, k) + (1 if (j, k) == (1, 1) else 0)
+        table = exact(j, k)
+        return (table[0] + 1, *table[1:]) if (j, k) == (1, 1) else table
 
     monkeypatch.setattr(quantum, "_centred_moment", perturbed)
     weyl_monomial_expectation.cache_clear()
@@ -319,12 +327,13 @@ def test_route_assertion_sees_a_perturbed_centred_route(monkeypatch):
 def test_summation_check_sees_a_perturbed_route(monkeypatch):
     import mepack.quantum as quantum
 
-    exact = quantum._monomial_weight_sum
+    exact = quantum._monomial_weight_table
 
     def perturbed(n):
-        return exact(n) + (1 if n == 1 else 0)
+        table = exact(n)
+        return (table[0] + 1, *table[1:]) if n == 1 else table
 
-    monkeypatch.setattr(quantum, "_monomial_weight_sum", perturbed)
+    monkeypatch.setattr(quantum, "_monomial_weight_table", perturbed)
     cached = (weyl_monomial_expectation, quantum._centred_moment)
     for fn in cached:
         fn.cache_clear()
@@ -364,8 +373,9 @@ def test_moment_engine_stays_off_the_symbolic_ladder_image(monkeypatch):
 def test_integer_centred_words_match_the_expr_reference():
     # reference: the words X^j Y^k with Expr coefficients, Y = -i (A - Ad),
     # grown one letter at a time; the engine builds X^j (A - Ad)^k over the
-    # integers and applies (-i)^k to the sum.  j + k <= 14 covers the
-    # moments benchmark's longest word.
+    # integers, sums it against the int weight tables, and applies (-i)^k
+    # in the centred route.  j + k <= 14 covers the moments benchmark's
+    # longest word.
     import mepack.quantum as quantum
     from mepack.algebra.ladder import LadderPolynomial, diagonal_part
 
@@ -378,15 +388,20 @@ def test_integer_centred_words_match_the_expr_reference():
         for j in range(15 - k):
             number_poly = diagonal_part(word)
             assert not ((j + k) % 2 and not number_poly.is_zero())
-            reference = quantum._diagonal_average(number_poly, f"reference X^{j} Y^{k}")
-            assert quantum._centred_moment(j, k) == reference, (j, k)
+            if (j + k) % 2:
+                assert quantum._centred_moment(j, k) == (), (j, k)
+            else:
+                reference = quantum._diagonal_average(number_poly, f"X^{j} Y^{k}", (j + k) // 2)
+                table = quantum._centred_moment(j, k)
+                assert [(-Expr.i()) ** k * c for c in table] == reference, (j, k)
             word = x * word
         y_word = y_word * y
 
 
 def test_centred_check_route_stays_in_int():
-    # the diagonal part of an integer word and both Stirling conversions
-    # keep int coefficients; Expr first appears in _diagonal_average
+    # the diagonal part of an integer word, both Stirling conversions and
+    # the weighted sums keep int coefficients; Expr first appears when
+    # _centred_route writes its terms
     import mepack.quantum as quantum
     from mepack.algebra.ladder import diagonal_part
 
@@ -398,6 +413,83 @@ def test_centred_check_route_stays_in_int():
                 *number_poly.monomial_coefficients().values(),
             ]
             assert all(type(c) is int for c in coeffs), (j, k)
+            assert all(type(c) is int for c in quantum._centred_moment(j, k)), (j, k)
+
+
+def _clear_moment_caches():
+    import mepack.classical as classical
+    import mepack.quantum as quantum
+
+    for module in (quantum, classical):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_cold_check_routes_make_no_expr_products(monkeypatch):
+    # perf guard: both check routes compute over ints and rationals and
+    # write each term once; the Expr recurrences and term-by-term products
+    # they replaced made 165 Expr products and 294 sum_of_products calls
+    # for these two cold moments
+    import sys
+
+    import mepack.classical as classical
+    import mepack.quantum as quantum
+
+    def refuse(name):
+        def refused(*_args, **_kwargs):
+            raise AssertionError(f"{name} called on a check route")
+        return refused
+
+    monkeypatch.setattr(Expr, "__mul__", refuse("Expr.__mul__"))
+    monkeypatch.setattr(Expr, "__rmul__", refuse("Expr.__rmul__"))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mepack") and hasattr(module, "sum_of_products"):
+            monkeypatch.setattr(module, "sum_of_products", refuse("sum_of_products"))
+    _clear_moment_caches()
+    quantum._centred_route(7, 7)
+    classical._moment_partition_route(6, 6)
+
+
+def test_check_routes_equal_their_answer_routes_to_degree_12():
+    import mepack.classical as classical
+    import mepack.quantum as quantum
+
+    _clear_moment_caches()
+    for n in range(13):
+        for a in range(n + 1):
+            b = n - a
+            assert quantum._centred_route(a, b) == quantum._wigner_route(a, b), (a, b)
+            assert classical._moment_partition_route(a, b) == classical.moment_gaussian_route(a, b), (a, b)
+
+
+def test_monomial_weight_table_matches_the_series():
+    # 2^n <k^n> against sum_k k^n R_k in closed form, at nu = 3, 5, 7, where
+    # the weights R_k = 2 (nu-1)^k / (nu+1)^(k+1) = (1 - x) x^k are exact
+    import mepack.quantum as quantum
+
+    for nu in (3, 5, 7):
+        x = Fraction(nu - 1, nu + 1)
+        for n in range(9):
+            table = quantum._monomial_weight_table(n)
+            value = Fraction(sum(c * nu ** e for e, c in enumerate(table)), 2 ** n)
+            assert value == (1 - x) * _polylog_negative(n, x), (nu, n)
+
+
+def _polylog_negative(n, x):
+    """sum_{k>=0} k^n x^k for |x| < 1, as x A_n(x) / (1 - x)^(n+1) with the
+    Eulerian numbers A(n, m) (and 1 / (1 - x) for n = 0)."""
+    if n == 0:
+        return 1 / (1 - x)
+    eulerian = [[1]]
+    for row in range(1, n + 1):
+        prev = eulerian[-1] + [0]
+        eulerian.append([
+            (m + 1) * prev[m] + (row - m) * (prev[m - 1] if m else 0)
+            for m in range(row)
+        ])
+    numerator = sum(a * x ** (m + 1) for m, a in enumerate(eulerian[n]))
+    return numerator / (1 - x) ** (n + 1)
 
 
 def test_cold_moment_makes_few_expr_products(monkeypatch):

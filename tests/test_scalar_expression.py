@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mepack.algebra import Expr, ParseError, Scalar, parse_expression
+from mepack.algebra import Expr, ParseError, Scalar, format_expression, parse_expression
 from mepack.algebra.expression import (
     _mono_mul, _normalize_powers, _symbol_rank, is_known_symbol, sqrt_monomial, sum_of_products,
 )
@@ -424,3 +424,34 @@ def test_monomial_constructor():
     assert Expr.monomial(0, Q=1).is_zero()
     with pytest.raises(KeyError):
         Expr.monomial(1, x=1)
+
+
+def test_constructor_puts_symbols_in_rank_order():
+    q, hbar = Expr.symbol("Q"), Expr.symbol("hbar")
+    built = Expr({(("Q", 1), ("hbar", 1)): 1})
+    assert built == hbar * q
+    assert hash(built) == hash(hbar * q)
+    assert format_expression(built) == format_expression(hbar * q) == "hbar*Q"
+
+
+def test_constructor_drops_zero_exponents():
+    assert Expr({(("Q", 0),): 2}) == 2
+    assert format_expression(Expr({(("Q", 0),): 2})) == "2"
+    assert Expr({(("Q", 1), ("P", 0)): 1}) == Expr.symbol("Q")
+
+
+def test_constructor_reduces_powers_of_s():
+    s, nu = Expr.symbol("s"), Expr.symbol("nu")
+    assert Expr({(("s", 2),): 1}) == nu ** -1
+    assert Expr({(("s", 3), ("Q", 1)): 1}) == Expr.symbol("Q") * s * nu ** -1
+    assert Expr({(("s", -1),): 1}) == nu * s
+
+
+def test_constructor_adds_keys_that_collide():
+    q, p = Expr.symbol("Q"), Expr.symbol("P")
+    assert Expr({(("Q", 1), ("P", 1)): 1, (("P", 1), ("Q", 1)): 2}) == 3 * q * p
+    assert Expr({(("Q", 1), ("Q", 1)): 1}) == q * q
+    assert Expr({(("Q", 1), ("Q", -1)): 1, (): -1}).is_zero()
+    with pytest.raises(KeyError, match="unknown symbol 'x'"):
+        Expr({(("x", 1),): 1})
+    assert Expr([((("Q", 1),), 1), ((("Q", 1),), 2)]) == 3 * q
