@@ -28,9 +28,14 @@ raised before it is formed.  So is a power of a sum, scalar or not, whose
 exponent is above `MAX_EXPRESSION_DEGREE` or that would form more than
 `MAX_POWER_TERMS` products of the sum's terms (`(V1+V2+V3+dQ)^28` would
 form 4495), and a product that would multiply more than `MAX_PRODUCT_TERMS`
-pairs of its factors' terms.  Divisors and bases of negative powers must be nonzero scalar
-monomials (`q*p - p*q` counts); the ring's `inverse()` decides, and a
-ZeroDivisionError becomes a ParseError.
+pairs of its factors' terms.  Both bounds count the operands' scalar
+terms as they stand (`_term_count`), not the `hbar` terms that normal
+ordering adds while the power or product is formed: `(q+p+Q)^28` counts 3
+terms and 435 products and passes both, though its value holds 2,360
+scalar terms and a cold `moments` run of it takes seconds.  Divisors and
+bases of negative powers must be nonzero scalar monomials (`q*p - p*q`
+counts); the ring's `inverse()` decides, and a ZeroDivisionError becomes a
+ParseError.
 """
 
 from __future__ import annotations
@@ -209,7 +214,9 @@ def _term_count(value) -> int:
 def _check_product(x, y):
     """Refuse `x * y` before it is formed if its operator degree is above
     `MAX_EXPRESSION_DEGREE` or it would multiply more than
-    `MAX_PRODUCT_TERMS` pairs of terms."""
+    `MAX_PRODUCT_TERMS` pairs of terms.  The pairs are of the factors'
+    scalar terms as they stand; the `hbar` terms that normal ordering adds
+    to the product are not counted."""
     _check_degree(_degree(x) + _degree(y))
     tx, ty = _term_count(x), _term_count(y)
     if tx * ty > MAX_PRODUCT_TERMS:
@@ -221,7 +228,9 @@ def _check_power(base, exp: int):
     """Refuse `base^exp` before it is formed if its operator degree is above
     `MAX_EXPRESSION_DEGREE`, or if `base` is a sum of t > 1 terms and `exp`
     is above `MAX_EXPRESSION_DEGREE` or C(exp + t - 1, t - 1) is above
-    `MAX_POWER_TERMS`."""
+    `MAX_POWER_TERMS`.  t counts the base's scalar terms as they stand; the
+    `hbar` terms that normal ordering adds at each product of the power
+    are not counted."""
     _check_degree(_degree(base) * exp)
     terms = _term_count(base)
     if terms < 2:

@@ -489,7 +489,7 @@ def run_limit_sweep(scenario: Scenario, out: OutputBundle):
 
     def slope(idx: int) -> Optional[float]:
         pts = [(math.log(r[0]), math.log(r[idx])) for r in rows if r[idx] > 0]
-        if len(pts) < 2:
+        if len({x for x, _ in pts}) < 2:  # no line through a single nu
             return None
         import numpy as np
 

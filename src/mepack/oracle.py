@@ -11,12 +11,15 @@ and the geometric-tail formula of `quantum`.
 q and p are tridiagonal on this basis and a state holds their diagonals,
 so the Hamiltonian and the moments read by `state_moments` are formed from
 diagonals (`_band_product`).  An operator word is a literal product of
-dense letters in written order.  A fresh state's Tr(rho X) needs only the
-words' diagonals, which `_word_diagonal` reads from products of
-`WORD_BLOCK`-level blocks, so it costs O(n) memory at any cutoff.  The
-other dense work is one eigendecomposition per potential (kept on the
-state for later times), one product per evolution time, U itself, and an
-evolved state's words and rho.
+dense letters in written order.  Every trace is one sum over bands,
+Tr(rho X) = sum_k sum_i rho[i, i+k] X[i+k, i] (`_trace`): a word of L
+letters has bands |k| <= L only, which `_word_bands` reads from products
+of `WORD_BLOCK`-level blocks, and rho's bands are read off the factor
+(`_rho_bands`), a fresh state's rho being its weights on the diagonal.  So
+a fresh state's trace holds O(n L) numbers at any cutoff, and an evolved
+one's two n x n temporaries besides.  The other dense work is one
+eigendecomposition per potential (kept on the state for later times) and
+one product per evolution time, U itself.
 
 numpy is imported inside the functions that use it, so it loads on the
 first oracle call, not with `mepack`: the exact engine never needs it.
@@ -25,8 +28,8 @@ Cutoff policy: smallest N with the neglected weight tail below
 `DEFAULT_TAIL_TOL`, plus a margin of max(8, 2*degree) basis states, since
 a polynomial of degree d couples at most d bands.  A fresh state whose
 bands and weights would exceed `MAX_MATRIX_BYTES`, and any n x n matrix
-that would (an evolution, an evolved state's trace, `rho`, `q_mat`), raise
-CutoffError before it is allocated.
+that would (an evolution, `rho`, `q_mat`), raise CutoffError before it is
+allocated.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ DEFAULT_TAIL_TOL = 1e-12
 # top levels whose weight fock_evolve reports as truncation leakage
 LEAK_BAND = 4
 
-# levels whose word diagonals one product of a fresh state's trace keeps
+# levels whose word bands one product of a trace keeps
 WORD_BLOCK = 128
 
 # rows of the propagator that one product of an evolution step forms
@@ -58,8 +61,8 @@ STEP_ROWS = 128
 # largest dense complex n x n matrix the oracle builds (n <= 2896), and the
 # most a fresh state's bands and weights may hold; a fresh state holds no
 # dense matrix and an evolved one its vectors, states from fock_evolve
-# share the eigenvectors of the last Hamiltonian, and an evolved state's word
-# product holds up to four more while it runs, an evolution step one or two
+# share the eigenvectors of the last Hamiltonian, and an evolved state's
+# trace holds two more while it runs, an evolution step one or two
 MAX_MATRIX_BYTES = 128 * 2 ** 20
 
 Word = Union[str, Sequence[str]]
@@ -103,7 +106,8 @@ class FockState(NamedTuple):
     @property
     def rho(self) -> np.ndarray:
         """The dense density matrix, derived on each access (one n^3
-        product for an evolved state); the oracle itself reads the factor."""
+        product for an evolved state), for tests and references: no oracle
+        function reads it, as every trace reads rho's bands off the factor."""
         import numpy as np
 
         _check_dense(self.cutoff)
@@ -215,24 +219,56 @@ def _word_matrix(state: FockState, word: Word, lo: int = 0,
     return np.eye(hi - lo, dtype=complex) if out is None else out
 
 
-def _word_diagonal(state: FockState, word: Word) -> np.ndarray:
-    """<i|W|i> for every level i, from blocks of `WORD_BLOCK` levels.  q and
-    p are tridiagonal, so <i|W|i> for a word of L letters depends only on
-    levels i-L .. i+L: each block multiplies the letters restricted to its
-    levels and L more on each side, and keeps its own diagonal entries.  A
-    block whose product reaches the top level keeps everything up to it,
-    so a cutoff of at most WORD_BLOCK + L is one product of the whole basis."""
+def _word_bands(state: FockState, word: Word) -> dict:
+    """The word's bands k -> W.diagonal(k), |k| <= L for a word of L letters,
+    held as `_band_product` holds them, from blocks of `WORD_BLOCK` levels.
+    q and p are tridiagonal, so W[i, i+k] sums paths of L one-level steps,
+    which stay within L levels of entry j = min(i, i+k) of band k: each
+    block multiplies the letters restricted to its levels and L more on each
+    side, and keeps entry j of every band for its own levels j.  A block
+    whose product reaches the top level keeps everything up to it, so a
+    cutoff of at most WORD_BLOCK + L is one product of the whole basis."""
     import numpy as np
 
     n, reach = state.cutoff, len(word)
-    out = np.empty(n, dtype=complex)
+    out = {k: np.empty(n - abs(k), dtype=complex)
+           for k in range(-min(reach, n - 1), min(reach, n - 1) + 1)}
     lo = 0
     while lo < n:
         start, stop = max(0, lo - reach), min(n, lo + WORD_BLOCK + reach)
         keep = n if stop == n else lo + WORD_BLOCK
-        out[lo:keep] = _word_matrix(state, word, start, stop).diagonal()[lo - start:keep - start]
+        block = _word_matrix(state, word, start, stop)
+        for k, band in out.items():
+            top = min(keep, n - abs(k))
+            band[lo:top] = block.diagonal(k)[lo - start:top - start]
         lo = keep
     return out
+
+
+def _rho_bands(state: FockState, reach: int) -> dict:
+    """rho's bands k -> rho.diagonal(k) for |k| <= reach, read off the
+    factor: a fresh state's rho is its weights on the diagonal, an evolved
+    one's is S S^dagger with S = V diag(sqrt(w)), so each band holds dot
+    products of S's rows."""
+    import numpy as np
+
+    if state.vectors is None:
+        return {0: state.weights}
+    n, reach = state.cutoff, min(reach, state.cutoff - 1)
+    s = state.vectors * np.sqrt(state.weights)
+    s_conj = s.conj()
+    # rho[i, i+k] = sum_j S[i, j] conj(S[i+k, j])
+    rho = {k: np.einsum("ij,ij->i", s[:n - k], s_conj[k:]) for k in range(reach + 1)}
+    rho.update({-k: rho[k].conj() for k in range(1, reach + 1)})
+    return rho
+
+
+def _trace(rho: dict, m: dict) -> complex:
+    """Tr(rho M) = sum_k sum_i rho[i, i+k] M[i+k, i] from the bands of both,
+    whose entries are both at i + min(0, k)."""
+    parts = [(rho[k] * m[-k]).sum() for k in rho if -k in m]
+    # summed from the first band, not from 0, which would drop a -0.0
+    return complex(sum(parts[1:], parts[0]))
 
 
 def _operator_terms(x) -> list:
@@ -248,10 +284,10 @@ def fock_expectation(state: FockState, x) -> complex:
 
     X may be a WeylPolynomial (its canonical words are literal products) or
     an iterable of (coefficient, word) pairs for arbitrary orderings.  The
-    cutoff is checked against X's degree before any product is built.  A
-    fresh state's rho is diagonal, so only the words' diagonals are summed;
-    an evolved state's dense rho is rebuilt for each call, one more product.
-    A trace that is not finite raises OverflowError.
+    cutoff is checked against X's degree before any product is built.  The
+    words' bands, summed over X's terms, are traced against rho's bands up
+    to X's degree, read off the factor.  A trace that is not finite raises
+    OverflowError.
     """
     terms = _operator_terms(x)
     degree = max((len(word) for _, word in terms), default=0)
@@ -262,17 +298,15 @@ def fock_expectation(state: FockState, x) -> complex:
         )
     import numpy as np
 
-    fresh, n = state.vectors is None, state.cutoff
-    total = np.zeros(n if fresh else (n, n), dtype=complex)
+    rho = _rho_bands(state, degree)
+    total = {0: np.zeros(state.cutoff, dtype=complex)}  # X = 0 has no word to add a band
     with np.errstate(all="ignore"):  # a value past float range is reported below
         for coeff, word in terms:
             value = coeff.evaluate(state.bindings) if hasattr(coeff, "evaluate") else complex(coeff)
-            product = _word_diagonal(state, word) if fresh else _word_matrix(state, word)
-            total += value * product
-        if fresh:  # the terms and pairwise order of the dense sum below, less its zeros
-            trace = complex((state.weights * total).sum())
-        else:  # Tr(rho M): row i of rho * M^T sums to (rho M)[i, i]
-            trace = complex((state.rho * total.T).sum(axis=1).sum())
+            for k, band in _word_bands(state, word).items():
+                acc = total.setdefault(k, np.zeros_like(band))
+                acc += value * band
+        trace = _trace(rho, total)
     if not cmath.isfinite(trace):
         raise OverflowError(f"Tr(rho X) leaves float range: {trace}")
     return trace
@@ -359,25 +393,15 @@ def fock_evolve(
 
 
 def state_moments(state: FockState) -> PacketMoments:
-    """Read (Q, P, dQ, dP) back off the factor: rho = S S^dagger with
-    S = V diag(sqrt(w)), so rho's diagonal and first two off-diagonals are
-    dot products of S's rows (a fresh state's are w and zeros).  X - c,
-    centred on X's diagonal, exactly Q or P, and (X - c)^2 are banded, so both
-    means are O(n) sums, and far from the origin the spread is not lost."""
-    import numpy as np
-
-    n, rho = state.cutoff, {0: state.weights}
-    if state.vectors is not None:
-        s = state.vectors * np.sqrt(state.weights)
-        s_conj = s.conj()
-        rho = {k: np.einsum("ij,ij->i", s[:n - k], s_conj[k:]) for k in (0, 1, 2)}  # rho[i, i+k]
-        rho.update({-k: rho[k].conj() for k in (1, 2)})
+    """Read (Q, P, dQ, dP) back off the factor, from rho's diagonal and
+    first two off-diagonals (`_rho_bands`).  X - c, centred on X's diagonal,
+    exactly Q or P, and (X - c)^2 are banded, so both means are O(n) sums,
+    and far from the origin the spread is not lost."""
+    n, rho = state.cutoff, _rho_bands(state, 2)
 
     def mean_and_spread(x: dict, c: float) -> Tuple[float, float]:
         y = {k: band - (c if k == 0 else 0) for k, band in x.items()}
-        # Tr(rho M) = sum_k sum_i rho[i, i+k] M[i+k, i], both at entry i + min(0, k)
-        shift, square = (float(sum((rho[k] * m[-k]).sum() for k in rho if -k in m).real)
-                         for m in (y, _band_product(y, y, n)))
+        shift, square = (_trace(rho, m).real for m in (y, _band_product(y, y, n)))
         return c + shift, math.sqrt(square - shift * shift)
 
     q1, dq = mean_and_spread(state.q_bands, state.bindings["Q"])

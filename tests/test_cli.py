@@ -1,12 +1,19 @@
 """The mepack batch front end."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mepack.algebra import format_expression, parse_expression
 from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS, MAX_PRODUCT_TERMS
@@ -14,6 +21,8 @@ from mepack.cli import (
     MAX_GRID_POINTS,
     MAX_ORDER,
     MAX_POTENTIAL_DEGREE,
+    MODES,
+    PROPAGATIONS,
     format_nu_polynomial,
     main,
 )
@@ -116,6 +125,17 @@ def test_limit_sweep_slope(tmp_path):
     csv = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert csv[0] == "nu,correction,moment_dev"
     assert len(csv) == 4
+
+
+def test_limit_sweep_over_a_single_nu_fits_no_slope(tmp_path):
+    path = write_scenario(tmp_path, potential={"m": 1, "V": [0, 0, 0, 1, 1]},
+                          run={"mode": "limit-sweep", "order": 3, "nu_sweep": [2, "2"],
+                               "grid": None})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 0
+    payload = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert payload["correction_slope"] is None and payload["moment_slope"] is None
 
 
 def test_oracle_check_mode(tmp_path):
@@ -443,6 +463,93 @@ def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overri
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+# generated scenarios: numbers, lists and texts are drawn well below the caps,
+# so that no draw can exhaust time or memory, and about one value in twenty
+# is an odd one; limit-sweep fits its slopes and oracle-check traces with
+# numpy, so without numpy only the four other modes are drawn
+FUZZ_MODES = (MODES if importlib.util.find_spec("numpy") is not None
+              else tuple(m for m in MODES if m not in ("limit-sweep", "oracle-check")))
+_ODD = st.sampled_from([0, -1, "1/0", "x", "1e400", "1e-400", None, True, [1], {}])
+
+
+def _sometimes_odd(strategy, odd=_ODD):
+    # shrinks towards the usual values
+    return st.integers(0, 19).flatmap(lambda k: odd if k == 19 else strategy)
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+_NUMBERS = _sometimes_odd(st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", "5/3"]),
+                                    st.floats(-4, 4, allow_nan=False, width=32)))
+_SPREADS = _sometimes_odd(st.sampled_from([1, 2, "1/2", "3/2", 0.8, "5/2"]))
+# an operator or scalar factor, with a power of at most 2, and up to three of
+# them in a product: texts of degree at most 6 and scalar powers of few terms
+_FACTORS = st.tuples(
+    _sometimes_odd(st.sampled_from(["q", "p", "Q", "P", "dQ", "dP", "hbar", "nu", "2", "i",
+                                    "(q+p)", "(q-Q)", "(Q+P+1)", "(dQ*p+1)"]),
+                   st.sampled_from(["x", "(q", "V1", "", "q/p"])),
+    _sometimes_odd(st.sampled_from(["", "^2"]), st.sampled_from(["^0", "^-1", "^"])),
+).map("".join)
+_PRODUCTS = st.lists(_FACTORS, min_size=1, max_size=3).map("*".join)
+_TEXTS = st.lists(st.tuples(st.sampled_from([" + ", " - ", "/"]), _PRODUCTS),
+                  min_size=1, max_size=2).map(lambda parts: "".join(a + b for a, b in parts)[3:])
+_TIMES = _sometimes_odd(st.one_of(
+    st.lists(st.floats(0, 3, allow_nan=False, width=32), max_size=5, unique=True).map(sorted),
+    st.fixed_dictionaries({"start": st.sampled_from([0, 0.5]), "stop": st.sampled_from([1, 2.5]),
+                           "step": st.sampled_from([0.25, 0.5, 1])}),
+), st.one_of(_ODD, st.just([1, 0]), st.just({"start": 0, "stop": "1e300", "step": 1}),
+             st.just({"start": 0, "stop": 1, "step": "1e-300"})))
+
+
+@st.composite
+def scenarios(draw):
+    packet = {"Q": draw(_NUMBERS), "P": draw(_NUMBERS), "dQ": draw(_SPREADS),
+              "dP": draw(_SPREADS), "hbar": draw(_SPREADS)}
+    potential = {"m": draw(_SPREADS), "V": draw(st.lists(_NUMBERS, min_size=1, max_size=5))}
+    run = {
+        "mode": draw(st.sampled_from(FUZZ_MODES)),
+        "kind": draw(_optional(st.sampled_from(["classical", "quantum"]))),
+        "grid": draw(_optional(_TIMES)),
+        "order": draw(_optional(_sometimes_odd(st.integers(1, 4)))),
+        "orders": draw(_optional(st.lists(_sometimes_odd(st.integers(1, 4)), max_size=3))),
+        "propagation": draw(st.sampled_from(PROPAGATIONS)),
+        "nu_sweep": draw(st.lists(_sometimes_odd(st.sampled_from([2, 10, 50, "3/2"])),
+                                  max_size=4)),
+        "cutoff": draw(_optional(st.integers(1, 200))),
+        "expressions": draw(_optional(st.lists(_TEXTS, min_size=1, max_size=3))),
+    }
+    return {"packet": packet, "potential": potential,
+            "run": {key: value for key, value in run.items() if value is not None}}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(scenarios(), st.sampled_from(["out", "out/nested", "scenario.json/out"]))
+# a sweep over one nu gave a slope and numpy's RankWarning
+@example({"packet": {"Q": 0, "P": 0, "dQ": 1, "dP": 1, "hbar": 1},
+          "potential": {"m": 1, "V": [0, 0, 0, 1]},
+          "run": {"mode": "limit-sweep", "nu_sweep": [2, 2], "order": 3}}, "out")
+# the zero operator: a trace over no word, so over no word band
+@example({"packet": {"Q": 0, "P": 0, "dQ": 1, "dP": 1, "hbar": 1},
+          "potential": {"m": 1, "V": [0]},
+          "run": {"mode": "oracle-check", "expressions": ["q^2 - q^2"]}}, "out")
+def test_any_scenario_exits_with_a_documented_code(scenario, out):
+    assume(scenario["run"]["mode"] in FUZZ_MODES)  # the examples above need numpy
+    # an output directory under the scenario file cannot be made: exit 4
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(path), "--out", str(Path(tmp) / out)])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_an_order_and_a_degree_at_their_caps_are_accepted(tmp_path):

@@ -15,7 +15,7 @@ from mepack.errors import CutoffError, DomainError, HorizonError
 from mepack.oracle import (
     DEFAULT_TAIL_TOL,
     _band_product,
-    _word_diagonal,
+    _word_bands,
     _word_matrix,
     choose_cutoff,
     fock_evolve,
@@ -385,6 +385,55 @@ def test_expectation_trace_on_an_evolved_state(packet):
         assert abs(fock_expectation(evolved, [(1, word)]) - dense) <= 1e-12 * abs(dense)
 
 
+EVOLVED_OPERATORS = [parse_weyl("p*q^2*p"), parse_weyl("q^3*p + 2*q*p - p^2"),
+                     parse_weyl("q^6 - 3*p^2*q^4 + q*p^5"),
+                     [(1 + 2j, "qp"), (-0.5j, "pq"), (3, "")],
+                     [(0.25 - 1j, "pqqpqp"), (1j, "qqpp"), (-2, "q")]]
+
+
+@pytest.mark.parametrize("cutoff", [60, oracle.WORD_BLOCK + 6, 300])
+def test_evolved_trace_is_the_dense_trace(packet, cutoff):
+    # one block, one block that reaches the top level, several blocks
+    evolved = fock_evolve(fock_state(packet, cutoff=cutoff), QUARTIC, 0.2)
+    rho = evolved.rho
+    assert np.max(np.abs(rho - np.diag(np.diagonal(rho)))) > 1e-3  # not diagonal
+    for op in EVOLVED_OPERATORS:
+        dense = 0j
+        for coeff, word in oracle._operator_terms(op):
+            value = coeff.evaluate(evolved.bindings) if hasattr(coeff, "evaluate") else coeff
+            dense += complex(value) * np.trace(rho @ _word_matrix(evolved, word))
+        assert abs(fock_expectation(evolved, op) - dense) <= 1e-12 * abs(dense), op
+
+
+def test_trace_of_the_zero_operator_is_zero(packet):
+    fresh = fock_state(packet, cutoff=60)
+    for st in (fresh, fock_evolve(fresh, QUARTIC, 0.2)):
+        for op in (parse_weyl("q^2 - q^2"), []):
+            assert repr(fock_expectation(st, op)) == "0j"
+
+
+def test_evolved_trace_reads_the_factor_and_word_blocks_only(packet, monkeypatch):
+    evolved = fock_evolve(fock_state(packet, cutoff=300), QUARTIC, 0.2)
+    expected = [fock_expectation(evolved, op) for op in EVOLVED_OPERATORS]
+    moments = state_moments(evolved)
+
+    def dense_rho(self):
+        raise AssertionError("a trace read the dense rho")
+
+    monkeypatch.setattr(oracle.FockState, "rho", property(dense_rho))
+    whole_word, levels = oracle._word_matrix, []
+
+    def word_matrix(state, word, lo=0, hi=None):
+        hi = state.cutoff if hi is None else hi
+        levels.append((hi - lo, len(word)))
+        return whole_word(state, word, lo, hi)
+
+    monkeypatch.setattr(oracle, "_word_matrix", word_matrix)
+    assert [fock_expectation(evolved, op) for op in EVOLVED_OPERATORS] == expected
+    assert state_moments(evolved) == moments
+    assert levels and all(size <= oracle.WORD_BLOCK + 2 * length for size, length in levels)
+
+
 def test_fresh_state_is_its_weights_on_the_number_basis(packet, state):
     assert state.vectors is None
     assert np.array_equal(state.rho, np.diag(state.weights))
@@ -463,8 +512,11 @@ def _random_words(rng, count, longest):
 def test_word_diagonal_up_to_one_block_is_the_dense_product_bit_for_bit(packet, n):
     st = fock_state(packet, cutoff=n)
     for word in _random_words(random.Random(n), 10, 8):
-        assert np.array_equal(_bits(_word_diagonal(st, word)),
-                              _bits(_word_matrix(st, word).diagonal()))
+        bands, dense = _word_bands(st, word), _word_matrix(st, word)
+        assert np.array_equal(_bits(bands[0]), _bits(dense.diagonal()))
+        assert sorted(bands) == list(range(-len(word), len(word) + 1))
+        for k, band in bands.items():
+            assert np.array_equal(_bits(band), _bits(dense.diagonal(k)))
     for i, dense in enumerate((st.q_mat, st.p_mat)):
         for lo, hi in ((0, n), (0, 1), (3, 40), (n - 5, n)):
             assert np.array_equal(_bits(oracle._letter_matrix(st, i, lo, hi)),
@@ -477,9 +529,16 @@ def test_word_diagonal_over_several_blocks_matches_the_dense_product(packet, n):
     # group a larger product's sums differently
     st = fock_state(packet, cutoff=n)
     for word in _random_words(random.Random(n), 6, 8):
-        dense = _word_matrix(st, word).diagonal()
-        got = _word_diagonal(st, word)
+        matrix = _word_matrix(st, word)
+        dense = matrix.diagonal()
+        bands = _word_bands(st, word)
+        got = bands[0]
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense)), word
+        # the off-diagonal bands, against the largest entry of the word
+        assert sorted(bands) == list(range(-len(word), len(word) + 1))
+        largest = np.max(np.abs(matrix))
+        for k, band in bands.items():
+            assert np.max(np.abs(band - matrix.diagonal(k))) <= 1e-13 * largest, (word, k)
 
 
 @pytest.mark.parametrize("n", [40, 300])
@@ -487,14 +546,23 @@ def test_word_longer_than_a_block(n):
     st = fock_state(PacketMoments(0.2, -0.1, 0.3, 2.0, hbar=1.0), cutoff=n)  # nu = 1.2
     rng = random.Random(n)
     word = "".join(rng.choice("qp") for _ in range(oracle.WORD_BLOCK + 20))
-    dense = _word_matrix(st, word).diagonal()
-    assert np.max(np.abs(_word_diagonal(st, word) - dense)) <= 1e-12 * np.max(np.abs(dense))
+    matrix = _word_matrix(st, word)
+    dense = matrix.diagonal()
+    bands = _word_bands(st, word)
+    assert np.max(np.abs(bands[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # the word's bands reach past the next block; none lies at or beyond n
+    assert sorted(bands) == list(range(-min(len(word), n - 1), min(len(word), n - 1) + 1))
+    largest = np.max(np.abs(matrix))
+    for k, band in bands.items():
+        assert np.max(np.abs(band - matrix.diagonal(k))) <= 1e-12 * largest, k
 
 
 @pytest.mark.parametrize("n", [9, oracle.WORD_BLOCK + 1, 300])
 def test_empty_word_diagonal_is_the_identity(n):
     st = fock_state(PacketMoments(0.0, 0.0, 1.0, 0.5, hbar=1.0), cutoff=n)  # nu = 1
-    assert np.array_equal(_word_diagonal(st, ""), np.ones(n, dtype=complex))
+    bands = _word_bands(st, "")
+    assert list(bands) == [0]
+    assert np.array_equal(bands[0], np.ones(n, dtype=complex))
     assert fock_expectation(st, [(3, "")]) == 3 * complex(st.weights.sum())
 
 
