@@ -20,6 +20,8 @@ Layers:
 - `mepack.cli`: the `mepack run` batch front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     Expr,
     LadderPolynomial,
@@ -95,4 +97,5 @@ from .quantum import (
 )
 from .version import __version__
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

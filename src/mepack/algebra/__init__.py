@@ -1,5 +1,7 @@
 """Exact symbolic kernel: expressions, phase-space, Weyl and ladder algebras."""
 
+from types import ModuleType as _ModuleType
+
 from .expression import Expr, sqrt_monomial
 from .ladder import LadderPolynomial, diagonal_part, ladder_p, ladder_q, to_ladder
 from .numberpoly import NumberPolynomial, stirling_first_signed, stirling_second
@@ -19,30 +21,5 @@ from .phase import PhasePolynomial, poisson_bracket
 from .scalar import Scalar
 from .weyl import WeylPolynomial, commutator
 
-__all__ = [
-    "Expr",
-    "LadderPolynomial",
-    "NumberPolynomial",
-    "ParseError",
-    "PhasePolynomial",
-    "Scalar",
-    "WeylPolynomial",
-    "commutator",
-    "diagonal_part",
-    "format_expression",
-    "format_ladder",
-    "format_nu_polynomial",
-    "format_phase",
-    "format_weyl",
-    "ladder_p",
-    "ladder_q",
-    "parse_expression",
-    "parse_ladder",
-    "parse_phase",
-    "parse_weyl",
-    "poisson_bracket",
-    "sqrt_monomial",
-    "stirling_first_signed",
-    "stirling_second",
-    "to_ladder",
-]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -55,18 +55,10 @@ def ladder_p() -> LadderPolynomial:
 def to_ladder(x: WeylPolynomial) -> LadderPolynomial:
     """Rewrite a Weyl polynomial on the packet-adapted ladder operators;
     the substitution is purely symbolic, as are the returned coefficients."""
-    lq, lp = ladder_q(), ladder_p()
     out = LadderPolynomial()
-    # cache powers; typical inputs reuse many exponents
-    qpow = {0: LadderPolynomial.constant(1)}
-    ppow = {0: LadderPolynomial.constant(1)}
     for (a, b), coeff in x.terms():
-        for e, cache, base in ((a, qpow, lq), (b, ppow, lp)):
-            while e not in cache:
-                top = max(cache)
-                cache[top + 1] = cache[top] * base
         c = coeff.substitute({"hbar": HBAR_AS_NU})
-        out = out + c * (qpow[a] * ppow[b])
+        out = out + c * (ladder_q() ** a * ladder_p() ** b)
     return out
 
 

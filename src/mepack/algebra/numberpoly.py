@@ -60,13 +60,13 @@ class NumberPolynomial(TermMap):
                     _accumulate(out, n, c * s)
         return out
 
-    def evaluate_at(self, k: int, bindings: Mapping[str, complex] = ()) -> complex:
+    def evaluate_at(self, k: int) -> complex:
         total = 0j
         for m, c in self._terms.items():
             ff = 1
             for j in range(m):
                 ff *= k - j
-            total += Expr.coerce(c).evaluate(dict(bindings)) * ff
+            total += Expr.coerce(c).evaluate({}) * ff
         return total
 
     def as_expression(self) -> Expr:

@@ -188,14 +188,14 @@ def _load_scenario(path: Path):
 
 
 def _parse_packet(raw) -> PacketMoments:
-    raw = _object(raw, "packet", ("Q", "P", "dQ", "dP", "hbar"))
-    missing = [k for k in ("Q", "P", "dQ", "dP") if k not in raw]
+    fields = PacketMoments._fields  # hbar, the last, may be left to its default
+    raw = _object(raw, "packet", fields)
+    missing = [k for k in fields[:-1] if k not in raw]
     if missing:
         raise ValidationError(f"missing fields {missing}", "packet")
-    values = {k: _number(raw[k], f"packet.{k}") for k in ("Q", "P", "dQ", "dP")}
-    hbar = _number(raw["hbar"], "packet.hbar") if "hbar" in raw else None
+    values = {k: _number(raw[k], f"packet.{k}") for k in fields if k in raw}
     try:
-        return PacketMoments(hbar=hbar, **values)
+        return PacketMoments(**values)
     except DomainError as exc:
         raise ValidationError(str(exc), "packet")
 

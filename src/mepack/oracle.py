@@ -14,19 +14,25 @@ diagonals (`_band_product`).  An operator word is a literal product of
 dense letters in written order.  Every trace is one sum over bands,
 Tr(rho X) = sum_k sum_i rho[i, i+k] X[i+k, i] (`_trace`): a word of L
 letters has bands |k| <= L only, which `_word_bands` reads from products
-of `WORD_BLOCK`-level blocks, and rho's bands are read off the factor
-(`_rho_bands`), a fresh state's rho being its weights on the diagonal.  So
-a fresh state's trace holds O(n L) numbers at any cutoff, and an evolved
-one's two n x n temporaries besides.  The other dense work is one
-eigendecomposition per potential (kept on the state for later times) and
-one product per evolution time, U itself.
+on `BLOCK`-level windows of the state (`_levels`), and rho's bands are read
+off the factor (`_rho_bands`) `BLOCK` rows at a time, a fresh state's rho
+being its weights on the diagonal.  So a fresh state's trace holds O(n L)
+numbers at any cutoff, and an evolved one's O((BLOCK + L) n) besides its
+vectors.  The other dense work is one eigendecomposition per potential
+(kept on the state for later times) and one product per evolution time,
+U itself, formed `BLOCK` rows at a time.
 
 numpy is imported inside the functions that use it, so it loads on the
 first oracle call, not with `mepack`: the exact engine never needs it.
 
 Cutoff policy: smallest N with the neglected weight tail below
 `DEFAULT_TAIL_TOL`, plus a margin of max(8, 2*degree) basis states, since
-a polynomial of degree d couples at most d bands.  A fresh state whose
+a polynomial of degree d couples at most d bands; and at least the
+smallest N whose bound on the dropped part of a degree-d moment,
+x^N (1 + 2 sqrt((N+d)/nu))^d with x = (nu-1)/(nu+1), is within
+`MOMENT_TAIL_TOL`, since a word's diagonal grows with the level while the
+weights fall.  The weight rule decides at degree 0, and the moment bound
+at high degree or large nu.  A fresh state whose
 bands and weights would exceed `MAX_MATRIX_BYTES`, and any n x n matrix
 that would (an evolution, `rho`, `q_mat`), raise CutoffError before it is
 allocated.
@@ -52,17 +58,19 @@ DEFAULT_TAIL_TOL = 1e-12
 # top levels whose weight fock_evolve reports as truncation leakage
 LEAK_BAND = 4
 
-# levels whose word bands one product of a trace keeps
-WORD_BLOCK = 128
+# bound on the dropped part of a moment that `choose_cutoff` keeps to
+MOMENT_TAIL_TOL = 1e-10
 
-# rows of the propagator that one product of an evolution step forms
-STEP_ROWS = 128
+# levels whose word bands one product of a trace keeps, and rows of rho's
+# factor or of the propagator that one step of a trace or evolution forms
+BLOCK = 128
 
 # largest dense complex n x n matrix the oracle builds (n <= 2896), and the
 # most a fresh state's bands and weights may hold; a fresh state holds no
 # dense matrix and an evolved one its vectors, states from fock_evolve
-# share the eigenvectors of the last Hamiltonian, and an evolved state's
-# trace holds two more while it runs, an evolution step one or two
+# share the eigenvectors of the last Hamiltonian, an evolved state's trace
+# holds BLOCK + L of its rows at a time, and an evolution step one or two
+# n x n matrices
 MAX_MATRIX_BYTES = 128 * 2 ** 20
 
 Word = Union[str, Sequence[str]]
@@ -71,8 +79,22 @@ Word = Union[str, Sequence[str]]
 def choose_cutoff(nu: float, degree: int = 0) -> int:
     margin = max(8, 2 * degree)
     if nu == 1.0:
-        return 1 + margin
-    return tail_levels(nu, DEFAULT_TAIL_TOL) - 1 + margin
+        return 1 + margin  # every weight above level 0 is zero
+    floor = tail_levels(nu, DEFAULT_TAIL_TOL) - 1 + margin
+    log_x, log_tol = math.log1p(-2.0 / (nu + 1.0)), math.log(MOMENT_TAIL_TOL)
+
+    def within(n: int) -> bool:
+        # the bound's log is concave in n and above log_tol at n = 0, so the
+        # levels that pass are those from one N up
+        return n * log_x + degree * math.log1p(2.0 * math.sqrt((n + degree) / nu)) <= log_tol
+
+    lo, hi = floor - 1, floor
+    while not within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if within(mid) else (mid, hi)
+    return hi
 
 
 class FockState(NamedTuple):
@@ -97,11 +119,11 @@ class FockState(NamedTuple):
 
     @property
     def q_mat(self) -> np.ndarray:
-        return _letter_matrix(self, 0)
+        return _word_matrix(self, "q")
 
     @property
     def p_mat(self) -> np.ndarray:
-        return _letter_matrix(self, 1)
+        return _word_matrix(self, "p")
 
     @property
     def rho(self) -> np.ndarray:
@@ -145,29 +167,18 @@ def _check_dense(n: int) -> None:
     _check_bytes(n, 16 * n * n, "per dense matrix")
 
 
-def _from_bands(bands: dict, n: int, fill=0j, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-    """Rows and columns [lo, hi) (all n by default) of the n x n matrix
-    with diagonals `bands` (as `_band_product` holds them) and `fill`
-    elsewhere."""
+def _from_bands(bands: dict, n: int, fill=0j) -> np.ndarray:
+    """The n x n matrix with diagonals `bands` (as `_band_product` holds
+    them) and `fill` elsewhere."""
     import numpy as np
 
-    hi = n if hi is None else hi
-    _check_dense(hi - lo)
-    m = np.full((hi - lo, hi - lo), fill, dtype=complex)
+    _check_dense(n)
+    m = np.full((n, n), fill, dtype=complex)
     for d, band in bands.items():
-        # entry j of a band lies in row j - min(0, d); keep the rows and columns in range
-        rows = np.arange(max(lo, lo - d), min(hi, hi - d)) - lo
-        m[rows, rows + d] = band[rows + lo + min(0, d)]
+        # entry j of a band lies in row j - min(0, d)
+        rows = np.arange(max(0, -d), n - max(0, d))
+        m[rows, rows + d] = band
     return m
-
-
-def _letter_matrix(state: FockState, i: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-    """q (i = 0) or p (i = 1) as a dense matrix on levels [lo, hi)."""
-    import numpy as np
-
-    zero = np.zeros(1, dtype=complex)  # an entry of a and of a^dagger = conj(a)^T
-    fill = _letter_entries(state.bindings, state.nu, np.zeros(1), zero, zero.conj())[i]
-    return _from_bands((state.q_bands, state.p_bands)[i], state.cutoff, fill[0], lo, hi)
 
 
 def fock_state(
@@ -201,33 +212,45 @@ def fock_state(
     return FockState(n, nu, b["hbar"], b, q_bands, p_bands, weights, {})
 
 
-def _word_matrix(state: FockState, word: Word, lo: int = 0,
-                 hi: Optional[int] = None) -> np.ndarray:
-    """The word's letters on levels [lo, hi) (all by default), multiplied
-    in written order."""
+def _levels(state: FockState, start: int, stop: int) -> FockState:
+    """The state's letters and weights on levels [start, stop), as a fresh
+    state: band d keeps its entries start .. stop-|d|-1."""
+    def window(bands: dict) -> dict:
+        return {d: band[start:stop - abs(d)] for d, band in bands.items()}
+
+    return state._replace(cutoff=stop - start, q_bands=window(state.q_bands),
+                          p_bands=window(state.p_bands), weights=state.weights[start:stop],
+                          eigh_cache={}, vectors=None)
+
+
+def _word_matrix(state: FockState, word: Word) -> np.ndarray:
+    """The word's letters as dense matrices, multiplied in written order."""
     import numpy as np
 
-    hi = state.cutoff if hi is None else hi
-    letters = {"q": None, "p": None}  # each built on its first use
+    zero = np.zeros(1, dtype=complex)  # an entry of a and of a^dagger = conj(a)^T
+    fill_q, fill_p = _letter_entries(state.bindings, state.nu, np.zeros(1), zero, zero.conj())
+    letters = {"q": (state.q_bands, fill_q[0]), "p": (state.p_bands, fill_p[0])}
+    built = {}  # each letter's matrix, made on its first use
     out = None
     for letter in word:
         if letter not in letters:
             raise DomainError(f"unknown letter {letter!r} in operator word")
-        if letters[letter] is None:
-            letters[letter] = _letter_matrix(state, "qp".index(letter), lo, hi)
-        out = letters[letter] if out is None else out @ letters[letter]
-    return np.eye(hi - lo, dtype=complex) if out is None else out
+        if letter not in built:
+            bands, fill = letters[letter]
+            built[letter] = _from_bands(bands, state.cutoff, fill)
+        out = built[letter] if out is None else out @ built[letter]
+    return np.eye(state.cutoff, dtype=complex) if out is None else out
 
 
 def _word_bands(state: FockState, word: Word) -> dict:
     """The word's bands k -> W.diagonal(k), |k| <= L for a word of L letters,
-    held as `_band_product` holds them, from blocks of `WORD_BLOCK` levels.
+    held as `_band_product` holds them, from blocks of `BLOCK` levels.
     q and p are tridiagonal, so W[i, i+k] sums paths of L one-level steps,
     which stay within L levels of entry j = min(i, i+k) of band k: each
     block multiplies the letters restricted to its levels and L more on each
     side, and keeps entry j of every band for its own levels j.  A block
     whose product reaches the top level keeps everything up to it, so a
-    cutoff of at most WORD_BLOCK + L is one product of the whole basis."""
+    cutoff of at most BLOCK + L is one product of the whole basis."""
     import numpy as np
 
     n, reach = state.cutoff, len(word)
@@ -235,9 +258,9 @@ def _word_bands(state: FockState, word: Word) -> dict:
            for k in range(-min(reach, n - 1), min(reach, n - 1) + 1)}
     lo = 0
     while lo < n:
-        start, stop = max(0, lo - reach), min(n, lo + WORD_BLOCK + reach)
-        keep = n if stop == n else lo + WORD_BLOCK
-        block = _word_matrix(state, word, start, stop)
+        start, stop = max(0, lo - reach), min(n, lo + BLOCK + reach)
+        keep = n if stop == n else lo + BLOCK
+        block = _word_matrix(_levels(state, start, stop), word)
         for k, band in out.items():
             top = min(keep, n - abs(k))
             band[lo:top] = block.diagonal(k)[lo - start:top - start]
@@ -249,16 +272,21 @@ def _rho_bands(state: FockState, reach: int) -> dict:
     """rho's bands k -> rho.diagonal(k) for |k| <= reach, read off the
     factor: a fresh state's rho is its weights on the diagonal, an evolved
     one's is S S^dagger with S = V diag(sqrt(w)), so each band holds dot
-    products of S's rows."""
+    products of S's rows, formed `BLOCK` rows (and `reach` more) at a time."""
     import numpy as np
 
     if state.vectors is None:
         return {0: state.weights}
     n, reach = state.cutoff, min(reach, state.cutoff - 1)
-    s = state.vectors * np.sqrt(state.weights)
-    s_conj = s.conj()
-    # rho[i, i+k] = sum_j S[i, j] conj(S[i+k, j])
-    rho = {k: np.einsum("ij,ij->i", s[:n - k], s_conj[k:]) for k in range(reach + 1)}
+    root = np.sqrt(state.weights)
+    rho = {k: np.empty(n - k, dtype=complex) for k in range(reach + 1)}
+    for r in range(0, n, BLOCK):
+        s = state.vectors[r:r + BLOCK + reach] * root
+        s_conj = s.conj()
+        for k, band in rho.items():
+            # rho[i, i+k] = sum_j S[i, j] conj(S[i+k, j])
+            rows = max(0, min(BLOCK, n - k - r))
+            band[r:r + rows] = np.einsum("ij,ij->i", s[:rows], s_conj[k:k + rows])
     rho.update({-k: rho[k].conj() for k in range(1, reach + 1)})
     return rho
 
@@ -373,14 +401,14 @@ def fock_evolve(
         state.eigh_cache.clear()
         state.eigh_cache[key] = np.linalg.eigh(hamiltonian_matrix(state, potential))
     h, e = state.eigh_cache[key]
-    # conj(U) = conj(E) conj(diag(phase)) E^T, formed `STEP_ROWS` rows at a
+    # conj(U) = conj(E) conj(diag(phase)) E^T, formed `BLOCK` rows at a
     # time, so that no n x n temporary is made besides U
     phase = np.exp(-1j * h * float(t) / state.hbar).conj()
     u = np.empty_like(e)
-    for r in range(0, state.cutoff, STEP_ROWS):
-        rows = np.conj(e[r:r + STEP_ROWS])
+    for r in range(0, state.cutoff, BLOCK):
+        rows = np.conj(e[r:r + BLOCK])
         rows *= phase
-        np.matmul(rows, e.T, out=u[r:r + STEP_ROWS])
+        np.matmul(rows, e.T, out=u[r:r + BLOCK])
     np.conjugate(u, out=u)
     vectors = u if state.vectors is None else u @ state.vectors
     leakage = float(np.sum(np.abs(vectors[-LEAK_BAND:]) ** 2 @ state.weights))

@@ -6,8 +6,9 @@ preferred, floats accepted) or symbolic expressions; `PacketMoments.symbolic()`
 gives the canonical all-symbol packet that the algebraic pipelines use.
 
 The uncertainty ratio nu = 2*dQ*dP/hbar measures the phase-space area of
-the packet in units of hbar/2; nu = 1 is the quantum minimum.  An unset
-hbar is `DEFAULT_HBAR`.
+the packet in units of hbar/2; nu = 1 is the quantum minimum.  hbar
+defaults to `DEFAULT_HBAR`, so a packet that leaves it out equals, and
+hashes as, the same packet with hbar = 1.
 
 The engine computes every average in packet symbols.  A packet's values
 enter an exact result in one place, `PacketMoments.specialize`, which
@@ -99,19 +100,14 @@ def _magnitude(value: Number) -> str:
     return f"{'-' if value < 0 else ''}{mantissa:.1f}e{exponent:+03d}"
 
 
-def _hbar(packet: "PacketMoments") -> Number:
-    """The packet's hbar, `DEFAULT_HBAR` when unset."""
-    return DEFAULT_HBAR if packet.hbar is None else packet.hbar
-
-
 class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
-    """Q, P, dQ, dP: a `FieldValue` each; hbar: a number, None for `DEFAULT_HBAR`."""
+    """Q, P, dQ, dP: a `FieldValue` each; hbar: a number."""
 
     __slots__ = ()
 
-    def __new__(cls, Q, P, dQ, dP, hbar=None):
+    def __new__(cls, Q, P, dQ, dP, hbar=DEFAULT_HBAR):
         held = [Q, P, dQ, dP, hbar]  # read once, here; a number type is held as given
-        for i, name in enumerate(_FIELDS if hbar is None else cls._fields):
+        for i, name in enumerate(cls._fields):
             exact = exact_value(held[i], name, positive=name not in ("Q", "P"))
             if exact is None and name == "hbar":
                 raise DomainError(f"hbar must be a number, got {hbar}")
@@ -135,7 +131,7 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
         are numbers, else the symbol nu."""
         if isinstance(self.dQ, Expr) or isinstance(self.dP, Expr):
             return Expr.symbol("nu")
-        return 2 * Fraction(self.dQ) * Fraction(self.dP) / Fraction(_hbar(self))
+        return 2 * Fraction(self.dQ) * Fraction(self.dP) / Fraction(self.hbar)
 
     def nu_value(self) -> float:
         nu = self.nu
@@ -147,7 +143,7 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
         """nu from the float fields, as `bindings()` gives it; the exact nu's
         float where that product leaves float range on the way."""
         dQ, dP = float_value(self.dQ, "dQ"), float_value(self.dP, "dP")
-        nu = 2.0 * dQ * dP / float_value(_hbar(self), "hbar")
+        nu = 2.0 * dQ * dP / float_value(self.hbar, "hbar")
         return nu if nu and not math.isinf(nu) else float_value(self.nu, "nu")
 
     def specialize(self, expr: Expr) -> Expr:
@@ -166,7 +162,7 @@ class PacketMoments(namedtuple("PacketMoments", _FIELDS + ("hbar",))):
         if self.is_symbolic:
             raise DomainError("symbolic packet cannot be bound numerically")
         out = {name: float_value(getattr(self, name), name) for name in _FIELDS}
-        out["hbar"] = float_value(_hbar(self), "hbar")
+        out["hbar"] = float_value(self.hbar, "hbar")
         out["pi"] = math.pi
         out["nu"] = self._float_nu()
         # log1p keeps the digits that ln((nu+1)/(nu-1)) loses as nu grows

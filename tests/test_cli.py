@@ -807,3 +807,16 @@ def test_format_nu_polynomial():
     assert format_nu_polynomial(parse_expression("0")) == "0"
     assert format_nu_polynomial(parse_expression("nu + 1")) == "nu + 1"
     assert format_nu_polynomial(parse_expression("-Q/nu")) == "-Q/nu"
+
+
+@pytest.mark.parametrize("nu, text", [(1000, "q^8"), (50, "q^12"), (50, "q^6*p^6"),
+                                      (50, "q^16")])
+def test_oracle_check_keeps_the_dropped_moment_of_a_high_degree_word(tmp_path, nu, text):
+    # a cutoff set by the dropped weight alone lost more than the bound of
+    # the word's moment above it, whose diagonal grows with the level
+    path = write_scenario(tmp_path, packet={"Q": 0.6, "P": -0.4, "dQ": 1.1, "dP": nu / 2.2},
+                          potential={"m": 1, "V": [0]},
+                          run={"mode": "oracle-check", "expressions": [text], "grid": None})
+    assert main(["run", str(path)]) == 0
+    payload = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert payload["worst_rel_delta"] <= 1e-12

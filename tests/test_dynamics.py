@@ -38,7 +38,7 @@ from mepack.dynamics import (
 from mepack.errors import DomainError, HorizonError
 from mepack.oracle import fock_evolve, fock_expectation, fock_state, state_moments
 from mepack.packets import PacketMoments
-from mepack.quantum import expectation_quantum
+from mepack.quantum import expectation_quantum, tail_levels
 
 # the printed closed forms for a quartic truncation (degree K = 4)
 EQ_DP = {
@@ -555,6 +555,27 @@ def test_order5_quartic_correction_matches_the_fock_trace_at_nu_10():
     assert oracle.imag == pytest.approx(0.0, abs=1e-10)
     assert abs(oracle.real - classical - correction) < bound
     assert abs(oracle.real - classical) > bound
+
+
+@pytest.mark.parametrize("nu", [100, 1000])
+def test_order5_quartic_correction_matches_the_fock_trace_where_it_is_small(nu):
+    # the O(hbar^k) cancellation happens in exact arithmetic, so the float
+    # trace of the 15 q-left words resolves the correction to 1e-12 of the
+    # total, once the cutoff drops a weight tail of 1e-20 only; a cutoff set
+    # by a 1e-12 weight tail alone misses it by 5% at nu = 1000
+    pk = PacketMoments(0, 0, 1, 1, hbar=Fraction(2, nu))
+    pot = PolynomialPotential(1, (0, 0, 1, Fraction(1, 2), 1))
+    operator = derivatives_quantum(pot, 5).p[-1]
+    assert len(operator.terms()) == 15
+    state = fock_state(pk, cutoff=tail_levels(nu, 1e-20) + 16)
+    total = fock_expectation(state, operator)
+    classical = averaged_derivatives(derivatives_classical(pot, 5), pk).p[-1].evaluate({}).real
+    correction = pk.specialize(quantum_correction(pot, 5)).evaluate({}).real
+    assert correction == pytest.approx(-1 / (2 * nu ** 2), rel=1e-12)
+    bound = 1e-12 * abs(total)
+    assert total.imag == pytest.approx(0.0, abs=bound)
+    assert abs(total.real - classical - correction) <= bound
+    assert abs(total.real - classical) > bound
 
 
 def test_quintic_corrections_through_fourth_order_vanish():

@@ -108,6 +108,17 @@ def test_cutoff_policy_and_convergence(packet):
     assert big.trace_deficit <= small.trace_deficit + 1e-15
 
 
+def test_cutoff_bounds_the_dropped_moment_at_high_degree():
+    # the weight rule decides at degree 0 and for the bundled oracle_check
+    # (52 levels, where the moment bound alone asks for 51); the moment bound
+    # decides for high degrees and large nu
+    assert choose_cutoff(2 * 1.1 * 1.5, 4) == 52
+    assert [choose_cutoff(nu) for nu in (3.6, 50.0, 1000.0)] == [
+        choose_cutoff(nu, 1) for nu in (3.6, 50.0, 1000.0)] == [56, 698, 13823]
+    assert [choose_cutoff(1000.0, 4), choose_cutoff(1000.0, 8), choose_cutoff(50.0, 12),
+            choose_cutoff(50.0, 16), choose_cutoff(12.0, 6)] == [15903, 20770, 1302, 1580, 220]
+
+
 def test_cutoff_errors(packet):
     with pytest.raises(CutoffError):
         fock_state(packet, cutoff=5)
@@ -143,14 +154,14 @@ def test_exact_minimal_packet_with_float_nu_below_one():
 
 @pytest.mark.parametrize("text", ["p*q^2*p", "q^3*p"])
 def test_oracle_reaches_nu_1000(text):
-    # 13,823 levels: the trace reads each word's diagonal block by block
+    # 15,903 levels for degree 4: the trace reads each word's bands block by block
     from mepack.cli import ORACLE_CHECK_BOUND
     from mepack.quantum import expectation_value
 
     pk = PacketMoments(0.0, 0.0, 10.0, 50.0, hbar=1.0)
     op = parse_weyl(text)
     state = fock_state(pk, degree=op.degree())
-    assert state.cutoff == 13823
+    assert state.cutoff == 15903
     got = fock_expectation(state, op)
     assert abs(expectation_value(pk, op) - got) / max(abs(got), 1.0) <= ORACLE_CHECK_BOUND
 
@@ -391,7 +402,7 @@ EVOLVED_OPERATORS = [parse_weyl("p*q^2*p"), parse_weyl("q^3*p + 2*q*p - p^2"),
                      [(0.25 - 1j, "pqqpqp"), (1j, "qqpp"), (-2, "q")]]
 
 
-@pytest.mark.parametrize("cutoff", [60, oracle.WORD_BLOCK + 6, 300])
+@pytest.mark.parametrize("cutoff", [80, oracle.BLOCK + 6, 300])
 def test_evolved_trace_is_the_dense_trace(packet, cutoff):
     # one block, one block that reaches the top level, several blocks
     evolved = fock_evolve(fock_state(packet, cutoff=cutoff), QUARTIC, 0.2)
@@ -423,15 +434,14 @@ def test_evolved_trace_reads_the_factor_and_word_blocks_only(packet, monkeypatch
     monkeypatch.setattr(oracle.FockState, "rho", property(dense_rho))
     whole_word, levels = oracle._word_matrix, []
 
-    def word_matrix(state, word, lo=0, hi=None):
-        hi = state.cutoff if hi is None else hi
-        levels.append((hi - lo, len(word)))
-        return whole_word(state, word, lo, hi)
+    def word_matrix(state, word):
+        levels.append((state.cutoff, len(word)))
+        return whole_word(state, word)
 
     monkeypatch.setattr(oracle, "_word_matrix", word_matrix)
     assert [fock_expectation(evolved, op) for op in EVOLVED_OPERATORS] == expected
     assert state_moments(evolved) == moments
-    assert levels and all(size <= oracle.WORD_BLOCK + 2 * length for size, length in levels)
+    assert levels and all(size <= oracle.BLOCK + 2 * length for size, length in levels)
 
 
 def test_fresh_state_is_its_weights_on_the_number_basis(packet, state):
@@ -508,7 +518,7 @@ def _random_words(rng, count, longest):
             for _ in range(count)]
 
 
-@pytest.mark.parametrize("n", [oracle.WORD_BLOCK, oracle.WORD_BLOCK + 1])
+@pytest.mark.parametrize("n", [oracle.BLOCK, oracle.BLOCK + 1])
 def test_word_diagonal_up_to_one_block_is_the_dense_product_bit_for_bit(packet, n):
     st = fock_state(packet, cutoff=n)
     for word in _random_words(random.Random(n), 10, 8):
@@ -519,7 +529,8 @@ def test_word_diagonal_up_to_one_block_is_the_dense_product_bit_for_bit(packet, 
             assert np.array_equal(_bits(band), _bits(dense.diagonal(k)))
     for i, dense in enumerate((st.q_mat, st.p_mat)):
         for lo, hi in ((0, n), (0, 1), (3, 40), (n - 5, n)):
-            assert np.array_equal(_bits(oracle._letter_matrix(st, i, lo, hi)),
+            window = oracle._levels(st, lo, hi)
+            assert np.array_equal(_bits(_word_matrix(window, "qp"[i])),
                                   _bits(dense[lo:hi, lo:hi]))
 
 
@@ -545,7 +556,7 @@ def test_word_diagonal_over_several_blocks_matches_the_dense_product(packet, n):
 def test_word_longer_than_a_block(n):
     st = fock_state(PacketMoments(0.2, -0.1, 0.3, 2.0, hbar=1.0), cutoff=n)  # nu = 1.2
     rng = random.Random(n)
-    word = "".join(rng.choice("qp") for _ in range(oracle.WORD_BLOCK + 20))
+    word = "".join(rng.choice("qp") for _ in range(oracle.BLOCK + 20))
     matrix = _word_matrix(st, word)
     dense = matrix.diagonal()
     bands = _word_bands(st, word)
@@ -557,7 +568,7 @@ def test_word_longer_than_a_block(n):
         assert np.max(np.abs(band - matrix.diagonal(k))) <= 1e-12 * largest, k
 
 
-@pytest.mark.parametrize("n", [9, oracle.WORD_BLOCK + 1, 300])
+@pytest.mark.parametrize("n", [9, oracle.BLOCK + 1, 300])
 def test_empty_word_diagonal_is_the_identity(n):
     st = fock_state(PacketMoments(0.0, 0.0, 1.0, 0.5, hbar=1.0), cutoff=n)  # nu = 1
     bands = _word_bands(st, "")
@@ -626,7 +637,18 @@ def test_evolution_makes_one_dense_temporary_besides_the_propagator():
     assert _peak_bytes(lambda: fock_evolve(evolved, QUARTIC, 0.05)) < 3 * matrix
 
 
-@pytest.mark.parametrize("cutoff", [80, oracle.STEP_ROWS, oracle.STEP_ROWS + 1, 300])
+def test_an_evolved_trace_makes_no_dense_temporary():
+    # rho's bands come from BLOCK + L rows of S = V sqrt(w) at a time, not
+    # from S and its conjugate whole
+    pk = PacketMoments(0.3, -0.2, 0.8, 7.5, hbar=1.0)
+    evolved = fock_evolve(fock_state(pk, cutoff=600), QUARTIC, 0.05)
+    matrix = 16 * evolved.cutoff ** 2
+    operator = parse_weyl("q^3*p + 2*q*p - p^2")
+    assert _peak_bytes(lambda: fock_expectation(evolved, operator)) < matrix
+    assert _peak_bytes(lambda: state_moments(evolved)) < matrix
+
+
+@pytest.mark.parametrize("cutoff", [80, oracle.BLOCK, oracle.BLOCK + 1, 300])
 def test_propagator_in_row_blocks_is_the_whole_product(cutoff):
     st = fock_state(PacketMoments(0.3, -0.2, 1.0, 0.5, hbar=1.0), cutoff=cutoff)  # nu = 1
     t = 0.3

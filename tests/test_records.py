@@ -27,7 +27,7 @@ from mepack.dynamics import (
 )
 from mepack.errors import DomainError
 from mepack.oracle import fock_state
-from mepack.packets import PacketMoments
+from mepack.packets import DEFAULT_HBAR, PacketMoments
 from mepack.partition import GaussianPartition
 from mepack.quantum import partition_quantum, solve_multipliers_quantum
 
@@ -65,8 +65,8 @@ def test_record_constructors_still_validate():
         PK.with_moments(dQ=-1)
     with pytest.raises(DomainError, match="mass must be positive"):
         PolynomialPotential(0, (1,))
-    assert PK.with_moments(dQ=5) == (1, 2, 5, 4, None)
-    assert repr(PK) == "PacketMoments(Q=1, P=2, dQ=3, dP=4, hbar=None)"
+    assert PK.with_moments(dQ=5) == (1, 2, 5, 4, 1)
+    assert repr(PK) == "PacketMoments(Q=1, P=2, dQ=3, dP=4, hbar=1)"
     # equal potentials hash alike (the chain memo relies on it; see
     # test_dynamics.py::test_equal_potentials_share_one_chain_memo_entry)
     assert hash(PolynomialPotential(1, (0, 0, 1))) == hash(POT)
@@ -221,6 +221,17 @@ def test_a_potential_number_outside_float_range_is_named(potential, field):
 def test_a_symbolic_hbar_is_refused():
     with pytest.raises(DomainError, match="^hbar must be a number, got hbar$"):
         PacketMoments(0, 0, 1, 1, hbar=Expr.symbol("hbar"))
+
+
+def test_a_packet_without_hbar_is_the_packet_with_hbar_one():
+    default, explicit = PacketMoments(0, 0, 1, 1), PacketMoments(0, 0, 1, 1, hbar=1)
+    assert default == explicit and hash(default) == hash(explicit)
+    assert default.hbar == DEFAULT_HBAR == 1
+    # None is no number, for hbar as for any other field
+    for build in (lambda: PacketMoments(0, 0, 1, 1, hbar=None),
+                  lambda: PacketMoments(0, 0, None, 1)):
+        with pytest.raises(TypeError, match="NoneType"):
+            build()
 
 
 @pytest.mark.parametrize("two", [2, 2.0, Fraction(2), 2 + 0j, Scalar(2), Expr.number(2)],
