@@ -19,9 +19,11 @@ key) and adds the keys that collide; the constructors below start from
 canonical keys and skip that step.
 
 `TermMap` is the storage under `Expr`, the ordered polynomials and
-`NumberPolynomial`; `term_sum` and `term_negation` are the `+` and unary `-`
-of both rings.  `-`, `/` and `**` come from `ring.ExactRing`; only a monomial
-has an inverse, and a one-term power scales its exponents directly.
+`NumberPolynomial`; its constructor makes every coefficient an `Expr`, and
+`_wrap` holds them as given (`int` on the moment engine's centred words).
+`term_sum` and `term_negation` are the `+` and unary `-` of both rings.
+`-`, `/` and `**` come from `ring.ExactRing`; only a monomial has an
+inverse, and a one-term power scales its exponents directly.
 """
 
 from __future__ import annotations
@@ -112,22 +114,19 @@ def _accumulate(terms: dict, key, coeff) -> None:
 
 class TermMap:
     """Immutable map from keys to nonzero coefficients; the constructor
-    coerces each coefficient with the class's `COEFFICIENT` and drops zeros."""
+    coerces each coefficient with `Expr.coerce` and drops zeros."""
 
     __slots__ = ("_terms",)
 
-    COEFFICIENT = staticmethod(lambda value: value)
-
     def __init__(self, terms=()):
-        coerce = self.COEFFICIENT
-        cleaned = {key: c for key, coeff in dict(terms).items() if (c := coerce(coeff))}
+        cleaned = {key: c for key, coeff in dict(terms).items() if (c := Expr.coerce(coeff))}
         object.__setattr__(self, "_terms", cleaned)
 
     @classmethod
     def _wrap(cls, terms: dict):
         """`cls(terms)` without the copy and the coercion, for a dict of
-        coerced nonzero coefficients (as `_accumulate` leaves it) under
-        canonical keys; the dict is held, not copied."""
+        nonzero coefficients (as `_accumulate` leaves it) under canonical
+        keys; the dict and its coefficients are held as given."""
         out = object.__new__(cls)
         object.__setattr__(out, "_terms", terms)
         return out
@@ -176,8 +175,6 @@ class Expr(TermMap, ExactRing):
     """Immutable exact expression; arithmetic returns canonical forms."""
 
     __slots__ = ()
-
-    COEFFICIENT = staticmethod(Scalar.coerce)
 
     # -- constructors --------------------------------------------------------
 

@@ -28,7 +28,7 @@ class LadderPolynomial(OrderedPolynomial):
 
     __slots__ = ()
 
-    CONTRACTION = Expr.number(1)
+    CONTRACTION = 1
     LETTERS = ("Ad", "A")
 
     # own entries, so that per-class tracing sees this class's products

@@ -3,8 +3,9 @@
 The basis element of order m is k_(m) = k(k-1)...(k-m+1), the diagonal
 matrix element of Ad^m A^m.  Conversions to and from the monomial basis
 use Stirling numbers and are exact.  It is a `TermMap` keyed by m, with no
-arithmetic; coefficients are kept as given: `Expr` on the symbolic ladder
-path, `int` on the moment engine's centred words.
+arithmetic.  Its constructor makes the coefficients `Expr`; `from_monomial`
+and `ladder.diagonal_part` keep them as given: `Expr` on the symbolic
+ladder path, `int` on the moment engine's centred words.
 """
 
 from __future__ import annotations

@@ -32,7 +32,11 @@ pairs of its factors' terms.  Both bounds count the operands' scalar
 terms as they stand (`_term_count`), not the `hbar` terms that normal
 ordering adds while the power or product is formed: `(q+p+Q)^28` counts 3
 terms and 435 products and passes both, though its value holds 2,360
-scalar terms and a cold `moments` run of it takes seconds.  Divisors and
+scalar terms and a cold `moments` run of it takes seconds.  A literal,
+product or power whose numerator or denominator would have more than
+`MAX_NUMBER_DIGITS` digits (`2^300000000`) is a ParseError too,
+raised before it is read or formed, so every parsed coefficient prints
+(`str` refuses an int past the interpreter's digit limit).  Divisors and
 bases of negative powers must be nonzero scalar monomials (`q*p - p*q`
 counts); the ring's `inverse()` decides, and a ZeroDivisionError becomes a
 ParseError.
@@ -42,8 +46,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from .expression import Expr, is_known_symbol
 from .ladder import LadderPolynomial
@@ -65,6 +70,13 @@ MAX_POWER_TERMS = 1000
 # costs up to about 40 us (`(q+p)^14*(q+p)^14` forms 4096 pairs in 0.15 s),
 # and the tests, demos and scenarios form at most 106
 MAX_PRODUCT_TERMS = 10_000
+# the most decimal digits of a numerator or denominator that a parse may
+# form, checked before each literal is read and each product or power is
+# formed: half of what `str` writes of one int (`sys.get_int_max_str_digits()`,
+# whose default 4300 stands when the limit is lifted), so that the printers
+# still write a coefficient after an average of degree up to
+# `MAX_EXPRESSION_DEGREE` multiplies in its binomials and factorials
+MAX_NUMBER_DIGITS = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +217,46 @@ def _check_degree(degree: int):
         raise ParseError(f"degree must be at most {MAX_EXPRESSION_DEGREE}, got {degree}")
 
 
+def _coefficients(value):
+    return [value] if isinstance(value, Expr) else value._terms.values()
+
+
 def _term_count(value) -> int:
     """Scalar monomials of `value`, counted over every operator word."""
-    coefficients = [value] if isinstance(value, Expr) else value._terms.values()
-    return sum(len(c._terms) for c in coefficients)
+    return sum(len(c._terms) for c in _coefficients(value))
+
+
+def _magnitudes(value) -> Tuple[float, float]:
+    """log10 of the largest numerator |a + b i| and of the largest
+    denominator d among the scalar coefficients (a + b i)/d of `value`."""
+    norm = den = 1
+    for c in _coefficients(value):
+        for scalar in c._terms.values():
+            a, b, d = scalar.abd
+            norm, den = max(norm, a * a + b * b), max(den, d)
+    return math.log10(norm) / 2, math.log10(den)
+
+
+def _check_digits(digits: int):
+    """Refuse a coefficient of more than `MAX_NUMBER_DIGITS` digits
+    before it is formed; a product's or power's digits are estimated from
+    its factors' `_magnitudes`."""
+    if digits > MAX_NUMBER_DIGITS:
+        raise ParseError(f"a coefficient may have at most {MAX_NUMBER_DIGITS} digits, "
+                         f"got {digits}")
 
 
 def _check_product(x, y):
     """Refuse `x * y` before it is formed if its operator degree is above
-    `MAX_EXPRESSION_DEGREE` or it would multiply more than
-    `MAX_PRODUCT_TERMS` pairs of terms.  The pairs are of the factors'
-    scalar terms as they stand; the `hbar` terms that normal ordering adds
-    to the product are not counted."""
+    `MAX_EXPRESSION_DEGREE`, it would multiply more than
+    `MAX_PRODUCT_TERMS` pairs of terms, or the product of its factors'
+    largest numerators or denominators has more than
+    `MAX_NUMBER_DIGITS` digits.  The pairs are of the factors' scalar
+    terms as they stand; the `hbar` terms that normal ordering adds to the
+    product are not counted."""
     _check_degree(_degree(x) + _degree(y))
+    (nx, dx), (ny, dy) = _magnitudes(x), _magnitudes(y)
+    _check_digits(math.ceil(max(nx + ny, dx + dy)))
     tx, ty = _term_count(x), _term_count(y)
     if tx * ty > MAX_PRODUCT_TERMS:
         raise ParseError(f"a product may form at most {MAX_PRODUCT_TERMS} products of terms, "
@@ -226,12 +265,14 @@ def _check_product(x, y):
 
 def _check_power(base, exp: int):
     """Refuse `base^exp` before it is formed if its operator degree is above
-    `MAX_EXPRESSION_DEGREE`, or if `base` is a sum of t > 1 terms and `exp`
-    is above `MAX_EXPRESSION_DEGREE` or C(exp + t - 1, t - 1) is above
-    `MAX_POWER_TERMS`.  t counts the base's scalar terms as they stand; the
-    `hbar` terms that normal ordering adds at each product of the power
-    are not counted."""
+    `MAX_EXPRESSION_DEGREE`, the power of its largest numerator or
+    denominator has more than `MAX_NUMBER_DIGITS` digits, or `base`
+    is a sum of t > 1 terms and `exp` is above `MAX_EXPRESSION_DEGREE` or
+    C(exp + t - 1, t - 1) is above `MAX_POWER_TERMS`.  t counts the base's
+    scalar terms as they stand; the `hbar` terms that normal ordering adds
+    at each product of the power are not counted."""
     _check_degree(_degree(base) * exp)
+    _check_digits(math.ceil(max(_magnitudes(base)) * exp))
     terms = _term_count(base)
     if terms < 2:
         return
@@ -242,6 +283,15 @@ def _check_power(base, exp: int):
     if products > MAX_POWER_TERMS:
         raise ParseError(f"a power of a sum may form at most {MAX_POWER_TERMS} products, "
                          f"got {products} ({terms} terms to the power {exp})")
+
+
+def _literal(tok: str) -> int:
+    """An integer literal, refused past `MAX_NUMBER_DIGITS` digits
+    before `int` reads it (`int` itself refuses one past the interpreter's
+    limit)."""
+    digits = tok.lstrip("0")
+    _check_digits(len(digits))
+    return int(digits or "0")
 
 
 class _Parser:
@@ -306,9 +356,9 @@ class _Parser:
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ParseError(f"bad exponent {tok!r}")
-            exp = sign * int(tok)
+            exp = sign * _literal(tok)
             if exp < 0:
-                return _inverse(base, "negative power of a non-scalar") ** (-exp)
+                base, exp = _inverse(base, "negative power of a non-scalar"), -exp
             _check_power(base, exp)
             return base ** exp
         return base
@@ -322,7 +372,7 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.isdigit():
-            return Expr.number(int(tok))
+            return Expr.number(_literal(tok))
         if tok == "i":
             return Expr.i()
         if tok in _OPERATOR_LETTERS:

@@ -24,12 +24,12 @@ on commuting letters, which -c undoes.  It normal-orders Y^b X^a (the Weyl
 adjoint), and maps Weyl symbols to q-left operators (c = -i*hbar/2) and back.
 
 `OrderedPolynomial` implements that ring once on the shared term map
-(`expression.TermMap`, with its `+` and unary `-`); a subclass sets the
-contraction c as `CONTRACTION` (None for the commutative case, which keeps
-only j = 0), its two letters as `LETTERS`, and the coercion into its
-coefficient ring as `COEFFICIENT` (`Expr` by default; the moment engine's
-centred ladder words use plain `int`).  `-` and `**` come from
-`ring.ExactRing`; the only invertible polynomials are the nonzero scalars
+(`expression.TermMap`, with its `+` and unary `-`); a ring is its
+contraction c, `CONTRACTION` (None for the commutative case, which keeps
+only j = 0), and its two letters, `LETTERS`.  A product keeps its
+factors' coefficient type: `Expr` from the public constructor, `int` for
+the moment engine's centred ladder words (built by `_wrap`; the ladder's
+c is the int 1).  `-` and `**` come from `ring.ExactRing`; the only invertible polynomials are the nonzero scalars
 c X^0 Y^0 with an invertible coefficient, so `/` divides by those and a
 negative power of anything else raises ZeroDivisionError.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Tuple
 
 from .expression import Expr, TermMap, _accumulate, term_negation, term_sum
 from .ring import ExactRing
@@ -77,9 +77,8 @@ class OrderedPolynomial(TermMap, ExactRing):
 
     __slots__ = ()
 
-    CONTRACTION: Optional[Expr]  # None when the letters commute
+    CONTRACTION: Any  # None when the letters commute
     LETTERS: Tuple[str, str]  # (X, Y)
-    COEFFICIENT = staticmethod(Expr.coerce)
 
     # -- constructors ----------------------------------------------------------
 
@@ -109,7 +108,7 @@ class OrderedPolynomial(TermMap, ExactRing):
         return sorted(self._terms.items())
 
     def coefficient(self, a: int, b: int) -> Expr:
-        return self._terms.get((a, b), self.COEFFICIENT(0))
+        return self._terms.get((a, b), Expr())
 
     def degree(self) -> int:
         return max((a + b for a, b in self._terms), default=0)

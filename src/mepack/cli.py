@@ -13,9 +13,12 @@ of the wrong type, an empty `expressions` or `orders` list, an order below
 points or with more than `MAX_GRID_POINTS` is a validation failure.  So is
 a potential of degree above `MAX_POTENTIAL_DEGREE`, and an expression whose
 parse would form a product or power of degree above `MAX_EXPRESSION_DEGREE`
-or a power of a sum past the parser's bound (`MAX_POWER_TERMS`), each
-refused by the parser before it forms it; every expression is parsed
-before any of them is computed.  Every expression and `1/nu` correction is
+or a power of a sum past the parser's bound (`MAX_POWER_TERMS`), or a
+coefficient of more than `MAX_NUMBER_DIGITS` digits, each refused by
+the parser before it forms it; so is an expression that puts a symbol
+whose packet value is 0 under a negative power, and a JSON integer too
+long for `int` to read.  Every expression is parsed before any of them
+is computed.  Every expression and `1/nu` correction is
 printed by the printers of `mepack.algebra`; this module has none of its own.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric horizon/cutoff
@@ -35,7 +38,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .algebra import (
     ParseError,
@@ -100,11 +103,27 @@ def _in_float_range(field: str, what: str):
         raise OverflowError(f"{field}: {what} is beyond float range") from None
 
 
+class _LongInt(NamedTuple):
+    """A JSON integer past the interpreter's int-string limit, which `int`
+    refuses to read; `_number` refuses it by field."""
+
+    digits: int
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt(len(text.lstrip("-")))
+
+
 def _number(value, field: str):
     """An int, float or rational literal whose float is finite, and nonzero
     when the value is: every scenario number is read here."""
     if isinstance(value, bool):
         raise ValidationError("expected a number", field)
+    if isinstance(value, _LongInt):
+        raise ValidationError(f"an integer of {value.digits} digits is beyond float range", field)
     if isinstance(value, str):
         try:
             number = Fraction(value)
@@ -179,7 +198,7 @@ def _load_scenario(path: Path):
     except OSError as exc:
         raise ValidationError(f"cannot read scenario: {exc}", str(path))
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
@@ -356,17 +375,25 @@ class OutputBundle:
 
 def _parse_operators(scenario: Scenario, bindings: dict) -> list:
     """Parse every expression before any work; every coefficient symbol
-    must have a value in `bindings`."""
+    must have a value in `bindings`, nonzero under a negative power."""
     operators = []
     for i, text in enumerate(scenario.expressions):
         try:
             op = parse_weyl(text)
         except ParseError as exc:
             raise ValidationError(str(exc), f"run.expressions[{i}]")
-        unbound = set().union(*(c.symbols() for _, c in op.terms())) - bindings.keys()
+        powers = {power for _, c in op.terms() for mono, _ in c.terms() for power in mono}
+        unbound = {sym for sym, _ in powers} - bindings.keys()
         if unbound:
             raise ValidationError(
                 f"symbol {min(unbound)!r} has no value for a numeric packet",
+                f"run.expressions[{i}]",
+            )
+        # a float 0 is an exact 0 here, as _number refuses a nonzero one
+        zero = {sym for sym, exp in powers if exp < 0 and bindings[sym] == 0}
+        if zero:
+            raise ValidationError(
+                f"symbol {min(zero)!r} is 0 in the packet, under a negative power",
                 f"run.expressions[{i}]",
             )
         operators.append(op)

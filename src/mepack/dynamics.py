@@ -93,11 +93,12 @@ def _number(value: Expr, what: str) -> float:
     return float_value(value.constant_value().re, what)
 
 
-def hamiltonian(potential: PolynomialPotential, cls):
-    """H = p^2/(2m) + V(q) as a `cls` polynomial (phase space or Weyl)."""
-    h = cls({(0, 2): Expr.number(Fraction(1, 2)) / potential.mass})
+def hamiltonian(potential: PolynomialPotential) -> PhasePolynomial:
+    """H = p^2/(2m) + V(q) on phase space, which is also the Weyl symbol of
+    the operator H (it has no q p term)."""
+    h = PhasePolynomial({(0, 2): Expr.number(Fraction(1, 2)) / potential.mass})
     for k, c in enumerate(potential.coefficients):
-        h = h + cls({(k, 0): c * Expr.number(Fraction(1, math.factorial(k)))})
+        h = h + PhasePolynomial({(k, 0): c * Expr.number(Fraction(1, math.factorial(k)))})
     return h
 
 
@@ -163,7 +164,7 @@ def _chains(potential: PolynomialPotential) -> dict:
     """The chain store of one potential: per bracket ("quantum" is Moyal,
     "classical" Poisson), its step and the chains walked so far, which
     `_chain` grows on demand."""
-    h = hamiltonian(potential, PhasePolynomial)
+    h = hamiltonian(potential)
     return {"quantum": (_moyal_step(h), {}), "classical": (_classical_step(h), {})}
 
 

@@ -20,7 +20,7 @@ weights by two independent routes that must agree:
   (b) the closed falling-factorial sums  <Ad^m A^m> = m! ((nu-1)/2)^m.
 
 The check computes over ints and rationals.  The words are built as
-X^j (A - Ad)^k with int coefficients, by the same closed-form ladder
+X^j (A - Ad)^k, `LadderPolynomial`s over int grown by the one ladder
 product, since X^j Y^k = (-i)^k X^j (A - Ad)^k.  Each weight sum of order m
 is an int table of coefficients in nu scaled by 2^m (m! (nu-1)^m for (b),
 the recurrence of (a) for <k^n>), and the diagonal part of each word is
@@ -36,7 +36,6 @@ sums its `Expr` coefficients against the same tables.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Dict, NamedTuple, Tuple, Union
@@ -208,28 +207,20 @@ def ladder_monomial_expectation(a: int, b: int) -> Expr:
     )
 
 
-class _IntegerLadder(LadderPolynomial):
-    """Ad^m A^n over the integers: the ring of the centred words."""
-
-    __slots__ = ()
-
-    CONTRACTION = 1
-    COEFFICIENT = staticmethod(operator.index)
-
-
-_X = _IntegerLadder({(0, 1): 1, (1, 0): 1})  # A + Ad
-_A_MINUS_AD = _IntegerLadder({(0, 1): 1, (1, 0): -1})  # i Y
+# over int: `_wrap` keeps the coefficients as given
+_X = LadderPolynomial._wrap({(0, 1): 1, (1, 0): 1})  # A + Ad
+_A_MINUS_AD = LadderPolynomial._wrap({(0, 1): 1, (1, 0): -1})  # i Y
 _MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k as (re, im)
 
 
 @lru_cache(maxsize=None)
-def _centred_word(j: int, k: int) -> _IntegerLadder:
+def _centred_word(j: int, k: int) -> LadderPolynomial:
     """X^j (A - Ad)^k, grown one letter at a time; X^j Y^k is (-i)^k times it."""
     if j:
         return _X * _centred_word(j - 1, k)
     if k:
         return _centred_word(0, k - 1) * _A_MINUS_AD
-    return _IntegerLadder.constant(1)
+    return LadderPolynomial._wrap({(0, 0): 1})
 
 
 @lru_cache(maxsize=None)

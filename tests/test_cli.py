@@ -16,7 +16,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mepack.algebra import format_expression, parse_expression
-from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS, MAX_PRODUCT_TERMS
+from mepack.algebra.parsing import (
+    MAX_EXPRESSION_DEGREE,
+    MAX_NUMBER_DIGITS,
+    MAX_POWER_TERMS,
+    MAX_PRODUCT_TERMS,
+)
 from mepack.cli import (
     MAX_GRID_POINTS,
     MAX_ORDER,
@@ -400,6 +405,11 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
     assert "Traceback" not in err
 
 
+# written into the scenario file as a JSON integer of 5001 digits, which
+# json.dumps cannot write from an int
+_LONG_INT = "<a JSON integer of 5001 digits>"
+
+
 @pytest.mark.parametrize(
     "overrides, code, message",
     [
@@ -448,17 +458,48 @@ def test_number_outside_float_range_is_a_validation_error(tmp_path, capsys, over
           "run": {"mode": "oracle-check", "expressions": ["(10^306)*q^4"], "grid": None}}, 3,
          "numeric range error: run.expressions[0]: the value of '(10^306)*q^4' is beyond float "
          "range\n"),
+        # an integer that `int` refuses to read (past 4300 digits), in the file
+        # or in an expression, and coefficients that `str` could not write
+        ({"packet": {"Q": _LONG_INT}}, 2,
+         "validation error: packet.Q: an integer of 5001 digits is beyond float range\n"),
+        ({"run": {"mode": "moments", "grid": None, "expressions": ["1" + "0" * 5000 + "*q"]}},
+         2, f"validation error: run.expressions[0]: a coefficient may have at most "
+            f"{MAX_NUMBER_DIGITS} digits, got 5001\n"),
+        ({"run": {"mode": "moments", "grid": None, "expressions": ["10^3000*10^3000*q"]}}, 2,
+         f"validation error: run.expressions[0]: a coefficient may have at most "
+         f"{MAX_NUMBER_DIGITS} digits, got 3000\n"),
+        ({"run": {"mode": "moments", "grid": None, "expressions": ["(10^2000)*(10^2000)*q"]}},
+         2, f"validation error: run.expressions[0]: a coefficient may have at most "
+            f"{MAX_NUMBER_DIGITS} digits, got 4000\n"),
+        # refused before the power is formed, which took seconds
+        ({"run": {"mode": "moments", "grid": None, "expressions": ["2^300000000*q"]}}, 2,
+         f"validation error: run.expressions[0]: a coefficient may have at most "
+         f"{MAX_NUMBER_DIGITS} digits, got 90308999\n"),
+        # a packet symbol that is 0 under a negative power (Q = P = 0 here)
+        ({"run": {"mode": "moments", "grid": None, "expressions": ["P^-2"]}}, 2,
+         "validation error: run.expressions[0]: symbol 'P' is 0 in the packet, under a "
+         "negative power\n"),
+        ({"run": {"mode": "oracle-check", "grid": None, "expressions": ["Q^-1*q"]}}, 2,
+         "validation error: run.expressions[0]: symbol 'Q' is 0 in the packet, under a "
+         "negative power\n"),
+        ({"run": {"mode": "moments", "grid": None, "expressions": ["q", "Q^-1*q"]}}, 2,
+         "validation error: run.expressions[1]: symbol 'Q' is 0 in the packet, under a "
+         "negative power\n"),
     ],
     ids=["nu_sweep-1e300", "taylor-grid-1e300", "quantum-V4-1e300", "moments-10^400",
          "grid-step-1e-300", "grid-list-too-long", "order-over-cap", "orders-entry-over-cap",
          "expression-degree-over-cap", "expression-power-over-cap", "scalar-power-over-bound",
          "scalar-product-over-bound",
          "potential-degree-over-cap",
-         "oracle-check-10^306"],
+         "oracle-check-10^306",
+         "packet-int-past-str-limit", "literal-over-digits", "power-over-digits",
+         "product-over-digits", "large-power-over-digits", "moments-zero-P-negative-power",
+         "oracle-check-zero-Q-negative-power", "moments-zero-Q-negative-power"],
 )
 def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overrides, code,
                                                          message):
     path = write_scenario(tmp_path, **overrides)
+    path.write_text(path.read_text().replace(json.dumps(_LONG_INT), "1" + "0" * 5000))
     assert main(["run", str(path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(message)
@@ -536,6 +577,20 @@ def scenarios(draw):
 @example({"packet": {"Q": 0, "P": 0, "dQ": 1, "dP": 1, "hbar": 1},
           "potential": {"m": 1, "V": [0]},
           "run": {"mode": "oracle-check", "expressions": ["q^2 - q^2"]}}, "out")
+# coefficients that int() could not read or str() could not write, and a
+# packet symbol that is 0 under a negative power
+@example({"packet": {"Q": 0, "P": 0, "dQ": 1, "dP": 1, "hbar": 1},
+          "potential": {"m": 1, "V": [0]},
+          "run": {"mode": "moments", "expressions": ["1" + "0" * 5000 + "*q"]}}, "out")
+@example({"packet": {"Q": 0, "P": 0, "dQ": 1, "dP": 1, "hbar": 1},
+          "potential": {"m": 1, "V": [0]},
+          "run": {"mode": "moments", "expressions": ["10^3000*10^3000*q"]}}, "out")
+@example({"packet": {"Q": 0, "P": 0, "dQ": 1, "dP": 1, "hbar": 1},
+          "potential": {"m": 1, "V": [0]},
+          "run": {"mode": "moments", "expressions": ["2^300000000*q"]}}, "out")
+@example({"packet": {"Q": 0, "P": 0, "dQ": 1, "dP": 1, "hbar": 1},
+          "potential": {"m": 1, "V": [0]},
+          "run": {"mode": "moments", "expressions": ["P^-2", "Q^-1*q"]}}, "out")
 def test_any_scenario_exits_with_a_documented_code(scenario, out):
     assume(scenario["run"]["mode"] in FUZZ_MODES)  # the examples above need numpy
     # an output directory under the scenario file cannot be made: exit 4

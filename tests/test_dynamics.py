@@ -150,7 +150,7 @@ def walk(x0, step, order):
 
 def commutator_chain(potential, x0, order):
     """Reference Heisenberg chain X -> [X, H]/(i hbar) on q-left operators."""
-    h = hamiltonian(potential, WeylPolynomial)
+    h = WeylPolynomial.from_symbol(hamiltonian(potential))
 
     def step(x):
         return commutator(x, h).map_coefficients(lambda c: c * _INV_I_HBAR)
@@ -245,7 +245,7 @@ def test_moyal_shadow_check_sees_a_perturbed_step(monkeypatch, fresh_chains):
 def _fresh_averaged_p(potential, order):
     """averaged_p_derivatives by fresh chain walks and two averages,
     without the memo."""
-    h = hamiltonian(potential, PhasePolynomial)
+    h = hamiltonian(potential)
     x0, sym = PhasePolynomial.p(), PacketMoments.symbolic()
     quantum = walk(x0, dynamics._moyal_step(h), order)[-1]
     classical = walk(x0, dynamics._classical_step(h), order)[-1]
@@ -264,7 +264,7 @@ def test_classical_average_is_the_poisson_entry_averaged(degree):
     # the nu^0 part of the one Moyal average equals the average of the
     # Poisson chain's entry, the computation it replaced
     pot = PolynomialPotential.symbolic(degree)
-    step = dynamics._classical_step(hamiltonian(pot, PhasePolynomial))
+    step = dynamics._classical_step(hamiltonian(pot))
     poisson = walk(PhasePolynomial.p(), step, 8)
     for order in range(1, 9):
         _, classical = averaged_p_derivatives(pot, order)
@@ -286,7 +286,7 @@ def test_quantum_correction_has_no_nu0_term(degree):
 @pytest.mark.parametrize("degree", [2, 4, 6])
 def test_q_chain_read_off_p_matches_a_walked_q_chain(kind, step, degree):
     pot = PolynomialPotential.symbolic(degree)
-    bracket = getattr(dynamics, step)(hamiltonian(pot, PhasePolynomial))
+    bracket = getattr(dynamics, step)(hamiltonian(pot))
     assert dynamics._chain(pot, kind, "q", 6) == walk(PhasePolynomial.q(), bracket, 6)
 
 
@@ -323,7 +323,7 @@ def term_order(poly):
 
 @pytest.mark.parametrize("degree", range(7))
 def test_one_pass_moyal_step_matches_the_composed_bracket(degree):
-    h = hamiltonian(PolynomialPotential.symbolic(degree), PhasePolynomial)
+    h = hamiltonian(PolynomialPotential.symbolic(degree))
     step, reference = dynamics._moyal_step(h), composed_moyal_step(h)
     for name, x0 in dynamics._OBSERVABLES.items():
         for n, x in enumerate(walk(x0, reference, 7)):
@@ -393,7 +393,7 @@ def test_one_chain_store_serves_every_caller(monkeypatch, fresh_chains):
 def test_moyal_chains_carry_no_hbar():
     # hbar is written as 2 dQ dP / nu once, in the Moyal weights
     pot = PolynomialPotential.symbolic(6)
-    step = dynamics._moyal_step(hamiltonian(pot, PhasePolynomial))
+    step = dynamics._moyal_step(hamiltonian(pot))
     x0s = [PhasePolynomial.q(), PhasePolynomial.p(), parse_phase("q^2"), parse_phase("q*p")]
     symbols = set()
     for x0 in x0s:

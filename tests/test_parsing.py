@@ -26,7 +26,12 @@ from mepack.algebra import (
 )
 from mepack.algebra.expression import _symbol_rank
 from mepack.algebra import parsing
-from mepack.algebra.parsing import MAX_EXPRESSION_DEGREE, MAX_POWER_TERMS, MAX_PRODUCT_TERMS
+from mepack.algebra.parsing import (
+    MAX_EXPRESSION_DEGREE,
+    MAX_NUMBER_DIGITS,
+    MAX_POWER_TERMS,
+    MAX_PRODUCT_TERMS,
+)
 from mepack.dynamics import (
     PolynomialPotential,
     averaged_p_derivatives,
@@ -316,6 +321,56 @@ def test_a_product_up_to_the_bound_parses():
     with pytest.raises(ParseError, match="got 14400"):
         parse_expression("(V1+V2+V3+dQ)^7*(V1+V2+V3+dQ)^7")
     assert parse_weyl("(q+p)^14*(q+p)^14") == parse_weyl("(q+p)^28")
+
+
+# -- a coefficient is bounded by the digits that the printers can write
+
+
+@pytest.mark.parametrize("template", ["{}*q^{}", "q^{1}/{0}"], ids=["numerator", "denominator"])
+def test_the_largest_accepted_coefficient_prints_at_the_degree_cap(template):
+    # the bound leaves room for what an average of the top degree
+    # multiplies in; one digit more is refused
+    from mepack.classical import moment_classical
+    from mepack.packets import PacketMoments
+    from mepack.quantum import expectation_quantum, restore_hbar
+
+    op = parse_weyl(template.format("9" * MAX_NUMBER_DIGITS, MAX_EXPRESSION_DEGREE))
+    sym = PacketMoments.symbolic()
+    for printed in (format_weyl(op),
+                    format_expression(restore_hbar(expectation_quantum(sym, op))),
+                    format_expression(moment_classical(sym, op.classical()))):
+        assert len(printed) > MAX_NUMBER_DIGITS
+    with pytest.raises(ParseError, match=f"at most {MAX_NUMBER_DIGITS} digits, got "
+                                         f"{MAX_NUMBER_DIGITS + 1}$"):
+        parse_weyl(template.format("9" * (MAX_NUMBER_DIGITS + 1), MAX_EXPRESSION_DEGREE))
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("1" + "0" * 5000, 5001), ("q^" + "1" * 5000, 5000), ("10^3000", 3000),
+    ("(10^2000)*(10^2000)", 4000), ("(1/10^2000)/10^2000", 4000),
+    ("2^300000000", 90308999), ("2^-300000000", 90308999), ("(2*Q)^-3000000", 903090),
+], ids=["literal", "exponent", "power", "product", "denominators", "large-power",
+        "large-negative-power", "negative-power-of-a-monomial"])
+def test_a_coefficient_past_the_digit_bound_is_refused_before_it_is_formed(text, digits):
+    with pytest.raises(ParseError, match=f"at most {MAX_NUMBER_DIGITS} digits, got "
+                                         f"{digits}$"):
+        parse_weyl(text)
+
+
+def test_a_scalar_power_past_the_digit_bound_forms_no_power(monkeypatch):
+    formed = []
+    monkeypatch.setattr(Expr, "__pow__", lambda *args: formed.append(args))
+    for text in ("2^300000000*q", "2^-300000000*q"):
+        with pytest.raises(ParseError, match="digits"):
+            parse_weyl(text)
+    assert formed == []
+
+
+def test_the_digit_bound_spares_leading_zeros_cancelling_factors_and_symbol_powers():
+    big = "9" * MAX_NUMBER_DIGITS
+    assert parse_expression("0" * 5000 + "7") == 7
+    assert parse_expression(f"{big}/{big}") == 1
+    assert parse_expression("Q^-100000") == Expr.symbol("Q", -100000)
 
 
 # -- the printers against the printer they replaced, kept here as it was as

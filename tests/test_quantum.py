@@ -399,15 +399,18 @@ def test_integer_centred_words_match_the_expr_reference():
 
 
 def test_centred_check_route_stays_in_int():
-    # the diagonal part of an integer word, both Stirling conversions and
-    # the weighted sums keep int coefficients; Expr first appears when
-    # _centred_route writes its terms
+    # the centred words are plain ladder polynomials over int; their
+    # diagonal parts, both Stirling conversions and the weighted sums keep
+    # int coefficients; Expr first appears when _centred_route writes its terms
     import mepack.quantum as quantum
-    from mepack.algebra.ladder import diagonal_part
+    from mepack.algebra.ladder import LadderPolynomial, diagonal_part
 
     for j in range(11):
         for k in range(11 - j):
-            number_poly = diagonal_part(quantum._centred_word(j, k))
+            word = quantum._centred_word(j, k)
+            assert type(word) is LadderPolynomial, (j, k)
+            assert all(type(c) is int for _, c in word.terms()), (j, k)
+            number_poly = diagonal_part(word)
             coeffs = [
                 *number_poly.falling_coefficients().values(),
                 *number_poly.monomial_coefficients().values(),

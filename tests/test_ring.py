@@ -183,7 +183,7 @@ _TERM_MAPS = {
     Expr: (_MONOS, _NUMBERS),
     WeylPolynomial: (_ORDERED_KEYS, _EXPR_COEFFS),
     LadderPolynomial: (_ORDERED_KEYS, _EXPR_COEFFS),
-    NumberPolynomial: (st.integers(0, 3), _EXPR_COEFFS.map(Expr.coerce)),
+    NumberPolynomial: (st.integers(0, 3), _EXPR_COEFFS),
 }
 _MAPS = [lambda c: c * 2, lambda c: c * 0, lambda c: c - 1]
 
@@ -219,6 +219,16 @@ def test_every_term_map_result_is_clean(cls, data):
         results += [x.diff("Q"), x.substitute({"Q": y}), *x.as_poly_in("Q").values()]
     for result in results:
         _assert_clean(result)
+
+
+@pytest.mark.parametrize("cls", [PhasePolynomial, WeylPolynomial, LadderPolynomial,
+                                 NumberPolynomial], ids=lambda cls: cls.__name__)
+def test_every_public_constructor_holds_expr_coefficients(cls):
+    # NumberPolynomial({1: 2}) held the int 2 before its constructor coerced
+    keys = [0, 1, 2] if cls is NumberPolynomial else [(0, 0), (1, 0), (1, 1)]
+    x = cls(dict(zip(keys, [2, Fraction(1, 2), 1j])))
+    assert {key: type(c) for key, c in _term_dict(x).items()} == dict.fromkeys(keys, Expr)
+    assert _term_dict(x)[keys[0]] == Expr.number(2)
 
 
 def test_expr_coerces_its_coefficients():
