@@ -25,7 +25,9 @@ sym = PacketMoments.symbolic()
 print("pipeline for q*p + p*q:")
 ladder = to_ladder(parse_weyl("q*p + p*q"))
 print(f"  ladder form: {ladder}")
-print(f"  balanced part: {diagonal_part(ladder)}")
+# {m: c} for the balanced words c Ad^m A^m, which act as k(k-1)...(k-m+1)
+for m, c in sorted(diagonal_part(ladder).items()):
+    print(f"  balanced part, m = {m}: {c}")
 print(f"  average: {expectation_quantum(sym, parse_weyl('q*p + p*q'))}")
 
 print("\nlandmark expectations (hbar-display form):")

@@ -11,7 +11,7 @@ Layers:
 
 - `mepack.algebra`: exact scalars/expressions, commutative phase-space
   polynomials with the Poisson bracket, noncommutative Weyl and ladder
-  polynomials with normal ordering, number polynomials, text parser.
+  polynomials with normal ordering, the number-basis diagonal, text parser.
 - `mepack.classical` / `mepack.quantum`: multipliers, partition
   functions, moments, entropy, Fock weights, the ground wavefunction.
 - `mepack.dynamics`: quadratic closed-form evolution, Taylor derivative
@@ -25,7 +25,6 @@ from types import ModuleType as _ModuleType
 from .algebra import (
     Expr,
     LadderPolynomial,
-    NumberPolynomial,
     PhasePolynomial,
     Scalar,
     WeylPolynomial,

@@ -3,8 +3,15 @@
 from types import ModuleType as _ModuleType
 
 from .expression import Expr, sqrt_monomial
-from .ladder import LadderPolynomial, diagonal_part, ladder_p, ladder_q, to_ladder
-from .numberpoly import NumberPolynomial, stirling_first_signed, stirling_second
+from .ladder import (
+    LadderPolynomial,
+    diagonal_part,
+    falling_to_powers,
+    ladder_p,
+    ladder_q,
+    stirling_first_signed,
+    to_ladder,
+)
 from .parsing import (
     ParseError,
     format_expression,

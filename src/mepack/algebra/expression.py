@@ -3,24 +3,23 @@
 An `Expr` is a Laurent polynomial (integer exponents, possibly negative)
 over :class:`~mepack.algebra.scalar.Scalar` coefficients in the symbols
 
-    hbar, m, V0..Vn, Q, P, dQ, dP, nu, s, t,
+    hbar, m, V0..Vn, Q, P, dQ, dP, nu, s,
 
 plus a handful of auxiliary names used internally (lam1..lam4 for
-Lagrange multipliers, pi, v, Lnu = ln((nu+1)/(nu-1)), and k for number
-polynomials).  Denominators are monomials, which is all the closed
-formulas in this package ever need.
+Lagrange multipliers, pi, v, Lnu = ln((nu+1)/(nu-1))).  Denominators are
+monomials, which is all the closed formulas in this package ever need.
 
 A canonical monomial is a tuple of (symbol, nonzero exponent) pairs in the
 order of their ranks, with s^2 -> 1/nu applied (the auxiliary symbol `s` is
 1/sqrt(nu), so its exponent is 0 or 1).  A symbol's rank is computed once,
 the first time its name is read, and each product of two monomials once.
-`Expr(terms)` brings any key to its canonical monomial (once per distinct
-key) and adds the keys that collide; the constructors below start from
-canonical keys and skip that step.
+`Expr(terms)` brings any key to its canonical monomial and adds the keys
+that collide; the constructors below start from canonical keys and skip
+that step.
 
-`TermMap` is the storage under `Expr`, the ordered polynomials and
-`NumberPolynomial`; its constructor makes every coefficient an `Expr`, and
-`_wrap` holds them as given (`int` on the moment engine's centred words).
+`TermMap` is the storage under `Expr` and the ordered polynomials; its
+constructor makes every coefficient an `Expr`, and `_wrap` holds them as
+given (`int` on the moment engine's centred words).
 `term_sum` and `term_negation` are the `+` and unary `-` of both rings.
 `-`, `/` and `**` come from `ring.ExactRing`; only a monomial has an
 inverse, and a one-term power scales its exponents directly.
@@ -41,8 +40,8 @@ from .scalar import Scalar, ZERO, ONE
 # fixed symbol universe; the potential coefficients V0, V1, ... are named
 # canonically (ASCII digits, no leading zero), so one name is one symbol
 _BASE_SYMBOLS = (
-    "hbar", "m", "Q", "P", "dQ", "dP", "nu", "s", "t",
-    "v", "pi", "Lnu", "k",
+    "hbar", "m", "Q", "P", "dQ", "dP", "nu", "s",
+    "v", "pi", "Lnu",
     "lam1", "lam2", "lam3", "lam4",
 )
 _V_NAME = re.compile(r"V(0|[1-9][0-9]*)")
@@ -79,7 +78,6 @@ def _normalize_powers(powers: Dict[str, int]) -> Mono:
     return tuple([(sym, powers[sym]) for sym in sorted(powers, key=_symbol_rank) if powers[sym]])
 
 
-@lru_cache(maxsize=None)
 def _canonical(key) -> Mono:
     """The canonical monomial of (symbol, exponent) pairs in any order, with
     repeats and zero exponents allowed."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -117,6 +118,35 @@ def _json_int(text: str):
         return _LongInt(len(text.lstrip("-")))
 
 
+# a decimal literal with an exponent, as `Fraction` reads it
+_DECIMAL = re.compile(r"\s*[-+]?(?P<whole>\d+(?:_\d+)*)?(?:\.(?P<part>\d+(?:_\d+)*)?)?"
+                      r"[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*")
+
+
+def _rational(value: str, field: str) -> Fraction:
+    """`Fraction(value)`, which builds 10^|e| exactly for an exponent e: a
+    nonzero value that e puts past float range (L mantissa digits move the
+    magnitude by at most L) is refused, and a zero mantissa is 0, before
+    that power is formed."""
+    match = _DECIMAL.fullmatch(value)
+    digits = "".join(filter(None, match.group("whole", "part"))).replace("_", "") if match else ""
+    if digits:
+        if not digits.strip("0"):
+            return Fraction(0)
+        try:
+            exponent = int(match["exp"].replace("_", ""))
+        except ValueError:  # past the int-string limit
+            exponent = -math.inf if match["exp"].startswith("-") else math.inf
+        if exponent - len(digits) > 308:
+            raise ValidationError(f"{value} is beyond float range", field)
+        if exponent + len(digits) < -324:
+            raise ValidationError(f"{value} is below float range (its float is 0)", field)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad rational literal {value!r}: {exc}", field)
+
+
 def _number(value, field: str):
     """An int, float or rational literal whose float is finite, and nonzero
     when the value is: every scenario number is read here."""
@@ -125,10 +155,7 @@ def _number(value, field: str):
     if isinstance(value, _LongInt):
         raise ValidationError(f"an integer of {value.digits} digits is beyond float range", field)
     if isinstance(value, str):
-        try:
-            number = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational literal {value!r}: {exc}", field)
+        number = _rational(value, field)
     elif isinstance(value, (int, float)):
         number = value
     else:

@@ -12,19 +12,22 @@ classical Gaussian moments, and hbar/2 = dQ dP / nu.
 
 Every moment is checked against the diagonal representation in a centred
 form: q = Q + dQ s X and p = P + dP s Y with X = A + Ad, Y = -i (A - Ad)
-and s = 1/sqrt(nu); the balanced words of X^j Y^k are summed against the
-weights by two independent routes that must agree:
+and s = 1/sqrt(nu).  The balanced words of X^j Y^k, the dict {m: c} of
+falling-factorial coefficients that `ladder.diagonal_part` returns, are
+summed against the weights by two independent routes that must agree:
 
   (a) the operator formula  <k^n> = (2/(nu+1)) D^n (nu+1)/2  with
-      D = ((nu^2-1)/2) d/dnu, applied in the monomial basis;
-  (b) the closed falling-factorial sums  <Ad^m A^m> = m! ((nu-1)/2)^m.
+      D = ((nu^2-1)/2) d/dnu, applied to the dict rewritten in powers of k
+      (`ladder.falling_to_powers`);
+  (b) the closed falling-factorial sums  <Ad^m A^m> = m! ((nu-1)/2)^m,
+      applied to the dict as it is.
 
 The check computes over ints and rationals.  The words are built as
 X^j (A - Ad)^k, `LadderPolynomial`s over int grown by the one ladder
 product, since X^j Y^k = (-i)^k X^j (A - Ad)^k.  Each weight sum of order m
 is an int table of coefficients in nu scaled by 2^m (m! (nu-1)^m for (b),
-the recurrence of (a) for <k^n>), and the diagonal part of each word is
-summed against both tables in int arithmetic.  The centred route then
+the recurrence of (a) for <k^n>), and the diagonal of each word is summed
+against both tables in int arithmetic.  The centred route then
 writes every term of <q^a p^b>, C(a,j) C(b,k) (-i)^k times a table entry,
 once into one term dict, under a monomial of its own.
 
@@ -41,8 +44,13 @@ from functools import lru_cache
 from typing import Any, Dict, NamedTuple, Tuple, Union
 
 from .algebra.expression import Expr, sum_of_products
-from .algebra.ladder import HBAR_AS_NU, LadderPolynomial, diagonal_part, to_ladder
-from .algebra.numberpoly import NumberPolynomial
+from .algebra.ladder import (
+    HBAR_AS_NU,
+    LadderPolynomial,
+    diagonal_part,
+    falling_to_powers,
+    to_ladder,
+)
 from .algebra.scalar import Scalar
 from .algebra.weyl import WeylPolynomial
 from .algebra.words import contract
@@ -167,8 +175,8 @@ def _monomial_weight_table(n: int) -> Table:
 
 def _table_average(coefficients: Dict[int, Any], table, top: int) -> list:
     """2^top sum_n c_n table(n) / 2^n, the coefficients c_n (n <= top) of a
-    number polynomial summed against a weight table: a list in nu of ints
-    for the centred words, of Exprs for the symbolic reference."""
+    polynomial in k summed against the weight table of their basis: a list
+    in nu of ints for the centred words, of Exprs for the symbolic reference."""
     out = [0] * (top + 1)
     for n, c in coefficients.items():
         for e, t in enumerate(table(n)):
@@ -176,13 +184,14 @@ def _table_average(coefficients: Dict[int, Any], table, top: int) -> list:
     return out
 
 
-def _diagonal_average(number_poly: NumberPolynomial, label: str, top: int) -> list:
-    """2^top times the sum of a number polynomial against the weights, by
-    both routes, which must agree."""
+def _diagonal_average(falling: Dict[int, Any], label: str, top: int) -> list:
+    """2^top times the sum of a diagonal {m: c}, the coefficients of the
+    falling factorials k_(m), against the weights, by both routes, which
+    must agree."""
     return routes_agree(
         f"summation routes disagree for {label}",
-        _table_average(number_poly.falling_coefficients(), _falling_weight_table, top),
-        _table_average(number_poly.monomial_coefficients(), _monomial_weight_table, top),
+        _table_average(falling, _falling_weight_table, top),
+        _table_average(falling_to_powers(falling), _monomial_weight_table, top),
     )
 
 
@@ -193,14 +202,14 @@ def ladder_monomial_expectation(a: int, b: int) -> Expr:
     The reference that `weyl_monomial_expectation` is tested against;
     uncached and slow (its coefficients carry every packet symbol).
     """
-    number_poly = diagonal_part(to_ladder(WeylPolynomial({(a, b): Expr.number(1)})))
-    for coeff in number_poly.falling_coefficients().values():
+    falling = diagonal_part(to_ladder(WeylPolynomial({(a, b): Expr.number(1)})))
+    for coeff in falling.values():
         if "s" in coeff.symbols():
             raise AssertionError(
                 f"odd power of s survived in the diagonal part of q^{a} p^{b}"
             )
     top = (a + b) // 2
-    table = _diagonal_average(number_poly, f"q^{a} p^{b}", top)
+    table = _diagonal_average(falling, f"q^{a} p^{b}", top)
     return sum_of_products(
         (Expr.coerce(coeff), Expr.monomial(Fraction(1, 1 << top), nu=e))
         for e, coeff in enumerate(table)
@@ -227,12 +236,12 @@ def _centred_word(j: int, k: int) -> LadderPolynomial:
 def _centred_moment(j: int, k: int) -> Table:
     """2^h <X^j (A - Ad)^k> over the weights, h = (j+k)/2, as an int table
     in nu; empty for odd j + k.  <X^j Y^k> is (-i)^k times it."""
-    number_poly = diagonal_part(_centred_word(j, k))
+    falling = diagonal_part(_centred_word(j, k))
     if (j + k) % 2:
-        if not number_poly.is_zero():
+        if falling:
             raise AssertionError(f"odd word X^{j} Y^{k} has a diagonal part")
         return ()
-    return tuple(_diagonal_average(number_poly, f"X^{j} Y^{k}", (j + k) // 2))
+    return tuple(_diagonal_average(falling, f"X^{j} Y^{k}", (j + k) // 2))
 
 
 def _centred_route(a: int, b: int) -> Expr:

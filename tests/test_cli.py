@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -28,9 +29,11 @@ from mepack.cli import (
     MAX_POTENTIAL_DEGREE,
     MODES,
     PROPAGATIONS,
+    _number,
     format_nu_polynomial,
     main,
 )
+from mepack.errors import ValidationError
 
 # an override value that removes its key from the base scenario
 DROP = object()
@@ -485,6 +488,11 @@ _LONG_INT = "<a JSON integer of 5001 digits>"
         ({"run": {"mode": "moments", "grid": None, "expressions": ["q", "Q^-1*q"]}}, 2,
          "validation error: run.expressions[1]: symbol 'Q' is 0 in the packet, under a "
          "negative power\n"),
+        # refused by the exponent, before Fraction forms 10^10000000
+        ({"packet": {"Q": "1e10000000"}}, 2,
+         "validation error: packet.Q: 1e10000000 is beyond float range\n"),
+        ({"packet": {"hbar": "1e-10000000"}}, 2,
+         "validation error: packet.hbar: 1e-10000000 is below float range (its float is 0)\n"),
     ],
     ids=["nu_sweep-1e300", "taylor-grid-1e300", "quantum-V4-1e300", "moments-10^400",
          "grid-step-1e-300", "grid-list-too-long", "order-over-cap", "orders-entry-over-cap",
@@ -494,7 +502,8 @@ _LONG_INT = "<a JSON integer of 5001 digits>"
          "oracle-check-10^306",
          "packet-int-past-str-limit", "literal-over-digits", "power-over-digits",
          "product-over-digits", "large-power-over-digits", "moments-zero-P-negative-power",
-         "oracle-check-zero-Q-negative-power", "moments-zero-Q-negative-power"],
+         "oracle-check-zero-Q-negative-power", "moments-zero-Q-negative-power",
+         "packet-exponent-past-float-range", "packet-exponent-below-float-range"],
 )
 def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overrides, code,
                                                          message):
@@ -504,6 +513,25 @@ def test_a_value_out_of_range_exits_without_a_traceback(tmp_path, capsys, overri
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1e-10000000", "0e-10000000"])
+def test_a_long_decimal_exponent_is_read_without_forming_its_power(value):
+    # Fraction(value) forms 10^10000000 exactly, which takes seconds
+    start = time.perf_counter()
+    with contextlib.suppress(ValidationError):
+        _number(value, "packet.Q")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_zero_mantissa_with_a_long_exponent_runs_as_zero(tmp_path):
+    outputs = []
+    for q in (0, "0e-10000000"):
+        out = tmp_path / str(len(outputs))
+        path = write_scenario(tmp_path, packet={"Q": q}, output={"dir": str(out)})
+        assert main(["run", str(path)]) == 0
+        outputs.append([(out / name).read_text() for name in ("trajectory.csv", "results.json")])
+    assert outputs[0] == outputs[1]
 
 
 # generated scenarios: numbers, lists and texts are drawn well below the caps,

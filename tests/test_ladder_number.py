@@ -1,23 +1,25 @@
-"""Ladder algebra, the oscillator substitution, and number polynomials."""
+"""Ladder algebra, the oscillator substitution, and the number-basis diagonal."""
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mepack.algebra import (
     Expr,
     LadderPolynomial,
-    NumberPolynomial,
     WeylPolynomial,
-    commutator,
     diagonal_part,
+    falling_to_powers,
     parse_ladder,
     parse_weyl,
+    stirling_first_signed,
     to_ladder,
 )
-from mepack.algebra.numberpoly import stirling_first_signed, stirling_second
 
 
 def test_defining_relation():
@@ -63,54 +65,84 @@ def test_to_ladder_is_homomorphism():
 def test_diagonal_part_examples():
     # symmetrized qp has constant diagonal 2QP
     d = diagonal_part(to_ladder(parse_weyl("q*p + p*q")))
-    assert d.monomial_coefficients() == {0: parse_expression_2qp()}
-    # (A + Ad)^2 -> 2k + 1
-    sq = parse_ladder("(A + Ad)^2")
-    nk = diagonal_part(sq)
-    assert nk.as_expression() == 2 * Expr.symbol("k") + 1
+    assert d == {0: 2 * Expr.symbol("Q") * Expr.symbol("P")}
+    # (A + Ad)^2 -> 1 + 2 Ad A, which is 2k + 1
+    falling = diagonal_part(parse_ladder("(A + Ad)^2"))
+    assert falling == {0: 1, 1: 2}
+    assert falling_to_powers(falling) == {0: 1, 1: 2}
     # A - Ad has no balanced word
-    assert diagonal_part(parse_ladder("A - Ad")).is_zero()
-
-
-def parse_expression_2qp():
-    return 2 * Expr.symbol("Q") * Expr.symbol("P")
+    assert diagonal_part(parse_ladder("A - Ad")) == {}
 
 
 def test_diagonal_matches_matrix_elements():
+    import numpy as np
+
     # <k|(A+Ad)^2|k> on a 10-dimensional truncation
     n = 10
     a = np.diag(np.sqrt(np.arange(1, n)), 1)
-    m = (a + a.T) @ (a + a.T)
-    poly = diagonal_part(parse_ladder("(A + Ad)^2"))
+    matrix = (a + a.T) @ (a + a.T)
+    falling = diagonal_part(parse_ladder("(A + Ad)^2"))
     for k in range(n - 2):
-        assert poly.evaluate_at(k) == pytest.approx(m[k, k])
+        # k(k-1)...(k-m+1), which is 0 for m > k
+        value = sum(c.evaluate({}) * math.prod(range(k - m + 1, k + 1))
+                    for m, c in falling.items())
+        assert value == pytest.approx(matrix[k, k])
+
+
+@lru_cache(maxsize=None)
+def _stirling_second(n, m):
+    """S(n, m): k^n = sum_m S(n, m) k(k-1)...(k-m+1)."""
+    if n == m == 0:
+        return 1
+    if n == 0 or m == 0:
+        return 0
+    return m * _stirling_second(n - 1, m) + _stirling_second(n - 1, m - 1)
 
 
 def test_stirling_inversion():
     for m in range(8):
         for n in range(8):
             total = sum(
-                stirling_first_signed(m, j) * stirling_second(j, n) for j in range(9)
+                stirling_first_signed(m, j) * _stirling_second(j, n) for j in range(9)
             )
             assert total == (1 if m == n else 0)
 
 
-def test_number_polynomial_roundtrip():
-    poly = NumberPolynomial({0: Expr.number(3), 2: Expr.symbol("Q"), 4: Expr.number(Fraction(1, 3))})
-    rebuilt = NumberPolynomial.from_monomial(poly.monomial_coefficients())
-    assert rebuilt == poly
+def _stirling_sum(falling):
+    """sum_m c_m k(k-1)...(k-m+1) in powers of k: the signed Stirling numbers
+    s(m, n) read off the product, expanded one factor (k - j) at a time."""
+    out = {}
+    for m, c in falling.items():
+        product = [1]  # coefficients of k^0, k^1, ...
+        for j in range(m):  # times (k - j)
+            product = [a - j * b for a, b in zip([0] + product, product + [0])]
+        for n, s in enumerate(product):
+            if s:
+                out[n] = out.get(n, 0) + c * s
+    return {n: c for n, c in out.items() if c}
 
 
-def test_number_polynomial_evaluation():
-    poly = NumberPolynomial({2: Expr.number(1)})  # k(k-1)
-    assert poly.evaluate_at(5) == 20
-    assert poly.evaluate_at(1) == 0
+_FALLING_KEYS = st.integers(0, 9)
+_INT_DIAGONALS = st.dictionaries(_FALLING_KEYS, st.integers(-40, 40).filter(bool), max_size=5)
+_EXPR_DIAGONALS = st.dictionaries(_FALLING_KEYS, st.sampled_from([
+    Expr.number(1), Expr.number(Fraction(-1, 3)), Expr.symbol("Q"), -Expr.symbol("Q"),
+    Expr.symbol("nu", -1), Expr.i() * Expr.symbol("dP"),
+]), max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_INT_DIAGONALS, _EXPR_DIAGONALS))
+def test_falling_to_powers_matches_the_stirling_sum(falling):
+    powers = falling_to_powers(falling)
+    assert powers == _stirling_sum(falling)
+    # no zero coefficient, and the coefficients keep their type
+    assert all(powers.values())
+    assert {type(c) for c in powers.values()} <= {type(c) for c in falling.values()}
 
 
 def test_diagonal_of_symmetric_words_has_integer_nu_powers():
     # diagonal parts of symmetric real monomials carry only even powers of s,
     # i.e. integer powers of 1/nu
     for text in ("q^2", "p^2", "q*p + p*q", "q^2*p^2 + p^2*q^2", "p*q^2*p", "q*p^2*q"):
-        d = diagonal_part(to_ladder(parse_weyl(text)))
-        for _, coeff in d.falling_coefficients().items():
+        for coeff in diagonal_part(to_ladder(parse_weyl(text))).values():
             assert "s" not in coeff.symbols()

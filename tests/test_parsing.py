@@ -61,7 +61,7 @@ GOLDEN_EXPR = [
     "Q^2*P^2 + Q^2*dP^2 + P^2*dQ^2 + dQ^2*dP^2",
     "-V1 - V2*Q - (1/2)*V3*Q^2",
     "3*i*dQ^3*dP*nu^-1",
-    "(1/2+3/2*i)*t + 5",
+    "(1/2+3/2*i)*hbar + 5",
     "21 - 2*nu^-2",
 ]
 
@@ -105,6 +105,13 @@ def test_parse_errors():
         parse_weyl("A*q")  # mixed algebras
     with pytest.raises(ParseError):
         parse_weyl("q/(q+1)")  # only scalar monomial divisors
+
+
+@pytest.mark.parametrize("name", ["t", "k"])
+def test_names_outside_the_symbol_set_do_not_parse(name):
+    # the symbol set holds only names that some formula of the package reads
+    with pytest.raises(ParseError, match=f"unknown name '{name}'"):
+        parse_expression(name)
 
 
 def test_scalar_coefficient_forms():

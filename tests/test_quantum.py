@@ -386,12 +386,12 @@ def test_integer_centred_words_match_the_expr_reference():
     for k in range(15):
         word = y_word
         for j in range(15 - k):
-            number_poly = diagonal_part(word)
-            assert not ((j + k) % 2 and not number_poly.is_zero())
+            falling = diagonal_part(word)
+            assert not ((j + k) % 2 and falling)
             if (j + k) % 2:
                 assert quantum._centred_moment(j, k) == (), (j, k)
             else:
-                reference = quantum._diagonal_average(number_poly, f"X^{j} Y^{k}", (j + k) // 2)
+                reference = quantum._diagonal_average(falling, f"X^{j} Y^{k}", (j + k) // 2)
                 table = quantum._centred_moment(j, k)
                 assert [(-Expr.i()) ** k * c for c in table] == reference, (j, k)
             word = x * word
@@ -400,21 +400,18 @@ def test_integer_centred_words_match_the_expr_reference():
 
 def test_centred_check_route_stays_in_int():
     # the centred words are plain ladder polynomials over int; their
-    # diagonal parts, both Stirling conversions and the weighted sums keep
-    # int coefficients; Expr first appears when _centred_route writes its terms
+    # diagonals, the Stirling conversion and the weighted sums keep int
+    # coefficients; Expr first appears when _centred_route writes its terms
     import mepack.quantum as quantum
-    from mepack.algebra.ladder import LadderPolynomial, diagonal_part
+    from mepack.algebra.ladder import LadderPolynomial, diagonal_part, falling_to_powers
 
     for j in range(11):
         for k in range(11 - j):
             word = quantum._centred_word(j, k)
             assert type(word) is LadderPolynomial, (j, k)
             assert all(type(c) is int for _, c in word.terms()), (j, k)
-            number_poly = diagonal_part(word)
-            coeffs = [
-                *number_poly.falling_coefficients().values(),
-                *number_poly.monomial_coefficients().values(),
-            ]
+            falling = diagonal_part(word)
+            coeffs = [*falling.values(), *falling_to_powers(falling).values()]
             assert all(type(c) is int for c in coeffs), (j, k)
             assert all(type(c) is int for c in quantum._centred_moment(j, k)), (j, k)
 

@@ -1,5 +1,5 @@
 """The arithmetic that Scalar, Expr and the ordered polynomial rings share,
-and the term map under Expr, the ordered polynomials and NumberPolynomial."""
+and the term map under Expr and the ordered polynomials."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mepack.algebra import (
     Expr,
     LadderPolynomial,
-    NumberPolynomial,
     ParseError,
     PhasePolynomial,
     Scalar,
@@ -65,12 +64,12 @@ def test_cold_moment_constructs_no_fraction(monkeypatch):
     # Fractions when a Scalar held its parts as two of them
     import fractions
 
-    import mepack.algebra.numberpoly as numberpoly
+    import mepack.algebra.ladder as ladder
     import mepack.algebra.words as words
     import mepack.classical as classical
     import mepack.quantum as quantum
 
-    for module in (quantum, classical, words, numberpoly):
+    for module in (quantum, classical, words, ladder):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
@@ -159,7 +158,7 @@ def test_exponent_must_be_an_int(value):
 
 @pytest.mark.parametrize("value, name", [
     (Scalar(2), "re"), (Expr.symbol("Q"), "_terms"), (WeylPolynomial.q(), "_terms"),
-    (NumberPolynomial({1: 2}), "_terms"),
+    (LadderPolynomial.from_word(["A"]), "_terms"),
 ])
 def test_exact_values_are_immutable(value, name):
     with pytest.raises(AttributeError, match="is immutable"):
@@ -183,19 +182,14 @@ _TERM_MAPS = {
     Expr: (_MONOS, _NUMBERS),
     WeylPolynomial: (_ORDERED_KEYS, _EXPR_COEFFS),
     LadderPolynomial: (_ORDERED_KEYS, _EXPR_COEFFS),
-    NumberPolynomial: (st.integers(0, 3), _EXPR_COEFFS),
 }
 _MAPS = [lambda c: c * 2, lambda c: c * 0, lambda c: c - 1]
-
-
-def _term_dict(x) -> dict:
-    return x.falling_coefficients() if isinstance(x, NumberPolynomial) else dict(x.terms())
 
 
 def _assert_clean(x):
     """No zero coefficient; the public constructor of its own dict rebuilds
     an equal value with the same hash, as does a constant's number."""
-    terms = _term_dict(x)
+    terms = dict(x.terms())
     assert all(c != 0 for c in terms.values()), x
     rebuilt = type(x)(terms)
     assert rebuilt == x and hash(rebuilt) == hash(x)
@@ -211,37 +205,28 @@ def test_every_term_map_result_is_clean(cls, data):
     raw = st.dictionaries(keys, coeffs, max_size=4)
     x, y = cls(data.draw(raw)), cls(data.draw(raw))
     results = [x, y] + [x.map_coefficients(fn) for fn in _MAPS]
-    if cls is not NumberPolynomial:
-        results += [x + y, x + 1, -x, x - x, x * y, 2 * x]
-        shifted = (x + y) - y
-        assert shifted == x and hash(shifted) == hash(x)
+    results += [x + y, x + 1, -x, x - x, x * y, 2 * x]
+    shifted = (x + y) - y
+    assert shifted == x and hash(shifted) == hash(x)
     if cls is Expr:
         results += [x.diff("Q"), x.substitute({"Q": y}), *x.as_poly_in("Q").values()]
     for result in results:
         _assert_clean(result)
 
 
-@pytest.mark.parametrize("cls", [PhasePolynomial, WeylPolynomial, LadderPolynomial,
-                                 NumberPolynomial], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [PhasePolynomial, WeylPolynomial, LadderPolynomial],
+                         ids=lambda cls: cls.__name__)
 def test_every_public_constructor_holds_expr_coefficients(cls):
-    # NumberPolynomial({1: 2}) held the int 2 before its constructor coerced
-    keys = [0, 1, 2] if cls is NumberPolynomial else [(0, 0), (1, 0), (1, 1)]
+    keys = [(0, 0), (1, 0), (1, 1)]
     x = cls(dict(zip(keys, [2, Fraction(1, 2), 1j])))
-    assert {key: type(c) for key, c in _term_dict(x).items()} == dict.fromkeys(keys, Expr)
-    assert _term_dict(x)[keys[0]] == Expr.number(2)
+    assert {key: type(c) for key, c in x.terms()} == dict.fromkeys(keys, Expr)
+    assert dict(x.terms())[keys[0]] == Expr.number(2)
 
 
 def test_expr_coerces_its_coefficients():
     assert Expr({(): 3}) == 3 and hash(Expr({(): 3})) == hash(3)
     assert Expr({(): 0, (("Q", 1),): Fraction(1, 2)}) == Expr.symbol("Q") / 2
     assert not Expr({(): 0.0})
-
-
-def test_number_polynomial_has_no_arithmetic():
-    with pytest.raises(TypeError):
-        NumberPolynomial({1: 2}) + 1
-    with pytest.raises(TypeError):
-        -NumberPolynomial({1: 2})
 
 
 _LAURENT = st.sampled_from([
